@@ -208,8 +208,6 @@ def oslem_step(state: np.ndarray, problem: GridProblem, alpha: float) -> np.ndar
     state = np.asarray(state, dtype=float)
     if np.any(state <= 0):
         raise ValueError("state must be strictly positive")
-    if alpha == 0.0:
-        return state * (problem.kernel_matrix @ (problem.observed / (state @ problem.kernel_matrix)))
     denom = 1.0 + alpha * (1.0 + np.log(state) - np.log(problem.reference))
     if np.any(denom <= 0):
         raise NumericalFailure("nonpositive one-step-late denominator",

@@ -17,8 +17,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, artifacts, rng as _rng
 from .baselines import (ToyGaussianSpec, discrete_objective,
                         grid_problem_from_continuous, oslem_solve,
@@ -33,12 +31,12 @@ from .problems import (PRESET_NAMES, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ,
                        build_initial_cloud, get_preset, load_observations_csv)
 from .reference import ReferenceMeasure
 from .solver import SolverConfig, run as run_solver
-from .state import ParticleCloud
 
 _SOLVER_KEYS = {"alpha", "gamma", "n_particles", "n_steps", "seed", "eta", "minibatch",
                 "resample_each_step", "resample_policy", "stop_tol", "stop_window",
                 "denom_floor"}
 _INIT_MODES = ("auto", "observations", "reference", "point", "uniform")
+_INIT_KEYS = {"mode", "point", "box"}
 
 
 def _load_config(path) -> dict:
@@ -71,6 +69,14 @@ def _solver_overrides(cfg: dict, base, path="solver."):
     if unknown:
         raise ConfigError(f"unknown solver keys {sorted(unknown)}", path=path.rstrip("."))
     return dataclasses.replace(base, **cfg)
+
+
+def _init_config(cfg: dict) -> dict:
+    init_cfg = _expect(cfg, "init", dict, "", default={})
+    unknown = set(init_cfg) - _INIT_KEYS
+    if unknown:
+        raise ConfigError(f"unknown init keys {sorted(unknown)}", path="init")
+    return init_cfg
 
 
 def _build_kernel(cfg: dict, path="problem.kernel."):
@@ -169,37 +175,14 @@ def _replicate_job(cfg, preset, solver, init_cfg, metric_names, replicate_seed):
     config = dataclasses.replace(solver, seed=replicate_seed)
     init_mode = init_cfg.get("mode", "auto")
     _validate_common(cfg, preset, kernel, config, observations, ref, init_mode)
-    if preset is not None:
-        init = build_initial_cloud(preset, config, observations, ref, mode=init_mode,
-                                   point=init_cfg.get("point"), box=init_cfg.get("box"))
-    else:
-        init = _inline_init(init_cfg, config, observations, ref)
+    init = build_initial_cloud(preset, config, observations, ref, mode=init_mode,
+                               point=init_cfg.get("point"), box=init_cfg.get("box"))
     cloud, trace = run_solver(config, kernel, ref, init, observations)
     metric_rows = []
     if preset is not None and metric_names:
         metric_rows = compute_metrics(preset, cloud, observations, metric_names,
                                       replicate_seed)
     return cloud, trace, metric_rows, observations
-
-
-def _inline_init(init_cfg, config, observations, ref):
-    mode = init_cfg.get("mode", "reference")
-    gen = _rng.stream(config.seed, _rng.ROLE_INIT)
-    n = config.n_particles
-    if mode in ("auto", "reference"):
-        return_points = ref.sample(n, gen)
-    elif mode == "observations":
-        shift = float(init_cfg.get("shift", 0.0))
-        idx = gen.integers(0, observations.n_observations, size=n)
-        return_points = observations.points[idx] + shift
-    elif mode == "point":
-        return_points = np.tile(np.asarray(init_cfg["point"], dtype=float), (n, 1))
-    elif mode == "uniform":
-        box = np.asarray(init_cfg["box"], dtype=float)
-        return_points = gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0]))
-    else:
-        raise ConfigError(f"unknown init mode {mode!r}", path="init.mode")
-    return ParticleCloud(return_points)
 
 
 def _resolve_preset(cfg):
@@ -225,7 +208,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> in
     seed_base = seed_override if seed_override is not None \
         else _expect(cfg, "seed_base", int, "", default=solver.seed)
     metric_names = cfg.get("metrics", list(preset.default_metrics) if preset else [])
-    init_cfg = cfg.get("init", {})
+    init_cfg = _init_config(cfg)
     emit_kde = _expect(cfg, "kde_grid", bool, "", default=True)
 
     jobs = list(range(replicates))
@@ -255,7 +238,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> in
                                     observations.n_observations, seed_base + r,
                                     metric, value))
     artifacts.write_metrics_csv(out / "metrics.csv", all_metric_rows)
-    _echo_config(cfg, out, workers=workers, seed_base=seed_base, command="run")
+    _echo_config(cfg, out, seed_base=seed_base, command="run")
     return 0
 
 
@@ -274,14 +257,14 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> int
                   seed=seed_override if seed_override is not None
                   else _expect(cv_cfg, "seed", int, "cv.", default=0),
                   score=_expect(cv_cfg, "score", str, "cv.", default="penalized"))
+    init_mode = _init_config(cfg).get("mode", "auto")
     observations = _observations_for(cfg.get("observations"), preset, plan.seed)
-    _validate_common(cfg, preset, preset.kernel, solver, observations,
-                     None, cfg.get("init", {}).get("mode", "auto"))
+    _validate_common(cfg, preset, preset.kernel, solver, observations, None, init_mode)
     result = cv_score(plan, preset, observations, solver, workers=workers,
-                      init_mode=cfg.get("init", {}).get("mode", "auto"))
+                      init_mode=init_mode)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_cv_csv(out / "cv_table.csv", result)
-    _echo_config(cfg, out, workers=workers, seed_base=plan.seed, command="cv")
+    _echo_config(cfg, out, seed_base=plan.seed, command="cv")
     print(f"selected alpha: {artifacts.fmt(result.selected_alpha())}")
     return 0
 
@@ -301,7 +284,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
         alphas = cfg.get("alpha_grid", [0.0, 0.5, 1.0])
         rows = toy_sweep(spec, alphas)
         artifacts.write_toy_sweep_csv(out / "toy_sweep.csv", rows)
-        _echo_config(cfg, out, workers=workers, seed_base=0, command="baseline",
+        _echo_config(cfg, out, seed_base=0, command="baseline",
                      extra={"sigma0_sq_resolved": spec.sigma0_sq})
         for alpha, beta, value in rows:
             print(f"alpha={artifacts.fmt(alpha)} beta={artifacts.fmt(beta)} "
@@ -324,7 +307,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
                                                n_bins, lo, hi)
         state = oslem_solve(problem, alpha, iterations)
         artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)
-        _echo_config(cfg, out, workers=workers, seed_base=0, command="baseline")
+        _echo_config(cfg, out, seed_base=0, command="baseline")
         print(f"objective: {artifacts.fmt(discrete_objective(state, problem, alpha))}")
         return 0
     raise ConfigError(f"unknown baseline {kind!r}", path="baseline")
@@ -353,11 +336,11 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
                          seed, metric, value))
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_metrics_csv(out / "metrics.csv", rows)
-    _echo_config(cfg, out, workers=workers, seed_base=seed, command="metrics")
+    _echo_config(cfg, out, seed_base=seed, command="metrics")
     return 0
 
 
-def _echo_config(cfg: dict, out: Path, *, workers: int, seed_base: int, command: str,
+def _echo_config(cfg: dict, out: Path, *, seed_base: int, command: str,
                  extra: dict | None = None) -> None:
     resolved = {"command": command, "config": cfg, "seed_base": seed_base,
                 "version": __version__}

@@ -1,10 +1,17 @@
 """Markov-kernel densities k(x, y) and their x-gradients.
 
-Every kernel is immutable after construction and exposes, besides pointwise
-``eval``/``grad1``, the batched forms the drift loop needs: all particles
-against all batch observations in one call.  ``bound_M`` is an analytic
-uniform bound on both k and ``‖∇₁k‖`` (second derivatives are bounded too but
-nothing downstream consumes them).
+A kernel implements two batched methods, both on all particles against all
+batch observations at once:
+
+- ``eval_matrix(xs, ys)``: the (n, m) matrix k(x_i, y_j);
+- ``weighted_grad1(xs, ys, k, w)``: the (n, d) rows Σ_j w_j ∇₁k(x_i, y_j),
+  given that matrix ``k`` and weights ``w`` of shape (m,).
+
+The drift needs only that weighted sum, so no (n, m, d) gradient tensor is
+ever formed.  Pointwise ``eval`` and ``grad1`` are derived from the two (one
+pair, unit weight).  Every kernel is immutable after construction.
+``bound_M`` is an analytic uniform bound on both k and ``‖∇₁k‖`` (second
+derivatives are bounded too but nothing downstream consumes them).
 """
 from __future__ import annotations
 
@@ -35,12 +42,9 @@ class KernelModel(abc.ABC):
         """k(x_i, y_j) for xs (n, d) and ys (m, p); returns (n, m)."""
 
     @abc.abstractmethod
-    def grad1_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """∇₁k(x_i, y_j); returns (n, m, d)."""
-
-    def eval_and_grad1_matrix(self, xs: np.ndarray, ys: np.ndarray):
-        """(k matrix, gradient tensor) in one call; concrete kernels share work."""
-        return self.eval_matrix(xs, ys), self.grad1_matrix(xs, ys)
+    def weighted_grad1(self, xs: np.ndarray, ys: np.ndarray, k: np.ndarray,
+                       w: np.ndarray) -> np.ndarray:
+        """Σ_j w_j ∇₁k(x_i, y_j) for k = eval_matrix(xs, ys), w (m,); returns (n, d)."""
 
     def eval(self, x, y) -> float:
         xs = _as_points(x, self.dim_x, "x")
@@ -50,7 +54,7 @@ class KernelModel(abc.ABC):
     def grad1(self, x, y) -> np.ndarray:
         xs = _as_points(x, self.dim_x, "x")
         ys = _as_points(y, self.dim_y, "y")
-        return self.grad1_matrix(xs, ys)[0, 0]
+        return self.weighted_grad1(xs, ys, self.eval_matrix(xs, ys), np.ones(1))[0]
 
 
 class GaussianConvolutionKernel(KernelModel):
@@ -70,18 +74,19 @@ class GaussianConvolutionKernel(KernelModel):
     def eval_matrix(self, xs, ys):
         xs = _as_points(xs, self.dim_x, "x")
         ys = _as_points(ys, self.dim_y, "y")
-        diff = ys[None, :, :] - xs[:, None, :]
-        return self._norm * np.exp(-0.5 * np.sum(diff**2 / self._var, axis=-1))
+        sq = np.zeros((xs.shape[0], ys.shape[0]))
+        for i in range(self.dim_x):
+            sq += (ys[:, i] - xs[:, i, None]) ** 2 / self._var[i]
+        return self._norm * np.exp(-0.5 * sq)
 
-    def grad1_matrix(self, xs, ys):
-        return self.eval_and_grad1_matrix(xs, ys)[1]
-
-    def eval_and_grad1_matrix(self, xs, ys):
-        xs = _as_points(xs, self.dim_x, "x")
-        ys = _as_points(ys, self.dim_y, "y")
-        diff = ys[None, :, :] - xs[:, None, :]
-        k = self._norm * np.exp(-0.5 * np.sum(diff**2 / self._var, axis=-1))
-        return k, k[:, :, None] * diff / self._var
+    def weighted_grad1(self, xs, ys, k, w):
+        # per-coordinate differences, not (k∘w)@Y − x∘rowsum, which cancels
+        # when the cloud sits far from the origin
+        kw = k * w
+        out = np.empty((xs.shape[0], self.dim_x))
+        for i in range(self.dim_x):
+            out[:, i] = np.sum(kw * (ys[:, i] - xs[:, i, None]), axis=1) / self._var[i]
+        return out
 
 
 class GaussianMixtureDelayKernel(KernelModel):
@@ -104,28 +109,21 @@ class GaussianMixtureDelayKernel(KernelModel):
         self.bound_M = max(peak, grad_peak)
 
     def _components(self, xs, ys):
-        u = ys[None, :, 0] - xs[:, None, 0]                       # (n, m)
-        z = (u[:, :, None] - self.means) / self.sds               # (n, m, c)
-        dens = np.exp(-0.5 * z**2) / (self.sds * _SQRT_2PI)
-        return u, z, dens
+        """Per component: sd s, z = (y − x − m)/s and w·N(y − x; m, s²), (n, m) each."""
+        u = ys[:, 0] - xs[:, 0, None]
+        for w, m, s in zip(self.weights, self.means, self.sds):
+            z = (u - m) / s
+            yield s, z, w * (np.exp(-0.5 * z**2) / (s * _SQRT_2PI))
 
     def eval_matrix(self, xs, ys):
         xs = _as_points(xs, 1, "x")
         ys = _as_points(ys, 1, "y")
-        _, _, dens = self._components(xs, ys)
-        return np.sum(self.weights * dens, axis=-1)
+        return sum(dens for _, _, dens in self._components(xs, ys))
 
-    def grad1_matrix(self, xs, ys):
-        return self.eval_and_grad1_matrix(xs, ys)[1]
-
-    def eval_and_grad1_matrix(self, xs, ys):
-        xs = _as_points(xs, 1, "x")
-        ys = _as_points(ys, 1, "y")
-        _, z, dens = self._components(xs, ys)
-        k = np.sum(self.weights * dens, axis=-1)
+    def weighted_grad1(self, xs, ys, k, w):
         # d/dx N(y-x; m, s^2) = N * (y-x-m)/s^2
-        grad = np.sum(self.weights * dens * z / self.sds, axis=-1)
-        return k, grad[:, :, None]
+        grad = sum(dens * z / s for s, z, dens in self._components(xs, ys))
+        return (grad @ w)[:, None]
 
 
 class RadonAlignmentKernel(KernelModel):
@@ -170,12 +168,6 @@ class RadonAlignmentKernel(KernelModel):
         res, _ = self._residual(xs, ys)
         return np.exp(-0.5 * (res / self.sigma) ** 2) / self.norm_const
 
-    def grad1_matrix(self, xs, ys):
-        return self.eval_and_grad1_matrix(xs, ys)[1]
-
-    def eval_and_grad1_matrix(self, xs, ys):
-        xs = _as_points(xs, 2, "x")
-        ys = _as_points(ys, 2, "y")
+    def weighted_grad1(self, xs, ys, k, w):
         res, u = self._residual(xs, ys)
-        k = np.exp(-0.5 * (res / self.sigma) ** 2) / self.norm_const
-        return k, (-k * res / self.sigma**2)[:, :, None] * u[None, :, :]
+        return -((k * w * res) @ u) / self.sigma**2

@@ -71,34 +71,35 @@ class ExperimentPreset:
         return self.kernel.dim_x
 
 
-def build_initial_cloud(preset: ExperimentPreset, config: SolverConfig,
+def build_initial_cloud(preset: ExperimentPreset | None, config: SolverConfig,
                         observations: ObservationSample, ref: ReferenceMeasure,
                         mode: str = "auto", point=None, box=None) -> ParticleCloud:
     """Initial particle positions.
 
     ``auto`` resamples the observations through the deconvolution shift when
     the preset defines one, else draws from the reference measure.  Explicit
-    modes: "observations", "reference", "point", "uniform".
+    modes: "observations", "reference", "point", "uniform".  ``preset=None``
+    marks an inline problem: no shift, so ``auto`` draws from the reference.
     """
     gen = _rng.stream(config.seed, _rng.ROLE_INIT)
     n = config.n_particles
+    shift = preset.init_shift if preset is not None else None
     if mode == "auto":
-        mode = "observations" if preset.init_shift is not None else "reference"
+        mode = "observations" if shift is not None else "reference"
     if mode == "observations":
-        if observations.dim != preset.dim:
+        if observations.dim != ref.dim:
             raise ValueError("cannot initialize from observations when p differs from d")
         idx = gen.integers(0, observations.n_observations, size=n)
-        shift = preset.init_shift or 0.0
-        return ParticleCloud(observations.points[idx] + shift)
+        return ParticleCloud(observations.points[idx] + (shift or 0.0))
     if mode == "reference":
         return ParticleCloud(ref.sample(n, gen))
     if mode == "point":
-        if point is None:
-            raise ValueError("point initialization needs a point")
+        if point is None or np.shape(point) != (ref.dim,):
+            raise ValueError(f"point initialization needs a point of dimension {ref.dim}")
         return ParticleCloud(np.tile(np.asarray(point, dtype=float), (n, 1)))
     if mode == "uniform":
-        if box is None:
-            raise ValueError("uniform initialization needs a box")
+        if box is None or np.shape(box) != (ref.dim, 2):
+            raise ValueError(f"uniform initialization needs a box of {ref.dim} [lo, hi] pairs")
         box = np.asarray(box, dtype=float)
         return ParticleCloud(gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0])))
     raise ValueError(f"unknown init mode {mode!r}")

@@ -23,6 +23,8 @@ from .reference import ReferenceMeasure
 from .state import ObservationSample, ParticleCloud
 
 RESAMPLE_POLICIES = ("without_replacement", "iid")
+# smallest denominator floor for which the drift weights 1/(m·floor) stay finite
+_MIN_DENOM_FLOOR = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class SolverConfig:
             raise ValueError("stop_tol must be positive")
         if self.stop_window < 1:
             raise ValueError("stop_window must be at least 1")
-        if self.denom_floor <= 0:
-            raise ValueError("denom_floor must be positive")
+        if self.denom_floor < _MIN_DENOM_FLOOR:
+            raise ValueError(f"denom_floor must be at least {_MIN_DENOM_FLOOR}")
 
 
 @dataclass
@@ -111,15 +113,18 @@ class SolverTrace:
         return len(self.steps)
 
 
-def _drift_from_matrices(k_matrix, grads, points, ref, alpha, eta, denom_floor, step):
+def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step):
+    """(k matrix, drift); the monitor reuses the k matrix."""
+    k_matrix = kernel.eval_matrix(points, batch_points)
     denom = np.maximum(k_matrix.mean(axis=0) + eta, denom_floor)       # (m,)
-    interaction = np.sum(grads / denom[None, :, None], axis=1) / k_matrix.shape[1]
-    drift = interaction - alpha * ref.grad_u(points)
+    weights = 1.0 / (k_matrix.shape[1] * denom)
+    drift = (kernel.weighted_grad1(points, batch_points, k_matrix, weights)
+             - alpha * ref.grad_u(points))
     finite_rows = np.all(np.isfinite(drift), axis=1)
     if not np.all(finite_rows):
         raise NumericalFailure("non-finite drift", step=step,
                                index=int(np.argmin(finite_rows)))
-    return drift
+    return k_matrix, drift
 
 
 def drift_empirical(cloud: ParticleCloud, batch: ObservationSample,
@@ -137,9 +142,10 @@ def drift_empirical(cloud: ParticleCloud, batch: ObservationSample,
         raise ValueError(f"batch dimension {batch.dim} does not match kernel output {kernel.dim_y}")
     if cloud.dim != kernel.dim_x:
         raise ValueError(f"cloud dimension {cloud.dim} does not match kernel input {kernel.dim_x}")
-    k_matrix, grads = kernel.eval_and_grad1_matrix(cloud.points, batch.points)
-    return _drift_from_matrices(k_matrix, grads, cloud.points, ref, alpha, eta,
-                                denom_floor, cloud.step_index)
+    if denom_floor < _MIN_DENOM_FLOOR:
+        raise ValueError(f"denom_floor must be at least {_MIN_DENOM_FLOOR}")
+    return _drift(kernel, cloud.points, batch.points, ref, alpha, eta, denom_floor,
+                  cloud.step_index)[1]
 
 
 def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: float,
@@ -149,7 +155,7 @@ def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: flo
     noise = np.asarray(noise, dtype=float)
     if drift.shape != cloud.points.shape or noise.shape != cloud.points.shape:
         raise ValueError("drift and noise must have the cloud's shape")
-    norms = np.linalg.norm(drift, axis=1, keepdims=True)
+    norms = np.hypot.reduce(drift, axis=1, keepdims=True)
     new_points = (cloud.points + gamma * drift / (1.0 + gamma * norms)
                   + np.sqrt(2.0 * alpha * gamma) * noise)
     return ParticleCloud(new_points, cloud.step_index + 1)
@@ -238,15 +244,13 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
                                    _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step),
                                    config.resample_policy)
         try:
-            k_matrix, grads = kernel.eval_and_grad1_matrix(cloud.points, batch.points)
-            drift = _drift_from_matrices(k_matrix, grads, cloud.points, ref,
-                                         config.alpha, config.eta, config.denom_floor,
-                                         step)
+            k_matrix, drift = _drift(kernel, cloud.points, batch.points, ref,
+                                     config.alpha, config.eta, config.denom_floor, step)
         except NumericalFailure as failure:
             raise NumericalFailure("drift evaluation failed", step=step,
                                    index=failure.index) from failure
         estimate = _monitor_estimate(cloud, batch, kernel, ref, config, k_matrix=k_matrix)
-        trace.append(cloud.step_index, estimate, np.linalg.norm(drift, axis=1), cloud.points)
+        trace.append(cloud.step_index, estimate, np.hypot.reduce(drift, axis=1), cloud.points)
         if monitor is not None:
             monitor(cloud.step_index, cloud, estimate)
         if config.stop_tol is not None and _should_stop(trace.g_total, config.stop_tol,

@@ -128,6 +128,27 @@ def test_inline_problem_runs_from_file(tmp_path, rng):
     assert (out / "rep000" / "cloud_final.csv").exists()
 
 
+@pytest.mark.parametrize("init, message", [
+    ({"mode": "point"}, "point initialization needs a point"),
+    ({"mode": "uniform", "box": [0.0, 1.0]}, "uniform initialization needs a box"),
+    ({"mode": "observations", "shift": 0.5}, "init: unknown init keys ['shift']"),
+], ids=["point-missing", "box-not-pairs", "unknown-key"])
+def test_inline_bad_init_exits_2(tmp_path, rng, capsys, init, message):
+    obs_path = tmp_path / "obs.csv"
+    np.savetxt(obs_path, rng.normal(size=(40, 1)), delimiter=",",
+               header="y_1", comments="")
+    payload = {
+        "problem": {"kernel": {"type": "gaussian_convolution", "noise_sd": [0.3]},
+                    "reference": {"kind": "from_sample", "mean_shift": 0.0}},
+        "observations": {"file": str(obs_path)},
+        "solver": {"alpha": 0.05, "n_particles": 10, "n_steps": 2, "gamma": 0.01},
+        "init": init,
+    }
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_baseline_toy_sweep(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json",
                        {"baseline": "toy", "alpha_grid": [0.0, 0.5, 1.0]})

@@ -160,15 +160,47 @@ def test_dimension_mismatch_raises():
         k.grad1([0.0, 0.0], [0.0])
 
 
-def test_batch_matches_pointwise(rng):
-    k = GaussianConvolutionKernel([0.3, 0.7])
-    xs = rng.normal(size=(4, 2))
-    ys = rng.normal(size=(5, 2))
-    mat, grads = k.eval_and_grad1_matrix(xs, ys)
-    for i in range(4):
-        for j in range(5):
-            assert mat[i, j] == pytest.approx(k.eval(xs[i], ys[j]), rel=1e-14)
-            assert np.allclose(grads[i, j], k.grad1(xs[i], ys[j]), rtol=1e-14)
+def nearby_batch(kernel, rng, n=4, m=5):
+    """Particles and observations close enough that no k(x_i, y_j) underflows."""
+    if isinstance(kernel, RadonAlignmentKernel):
+        xs = rng.normal(0.0, kernel.sigma, (n, 2))
+        ys = np.column_stack([rng.uniform(0, 2 * np.pi, m), rng.normal(0.0, kernel.sigma, m)])
+    elif isinstance(kernel, GaussianMixtureDelayKernel):
+        xs = rng.normal(0.0, 3.0, (n, 1))
+        ys = rng.normal(11.0, 5.0, (m, 1))
+    else:
+        xs = rng.normal(0.0, kernel.noise_sd, (n, kernel.dim_x))
+        ys = rng.normal(0.0, kernel.noise_sd, (m, kernel.dim_y))
+    return xs, ys
+
+
+@pytest.mark.parametrize("kernel, shift", [
+    (GaussianConvolutionKernel([0.045]), 0.0),
+    (GaussianConvolutionKernel([0.3, 0.7]), 0.0),
+    (GaussianMixtureDelayKernel(**DELAY), 0.0),
+    (RadonAlignmentKernel(sigma=0.05, xi_max=2.0), 0.0),
+    # k depends on y − x only: far from the origin a reduction that forms
+    # Σ_j w_j k_ij y_j − x_i Σ_j w_j k_ij loses the difference to cancellation
+    (GaussianConvolutionKernel([0.045]), 1e3),
+    (GaussianConvolutionKernel([0.3, 0.7]), 1e3),
+    (GaussianMixtureDelayKernel(**DELAY), 1e3),
+], ids=["gauss-d1", "gauss-d2", "delay", "radon", "gauss-d1-shifted",
+        "gauss-d2-shifted", "delay-shifted"])
+def test_batch_matches_pointwise(kernel, shift, rng):
+    xs, ys = nearby_batch(kernel, rng)
+    # snap to points representable both at 0 and at the shift, so the shifted
+    # batch is an exact translate of the pointwise oracle's inputs
+    xs, ys = (xs + shift) - shift, (ys + shift) - shift
+    w = rng.uniform(0.1, 2.0, ys.shape[0])
+    mat = kernel.eval_matrix(xs + shift, ys + shift)
+    got = kernel.weighted_grad1(xs + shift, ys + shift, mat, w)
+    assert mat.shape == (xs.shape[0], ys.shape[0])
+    assert got.shape == xs.shape
+    for i in range(xs.shape[0]):
+        want = sum(w[j] * kernel.grad1(xs[i], ys[j]) for j in range(ys.shape[0]))
+        np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=0)
+        for j in range(ys.shape[0]):
+            assert mat[i, j] == pytest.approx(kernel.eval(xs[i], ys[j]), rel=1e-12)
 
 
 def test_invalid_construction():

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fredholm_flow import (GaussianConvolutionKernel, KernelModel, NumericalFailure,
@@ -25,9 +25,8 @@ class ConstantInXKernel(KernelModel):
         dens = np.exp(-0.5 * np.sum(ys**2, axis=1)) * (2 * np.pi) ** (-self.dim_y / 2)
         return np.broadcast_to(dens[None, :], (xs.shape[0], ys.shape[0])).copy()
 
-    def grad1_matrix(self, xs, ys):
-        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
-        return np.zeros((xs.shape[0], ys.shape[0], self.dim_x))
+    def weighted_grad1(self, xs, ys, k, w):
+        return np.zeros((np.atleast_2d(xs).shape[0], self.dim_x))
 
 
 def test_drift_reduces_to_reference_pull(rng):
@@ -103,11 +102,14 @@ def test_tamed_step_hand_value():
 @settings(max_examples=50, deadline=None)
 @given(arrays(np.float64, (3, 2), elements=st.floats(-1e6, 1e6)),
        st.floats(1e-4, 10.0))
+# subnormal squares: sqrt(x² + y²) is off by 2e-10 relative there, hypot is not
+@example(np.array([[3.8e-158, 3.8e-158], [0.0, 0.0], [0.0, 0.0]]), 0.5)
+@example(np.array([[3.8e-158, 0.0], [0.0, 0.0], [0.0, 0.0]]), 2.0)
 def test_taming_bound_property(drift, gamma):
     cloud = ParticleCloud(np.zeros((3, 2)))
     out = tamed_step(cloud, drift, gamma, alpha=0.0, noise=np.zeros((3, 2)))
-    inc = np.linalg.norm(out.points - cloud.points, axis=1)
-    norms = np.linalg.norm(drift, axis=1)
+    inc = np.hypot.reduce(out.points - cloud.points, axis=1)
+    norms = np.hypot.reduce(drift, axis=1)
     assert np.all(inc < 1.0)
     assert np.all(inc <= gamma * norms * (1.0 + 1e-12) + 1e-300)
     assert np.allclose(inc, gamma * norms / (1.0 + gamma * norms), rtol=1e-12, atol=1e-300)
@@ -227,6 +229,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.1, gamma=0.1, n_particles=10, n_steps=1,
                      resample_policy="sometimes")
+    # a subnormal floor would overflow the drift weights 1/(m·floor)
+    with pytest.raises(ValueError):
+        SolverConfig(alpha=0.1, gamma=0.1, n_particles=10, n_steps=1, denom_floor=1e-320)
+    with pytest.raises(ValueError):
+        drift_empirical(ParticleCloud([[0.0]]), ObservationSample([[1.0]]),
+                        GaussianConvolutionKernel([0.1]), ReferenceMeasure.flat(1),
+                        alpha=0.0, eta=0.0, denom_floor=1e-320)
 
 
 def test_minibatch_iid_policy(rng):
@@ -240,13 +249,10 @@ def test_minibatch_iid_policy(rng):
 
 def test_drift_failure_carries_particle_index():
     class BrokenKernel(ConstantInXKernel):
-        def grad1_matrix(self, xs, ys):
-            out = super().grad1_matrix(xs, ys)
+        def weighted_grad1(self, xs, ys, k, w):
+            out = super().weighted_grad1(xs, ys, k, w)
             out[2] = np.nan
             return out
-
-        def eval_and_grad1_matrix(self, xs, ys):
-            return self.eval_matrix(xs, ys), self.grad1_matrix(xs, ys)
 
     kernel = BrokenKernel(1)
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
