@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .baselines import (ToyGaussianSpec, discrete_objective,
                         grid_problem_from_continuous, oslem_solve,
                         resolve_toy_sigma0_sq, toy_sweep)
 from .crossval import CvPlan, cv_score
-from .density import EvaluationGrid, GaussianKde, silverman_bandwidth
+from .density import GaussianKde
 from .errors import ConfigError, NumericalFailure
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       RadonAlignmentKernel)
@@ -32,11 +33,10 @@ from .problems import (PRESET_NAMES, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ,
 from .reference import ReferenceMeasure
 from .solver import SolverConfig, run as run_solver
 
-_SOLVER_KEYS = {"alpha", "gamma", "n_particles", "n_steps", "seed", "eta", "minibatch",
-                "resample_each_step", "resample_policy", "stop_tol", "stop_window",
-                "denom_floor"}
+_SOLVER_TYPES = typing.get_type_hints(SolverConfig)
 _INIT_MODES = ("auto", "observations", "reference", "point", "uniform")
 _INIT_KEYS = {"mode", "point", "box"}
+_METRIC_NAMES = ("ise", "w1_marginal1", "reconvolution_ise")
 
 
 def _load_config(path) -> dict:
@@ -56,19 +56,33 @@ def _expect(cfg: dict, key: str, kind, path: str, default=None, required=False):
             raise ConfigError("missing required key", path=f"{path}{key}")
         return default
     value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    kinds = typing.get_args(kind) or (kind,)
+    if float in kinds and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and bool not in kinds):
         raise ConfigError(f"expected {getattr(kind, '__name__', kind)}, got "
                           f"{type(value).__name__}", path=f"{path}{key}")
     return value
 
 
-def _solver_overrides(cfg: dict, base, path="solver."):
-    unknown = set(cfg) - _SOLVER_KEYS
+def _solver_overrides(cfg: dict, base):
+    unknown = set(cfg) - set(_SOLVER_TYPES)
     if unknown:
-        raise ConfigError(f"unknown solver keys {sorted(unknown)}", path=path.rstrip("."))
-    return dataclasses.replace(base, **cfg)
+        raise ConfigError(f"unknown solver keys {sorted(unknown)}", path="solver")
+    values = {key: _expect(cfg, key, _SOLVER_TYPES[key], "solver.") for key in cfg}
+    try:
+        return dataclasses.replace(base, **values)
+    except ValueError as err:
+        raise ConfigError(str(err), path="solver") from err
+
+
+def _metric_names(cfg: dict, default: list) -> list:
+    names = _expect(cfg, "metrics", list, "", default=default)
+    unknown = [name for name in names if name not in _METRIC_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}",
+                          path="metrics")
+    return names
 
 
 def _init_config(cfg: dict) -> dict:
@@ -110,7 +124,10 @@ def _build_reference(cfg: dict, observations, path="problem.reference."):
 def _observations_for(cfg: dict | None, preset, replicate_seed: int):
     cfg = cfg or {}
     if "file" in cfg:
-        return load_observations_csv(cfg["file"])
+        path = Path(_expect(cfg, "file", str, "observations."))
+        if not path.is_file():
+            raise ConfigError(f"file not found: {path}", path="observations.file")
+        return load_observations_csv(path)
     if preset is None:
         raise ConfigError("inline problems need observations from a file",
                           path="observations.file")
@@ -122,7 +139,7 @@ def _observations_for(cfg: dict | None, preset, replicate_seed: int):
     return preset.sample_observations(n, seed)
 
 
-def _validate_common(cfg: dict, preset, kernel, solver, observations, ref, init_mode):
+def _validate_common(kernel, solver, observations, ref, init_mode):
     if observations.dim != kernel.dim_y:
         raise ConfigError(f"observations have dimension {observations.dim}, kernel "
                           f"expects {kernel.dim_y}", path="observations")
@@ -137,15 +154,22 @@ def _validate_common(cfg: dict, preset, kernel, solver, observations, ref, init_
         raise ConfigError(f"init mode must be one of {_INIT_MODES}", path="init.mode")
 
 
-def compute_metrics(preset, cloud, observations, names, seed):
-    """(metric, value) rows for a fitted cloud under a preset."""
+def _grid_kde(preset, cloud) -> DensityOnGrid:
+    grid = preset.metric_grid
+    return DensityOnGrid(grid, GaussianKde(cloud.points).evaluate(grid.nodes()))
+
+
+def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
+    """(metric, value) rows for a fitted cloud under a preset.
+
+    ``grid_kde`` is the cloud's KDE on the metric grid, computed here if not given.
+    """
     rows = []
     for name in names:
         if name == "ise":
             if preset.metric_grid is None:
                 raise ConfigError("preset has no metric grid for ISE", path="metrics")
-            est = DensityOnGrid(preset.metric_grid,
-                                GaussianKde(cloud.points).evaluate(preset.metric_grid.nodes()))
+            est = grid_kde if grid_kde is not None else _grid_kde(preset, cloud)
             truth = DensityOnGrid(preset.metric_grid,
                                   preset.truth_pdf(preset.metric_grid.nodes()))
             rows.append((name, ise(est, truth)))
@@ -164,7 +188,7 @@ def compute_metrics(preset, cloud, observations, names, seed):
     return rows
 
 
-def _replicate_job(cfg, preset, solver, init_cfg, metric_names, replicate_seed):
+def _replicate_job(cfg, preset, solver, init_cfg, metric_names, emit_kde, replicate_seed):
     observations = _observations_for(cfg.get("observations"), preset, replicate_seed)
     if preset is not None:
         kernel = preset.kernel
@@ -174,15 +198,18 @@ def _replicate_job(cfg, preset, solver, init_cfg, metric_names, replicate_seed):
         ref = _build_reference(cfg["problem"]["reference"], observations)
     config = dataclasses.replace(solver, seed=replicate_seed)
     init_mode = init_cfg.get("mode", "auto")
-    _validate_common(cfg, preset, kernel, config, observations, ref, init_mode)
+    _validate_common(kernel, config, observations, ref, init_mode)
     init = build_initial_cloud(preset, config, observations, ref, mode=init_mode,
                                point=init_cfg.get("point"), box=init_cfg.get("box"))
     cloud, trace = run_solver(config, kernel, ref, init, observations)
-    metric_rows = []
-    if preset is not None and metric_names:
-        metric_rows = compute_metrics(preset, cloud, observations, metric_names,
-                                      replicate_seed)
-    return cloud, trace, metric_rows, observations
+    if preset is None:
+        return cloud, trace, [], observations, None
+    write_kde = emit_kde and cloud.dim <= 2
+    needs_kde = preset.metric_grid is not None and (write_kde or "ise" in metric_names)
+    grid_kde = _grid_kde(preset, cloud) if needs_kde else None
+    metric_rows = compute_metrics(preset, cloud, observations, metric_names,
+                                  replicate_seed, grid_kde)
+    return cloud, trace, metric_rows, observations, grid_kde if write_kde else None
 
 
 def _resolve_preset(cfg):
@@ -207,13 +234,13 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> in
         raise ConfigError("replicates must be positive", path="replicates")
     seed_base = seed_override if seed_override is not None \
         else _expect(cfg, "seed_base", int, "", default=solver.seed)
-    metric_names = cfg.get("metrics", list(preset.default_metrics) if preset else [])
+    metric_names = _metric_names(cfg, list(preset.default_metrics) if preset else [])
     init_cfg = _init_config(cfg)
     emit_kde = _expect(cfg, "kde_grid", bool, "", default=True)
 
     jobs = list(range(replicates))
     runner = lambda r: _replicate_job(cfg, preset, solver, init_cfg, metric_names,
-                                      seed_base + r)
+                                      emit_kde, seed_base + r)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(runner, jobs))
@@ -222,16 +249,13 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> in
 
     out.mkdir(parents=True, exist_ok=True)
     all_metric_rows = []
-    for r, (cloud, trace, metric_rows, observations) in zip(jobs, results):
+    for r, (cloud, trace, metric_rows, observations, grid_kde) in zip(jobs, results):
         rep_dir = out / f"rep{r:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         artifacts.write_trace_csv(rep_dir / "trace.csv", trace, cloud.dim)
         artifacts.write_cloud_csv(rep_dir / "cloud_final.csv", cloud)
-        if emit_kde and preset is not None and preset.metric_grid is not None \
-                and cloud.dim <= 2:
-            grid = preset.metric_grid
-            density = DensityOnGrid(grid, GaussianKde(cloud.points).evaluate(grid.nodes()))
-            artifacts.write_density_csv(rep_dir / "kde_grid.csv", density)
+        if grid_kde is not None:
+            artifacts.write_density_csv(rep_dir / "kde_grid.csv", grid_kde)
         name = preset.name if preset is not None else "inline"
         for metric, value in metric_rows:
             all_metric_rows.append((name, "particle_flow", solver.n_particles,
@@ -257,11 +281,10 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> int
                   seed=seed_override if seed_override is not None
                   else _expect(cv_cfg, "seed", int, "cv.", default=0),
                   score=_expect(cv_cfg, "score", str, "cv.", default="penalized"))
-    init_mode = _init_config(cfg).get("mode", "auto")
+    init_cfg = _init_config(cfg)
     observations = _observations_for(cfg.get("observations"), preset, plan.seed)
-    _validate_common(cfg, preset, preset.kernel, solver, observations, None, init_mode)
-    result = cv_score(plan, preset, observations, solver, workers=workers,
-                      init_mode=init_mode)
+    _validate_common(preset.kernel, solver, observations, None, init_cfg.get("mode", "auto"))
+    result = cv_score(plan, preset, observations, solver, workers=workers, init=init_cfg)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_cv_csv(out / "cv_table.csv", result)
     _echo_config(cfg, out, seed_base=plan.seed, command="cv")
@@ -320,7 +343,7 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
     cloud_paths = cfg.get("clouds")
     if not isinstance(cloud_paths, list) or not cloud_paths:
         raise ConfigError("give the stored cloud CSVs as a list", path="clouds")
-    names = cfg.get("metrics", list(preset.default_metrics))
+    names = _metric_names(cfg, list(preset.default_metrics))
     seed = seed_override if seed_override is not None \
         else _expect(cfg, "seed", int, "", default=0)
     needs_obs = "reconvolution_ise" in names

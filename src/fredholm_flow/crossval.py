@@ -82,7 +82,7 @@ def make_folds(n_samples: int, n_folds: int, seed: int) -> list[np.ndarray]:
 
 
 def _run_cell(plan, preset, observations, base_config, folds, alpha_index, fold_index,
-              init_mode):
+              init):
     alpha = plan.alpha_grid[alpha_index]
     fold = folds[fold_index]
     mask = np.ones(observations.n_observations, dtype=bool)
@@ -93,8 +93,9 @@ def _run_cell(plan, preset, observations, base_config, folds, alpha_index, fold_
                      seed=_rng.derive_seed(plan.seed, alpha_index))
     try:
         ref = preset.make_reference(train)
-        init = build_initial_cloud(preset, config, train, ref, mode=init_mode)
-        cloud, _ = run(config, preset.kernel, ref, init, train)
+        start = build_initial_cloud(preset, config, train, ref, mode=init.get("mode", "auto"),
+                                    point=init.get("point"), box=init.get("box"))
+        cloud, _ = run(config, preset.kernel, ref, start, train)
         est = g_hat(cloud, heldout, preset.kernel, ref, alpha, config.eta,
                     denom_floor=config.denom_floor)
         value = est.total if plan.score == "penalized" else est.data_term
@@ -105,14 +106,17 @@ def _run_cell(plan, preset, observations, base_config, folds, alpha_index, fold_
 
 def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: ObservationSample,
              base_config: SolverConfig | None = None, workers: int = 1,
-             folds: list | None = None, init_mode: str = "auto") -> CvResult:
+             folds: list | None = None, init: dict | None = None) -> CvResult:
     """Score every (α, fold) cell and collect the table.
 
     ``folds`` may be given explicitly (index arrays forming a partition);
-    otherwise a seeded near-equal partition is drawn.  Cells run on a thread
-    pool of ``workers``; results are identical for any worker count.
+    otherwise a seeded near-equal partition is drawn.  ``init`` holds the
+    initialization keys ``mode`` (default "auto"), ``point`` and ``box``, as
+    ``build_initial_cloud`` takes them.  Cells run on a thread pool of
+    ``workers``; results are identical for any worker count.
     """
     base_config = preset.solver if base_config is None else base_config
+    init = init or {}
     if folds is None:
         folds = make_folds(observations.n_observations, plan.n_folds, plan.seed)
     if len(folds) != plan.n_folds:
@@ -122,10 +126,10 @@ def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: ObservationSa
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(
                 lambda job: _run_cell(plan, preset, observations, base_config, folds,
-                                      job[0], job[1], init_mode), jobs))
+                                      job[0], job[1], init), jobs))
     else:
-        cells = [_run_cell(plan, preset, observations, base_config, folds, ai, fi,
-                           init_mode) for ai, fi in jobs]
+        cells = [_run_cell(plan, preset, observations, base_config, folds, ai, fi, init)
+                 for ai, fi in jobs]
     order = {job: i for i, job in enumerate(jobs)}
     cells.sort(key=lambda c: order[(plan.alpha_grid.index(c.alpha), c.fold)])
     return CvResult(plan, tuple(cells))

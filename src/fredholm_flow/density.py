@@ -1,8 +1,10 @@
 """Gaussian kernel density readout of a particle cloud.
 
-Diagonal bandwidths only; the rule of thumb is Silverman's, and grid
-evaluation is direct summation (no binning), which keeps the estimator exact
-relative to its definition at the scales this package runs at.
+Diagonal bandwidths only; the rule of thumb is Silverman's.  The KDE with
+bandwidth H is the particle mean of the Gaussian convolution kernel with
+variances diag(H), so all evaluation goes through its ``eval_matrix``, blocked
+over query rows to bound memory.  Direct summation (no binning) keeps the
+estimator exact relative to its definition at the scales this package runs at.
 """
 from __future__ import annotations
 
@@ -10,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LOG_2PI = np.log(2.0 * np.pi)
+from .kernels import GaussianConvolutionKernel
+
+# (query, particle) pairs per block: caps one block's kernel matrix at 32 MB
+_BLOCK_PAIRS = 4_000_000
 
 
 def _points_of(cloud_or_points) -> np.ndarray:
@@ -91,33 +96,14 @@ def silverman_bandwidth(cloud) -> BandwidthMatrix:
     return BandwidthMatrix((factor * sd) ** 2)
 
 
-def _eval_batch(pts: np.ndarray, diag: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    norm = np.exp(-0.5 * (np.sum(np.log(diag)) + diag.size * _LOG_2PI))
-    n = pts.shape[0]
-    block = max(1, int(4_000_000 // max(n, 1)))
-    out = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], block):
-        chunk = xs[start:start + block]
-        sq = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2 / diag, axis=-1)
-        out[start:start + block] = norm * np.exp(-0.5 * sq).mean(axis=1)
-    return out
-
-
 def kde_eval(cloud, bandwidth: BandwidthMatrix, x) -> float:
     """Density estimate (1/N) Σ_k det(H)^{-1/2} φ(H^{-1/2}(x − X_k)) at one point."""
-    pts = _points_of(cloud)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != pts.shape[1]:
-        raise ValueError(f"query has dimension {x.shape[1]}, expected {pts.shape[1]}")
-    return float(_eval_batch(pts, bandwidth.diag, x)[0])
+    return float(GaussianKde(cloud, bandwidth).evaluate(x)[0])
 
 
 def kde_grid(cloud, bandwidth: BandwidthMatrix, grid: EvaluationGrid) -> np.ndarray:
     """Pointwise KDE at every grid node, returned flattened row-major."""
-    pts = _points_of(cloud)
-    if grid.dim != pts.shape[1]:
-        raise ValueError(f"grid has dimension {grid.dim}, expected {pts.shape[1]}")
-    return _eval_batch(pts, bandwidth.diag, grid.nodes())
+    return GaussianKde(cloud, bandwidth).evaluate(grid.nodes())
 
 
 class GaussianKde:
@@ -126,10 +112,16 @@ class GaussianKde:
     def __init__(self, cloud, bandwidth: BandwidthMatrix | None = None):
         self.points = _points_of(cloud)
         self.bandwidth = silverman_bandwidth(self.points) if bandwidth is None else bandwidth
+        self._kernel = GaussianConvolutionKernel(np.sqrt(self.bandwidth.diag))
 
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return _eval_batch(self.points, self.bandwidth.diag, xs)
+        block = max(1, _BLOCK_PAIRS // self.points.shape[0])
+        out = np.empty(xs.shape[0])
+        for start in range(0, xs.shape[0], block):
+            chunk = xs[start:start + block]
+            out[start:start + block] = self._kernel.eval_matrix(chunk, self.points).mean(axis=1)
+        return out
 
     def log_evaluate(self, xs) -> np.ndarray:
         return np.log(self.evaluate(xs))

@@ -241,3 +241,70 @@ def test_seed_flag_overrides_base(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
     rows = artifacts.read_metrics_csv(out / "metrics.csv")
     assert {r[4] for r in rows} == {99}
+
+
+def test_run_reads_out_metric_grid_once(tmp_path, monkeypatch):
+    from fredholm_flow.density import GaussianKde
+    from fredholm_flow.metrics import DensityOnGrid, ise
+    preset = preset_gaussian_mixture_1d()
+    n_nodes = preset.metric_grid.nodes().shape[0]
+    calls = []
+    evaluate = GaussianKde.evaluate
+
+    def counting(self, xs):
+        calls.append(np.shape(xs)[0])
+        return evaluate(self, xs)
+
+    monkeypatch.setattr(GaussianKde, "evaluate", counting)
+    cfg = write_config(tmp_path, "c.json", SMALL_RUN)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert calls.count(n_nodes) == SMALL_RUN["replicates"]
+    truth = DensityOnGrid(preset.metric_grid, preset.truth_pdf(preset.metric_grid.nodes()))
+    rows = artifacts.read_metrics_csv(out / "metrics.csv")
+    for r, rep in enumerate(("rep000", "rep001")):
+        written = artifacts.read_density_csv(out / rep / "kde_grid.csv")
+        used = [row[6] for row in rows if row[5] == "ise" and row[4] == 5 + r]
+        assert used == [ise(written, truth)]
+
+
+def test_cv_point_init_through_cli(tmp_path):
+    payload = {
+        "preset": "toy_gaussian",
+        "observations": {"n_samples": 200},
+        "solver": {"n_steps": 2, "n_particles": 20, "minibatch": 20},
+        "init": {"mode": "point", "point": [0.0]},
+        "cv": {"alpha_grid": [0.01, 0.1], "folds": 2},
+    }
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["cv", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"n_particles": "500"}, "solver.n_particles: expected int, got str"),
+    ({"n_particles": 50.5}, "solver.n_particles: expected int, got float"),
+    ({"alpha": -1}, "solver: alpha must be nonnegative"),
+], ids=["string", "fraction", "negative-alpha"])
+def test_bad_solver_override_exits_2(tmp_path, capsys, override, message):
+    payload = dict(SMALL_RUN, solver=dict(SMALL_RUN["solver"], **override))
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_missing_observations_file_exits_2(tmp_path, capsys):
+    payload = dict(SMALL_RUN, observations={"file": str(tmp_path / "nope.csv")})
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "observations.file: file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metrics", ["ise", ["ise", "nope"]], ids=["string", "unknown"])
+def test_bad_metrics_rejected_before_solving(tmp_path, capsys, monkeypatch, metrics):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran before the metrics were validated")
+
+    monkeypatch.setattr("fredholm_flow.cli.run_solver", no_solve)
+    cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, metrics=metrics))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "metrics: " in capsys.readouterr().err

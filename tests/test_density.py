@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fredholm_flow import (BandwidthMatrix, EvaluationGrid, ParticleCloud,
+from fredholm_flow import (BandwidthMatrix, EvaluationGrid, GaussianKde, ParticleCloud,
                            kde_eval, kde_grid, silverman_bandwidth)
 
 
@@ -95,6 +95,16 @@ def test_kde_normalization(d, rng):
     vals = kde_grid(cloud, bw, grid)
     assert grid.trapezoid_weights() @ vals == pytest.approx(1.0, abs=1e-3)
     assert np.all(vals >= 0.0)
+
+
+def test_kde_blocks_cover_every_query(rng):
+    # 3000 particles give blocks of 1333 queries, so 2000 queries take two
+    pts = rng.normal(size=(3000, 2))
+    bw = BandwidthMatrix([0.3, 0.5])
+    xs = rng.normal(size=(2000, 2))
+    vals = GaussianKde(pts, bw).evaluate(xs)
+    for i in (0, 1332, 1333, 1999):
+        assert vals[i] == kde_eval(ParticleCloud(pts), bw, xs[i])
 
 
 def test_kde_permutation_invariance(rng):
