@@ -25,13 +25,20 @@ def _write_lines(path, lines):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_table(path, header, rows, comments=()) -> None:
+    """Comment lines, the header, then one line per row with every cell ``fmt``-ed."""
+    _write_lines(path, [*comments, ",".join(header),
+                        *(",".join(fmt(v) for v in row) for row in rows)])
+
+
+def _names(prefix: str, dim: int) -> list:
+    return [f"{prefix}_{i + 1}" for i in range(dim)]
+
+
 # -- particle clouds ---------------------------------------------------------
 
 def write_cloud_csv(path, cloud: ParticleCloud) -> None:
-    d = cloud.dim
-    lines = [",".join(f"x_{i + 1}" for i in range(d))]
-    lines += [",".join(fmt(v) for v in row) for row in cloud.points]
-    _write_lines(path, lines)
+    _write_table(path, _names("x", cloud.dim), cloud.points)
 
 
 def read_cloud_csv(path) -> ParticleCloud:
@@ -40,54 +47,28 @@ def read_cloud_csv(path) -> ParticleCloud:
 
 
 def write_observations_csv(path, sample: ObservationSample) -> None:
-    lines = [",".join(f"y_{i + 1}" for i in range(sample.dim))]
-    lines += [",".join(fmt(v) for v in row) for row in sample.points]
-    _write_lines(path, lines)
+    _write_table(path, _names("y", sample.dim), sample.points)
 
 
 # -- solver traces -----------------------------------------------------------
 
-def write_trace_csv(path, trace: SolverTrace, dim: int) -> None:
-    header = ["step", "g_hat", "g_hat_data", "g_hat_kl", "drift_mean", "drift_max"]
-    header += [f"mean_{i + 1}" for i in range(dim)] + [f"var_{i + 1}" for i in range(dim)]
-    lines = [",".join(header)]
-    for i in range(len(trace)):
-        row = [str(trace.steps[i]), fmt(trace.g_total[i]), fmt(trace.g_data[i]),
-               fmt(trace.g_kl[i]), fmt(trace.drift_mean[i]), fmt(trace.drift_max[i])]
-        row += [fmt(v) for v in trace.mean[i]] + [fmt(v) for v in trace.var[i]]
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+def write_trace_csv(path, trace: SolverTrace) -> None:
+    _write_table(path, trace.columns, trace.rows)
 
 
 def read_trace_csv(path) -> SolverTrace:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    dim = sum(1 for name in header if name.startswith("mean_"))
-    trace = SolverTrace()
-    for row in data:
-        trace.steps.append(int(row[0]))
-        trace.g_total.append(row[1])
-        trace.g_data.append(row[2])
-        trace.g_kl.append(row[3])
-        trace.drift_mean.append(row[4])
-        trace.drift_max.append(row[5])
-        trace.mean.append(row[6:6 + dim])
-        trace.var.append(row[6 + dim:6 + 2 * dim])
-    return trace
+        return SolverTrace.from_table(header, np.loadtxt(fh, delimiter=",", ndmin=2))
 
 
 # -- densities on grids ------------------------------------------------------
 
 def write_density_csv(path, density: DensityOnGrid) -> None:
-    spans = ";".join(f"{fmt(lo)},{fmt(hi)},{n}" for lo, hi, n in density.grid.spans)
-    d = density.grid.dim
-    lines = [f"# grid: {spans}",
-             ",".join([f"x_{i + 1}" for i in range(d)] + ["density"])]
-    nodes = density.grid.nodes()
-    for node, value in zip(nodes, density.values):
-        lines.append(",".join([fmt(v) for v in node] + [fmt(value)]))
-    _write_lines(path, lines)
+    grid = density.grid
+    spans = ";".join(f"{fmt(lo)},{fmt(hi)},{n}" for lo, hi, n in grid.spans)
+    _write_table(path, _names("x", grid.dim) + ["density"],
+                 np.column_stack([grid.nodes(), density.values]), [f"# grid: {spans}"])
 
 
 def read_density_csv(path) -> DensityOnGrid:
@@ -137,19 +118,13 @@ def write_cv_csv(path, result) -> None:
 # -- baseline tables ---------------------------------------------------------
 
 def write_toy_sweep_csv(path, rows) -> None:
-    lines = ["alpha,beta,objective"]
-    for alpha, beta, value in rows:
-        lines.append(f"{fmt(alpha)},{fmt(beta)},{fmt(value)}")
-    _write_lines(path, lines)
+    _write_table(path, ["alpha", "beta", "objective"], rows)
 
 
 def write_grid_state_csv(path, centers: np.ndarray, values: np.ndarray) -> None:
     centers = np.atleast_2d(centers)
-    d = centers.shape[1]
-    lines = [",".join([f"x_{i + 1}" for i in range(d)] + ["value"])]
-    for center, value in zip(centers, values):
-        lines.append(",".join([fmt(v) for v in center] + [fmt(value)]))
-    _write_lines(path, lines)
+    _write_table(path, _names("x", centers.shape[1]) + ["value"],
+                 np.column_stack([centers, values]))
 
 
 # -- config echo -------------------------------------------------------------

@@ -76,12 +76,21 @@ def _solver_overrides(cfg: dict, base):
         raise ConfigError(str(err), path="solver") from err
 
 
-def _metric_names(cfg: dict, default: list) -> list:
-    names = _expect(cfg, "metrics", list, "", default=default)
+def _metric_names(cfg: dict, preset) -> list:
+    """The requested metrics, checked against the preset before any solve."""
+    names = _expect(cfg, "metrics", list, "",
+                    default=list(preset.default_metrics) if preset is not None else [])
     unknown = [name for name in names if name not in _METRIC_NAMES]
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}",
                           path="metrics")
+    if names and preset is None:
+        raise ConfigError("inline problems have no truth density to score against",
+                          path="metrics")
+    if "ise" in names and preset.metric_grid is None:
+        raise ConfigError("preset has no metric grid for ISE", path="metrics")
+    if "reconvolution_ise" in names and (preset.observation_grid or preset.metric_grid) is None:
+        raise ConfigError("reconvolution needs a grid", path="metrics")
     return names
 
 
@@ -162,13 +171,12 @@ def _grid_kde(preset, cloud) -> DensityOnGrid:
 def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
     """(metric, value) rows for a fitted cloud under a preset.
 
-    ``grid_kde`` is the cloud's KDE on the metric grid, computed here if not given.
+    ``names`` have passed ``_metric_names`` for this preset.  ``grid_kde`` is
+    the cloud's KDE on the metric grid, computed here if not given.
     """
     rows = []
     for name in names:
         if name == "ise":
-            if preset.metric_grid is None:
-                raise ConfigError("preset has no metric grid for ISE", path="metrics")
             est = grid_kde if grid_kde is not None else _grid_kde(preset, cloud)
             truth = DensityOnGrid(preset.metric_grid,
                                   preset.truth_pdf(preset.metric_grid.nodes()))
@@ -176,15 +184,10 @@ def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
         elif name == "w1_marginal1":
             truth = preset.sample_truth(cloud.n_particles, _rng.derive_seed(seed, 7))
             rows.append((name, wasserstein1_1d(cloud.points[:, 0], truth[:, 0])))
-        elif name == "reconvolution_ise":
+        else:  # reconvolution_ise
             grid = preset.observation_grid or preset.metric_grid
-            if grid is None or observations is None:
-                raise ConfigError("reconvolution needs observations and a grid",
-                                  path="metrics")
             observed = DensityOnGrid(grid, GaussianKde(observations.points).evaluate(grid.nodes()))
             rows.append((name, ise(reconvolve(cloud.points, preset.kernel, grid), observed)))
-        else:
-            raise ConfigError(f"unknown metric {name!r}", path="metrics")
     return rows
 
 
@@ -222,7 +225,7 @@ def _resolve_preset(cfg):
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}",
                           path="preset")
-    return get_preset(name, **cfg.get("preset_options", {}))
+    return get_preset(name, **_expect(cfg, "preset_options", dict, "", default={}))
 
 
 def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> int:
@@ -234,7 +237,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> in
         raise ConfigError("replicates must be positive", path="replicates")
     seed_base = seed_override if seed_override is not None \
         else _expect(cfg, "seed_base", int, "", default=solver.seed)
-    metric_names = _metric_names(cfg, list(preset.default_metrics) if preset else [])
+    metric_names = _metric_names(cfg, preset)
     init_cfg = _init_config(cfg)
     emit_kde = _expect(cfg, "kde_grid", bool, "", default=True)
 
@@ -252,7 +255,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> in
     for r, (cloud, trace, metric_rows, observations, grid_kde) in zip(jobs, results):
         rep_dir = out / f"rep{r:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
-        artifacts.write_trace_csv(rep_dir / "trace.csv", trace, cloud.dim)
+        artifacts.write_trace_csv(rep_dir / "trace.csv", trace)
         artifacts.write_cloud_csv(rep_dir / "cloud_final.csv", cloud)
         if grid_kde is not None:
             artifacts.write_density_csv(rep_dir / "kde_grid.csv", grid_kde)
@@ -296,16 +299,12 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
     kind = _expect(cfg, "baseline", str, "", required=True)
     out.mkdir(parents=True, exist_ok=True)
     if kind == "toy":
-        spec = ToyGaussianSpec(
-            sigma_pi_sq=_expect(cfg, "sigma_pi_sq", float, "", default=TOY_SIGMA_PI_SQ),
-            sigma_k_sq=_expect(cfg, "sigma_k_sq", float, "", default=TOY_SIGMA_K_SQ),
-            sigma0_sq=_expect(cfg, "sigma0_sq", float, "", default=0.0) or
-            resolve_toy_sigma0_sq(0.44, 1.0,
-                                  _expect(cfg, "sigma_pi_sq", float, "", default=TOY_SIGMA_PI_SQ),
-                                  _expect(cfg, "sigma_k_sq", float, "", default=TOY_SIGMA_K_SQ)),
-            alpha=1.0)
-        alphas = cfg.get("alpha_grid", [0.0, 0.5, 1.0])
-        rows = toy_sweep(spec, alphas)
+        sigma_pi_sq = _expect(cfg, "sigma_pi_sq", float, "", default=TOY_SIGMA_PI_SQ)
+        sigma_k_sq = _expect(cfg, "sigma_k_sq", float, "", default=TOY_SIGMA_K_SQ)
+        sigma0_sq = _expect(cfg, "sigma0_sq", float, "", default=0.0) \
+            or resolve_toy_sigma0_sq(0.44, 1.0, sigma_pi_sq, sigma_k_sq)
+        spec = ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
+        rows = toy_sweep(spec, _expect(cfg, "alpha_grid", list, "", default=[0.0, 0.5, 1.0]))
         artifacts.write_toy_sweep_csv(out / "toy_sweep.csv", rows)
         _echo_config(cfg, out, seed_base=0, command="baseline",
                      extra={"sigma0_sq_resolved": spec.sigma0_sq})
@@ -343,7 +342,10 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
     cloud_paths = cfg.get("clouds")
     if not isinstance(cloud_paths, list) or not cloud_paths:
         raise ConfigError("give the stored cloud CSVs as a list", path="clouds")
-    names = _metric_names(cfg, list(preset.default_metrics))
+    missing = [p for p in cloud_paths if not isinstance(p, str) or not Path(p).is_file()]
+    if missing:
+        raise ConfigError(f"cloud files not found: {missing}", path="clouds")
+    names = _metric_names(cfg, preset)
     seed = seed_override if seed_override is not None \
         else _expect(cfg, "seed", int, "", default=0)
     needs_obs = "reconvolution_ise" in names

@@ -130,6 +130,4 @@ def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: ObservationSa
     else:
         cells = [_run_cell(plan, preset, observations, base_config, folds, ai, fi, init)
                  for ai, fi in jobs]
-    order = {job: i for i, job in enumerate(jobs)}
-    cells.sort(key=lambda c: order[(plan.alpha_grid.index(c.alpha), c.fold)])
     return CvResult(plan, tuple(cells))

@@ -10,7 +10,7 @@ denominator is small.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,44 +73,56 @@ class SolverConfig:
             raise ValueError(f"denom_floor must be at least {_MIN_DENOM_FLOOR}")
 
 
-@dataclass
 class SolverTrace:
-    """Per-step records; row n describes the state after n steps.
+    """Per-step records as one float table; row n describes the state after n steps.
 
-    The drift statistics in row n belong to the step taken *from* that state;
-    the final row has no outgoing step and carries NaN there.
+    The columns are ``step, g_hat, g_hat_data, g_hat_kl, drift_mean,
+    drift_max, mean_1…mean_d, var_1…var_d``.  The drift statistics in row n
+    belong to the step taken *from* that state; the final row has no outgoing
+    step and carries NaN there, as does an undefined objective estimate.
     """
 
-    steps: list = field(default_factory=list)
-    g_total: list = field(default_factory=list)
-    g_data: list = field(default_factory=list)
-    g_kl: list = field(default_factory=list)
-    drift_mean: list = field(default_factory=list)
-    drift_max: list = field(default_factory=list)
-    mean: list = field(default_factory=list)
-    var: list = field(default_factory=list)
+    def __init__(self, dim: int):
+        self.columns = ("step", "g_hat", "g_hat_data", "g_hat_kl", "drift_mean", "drift_max",
+                        *(f"mean_{i + 1}" for i in range(dim)),
+                        *(f"var_{i + 1}" for i in range(dim)))
+        self._table = np.empty((8, len(self.columns)))   # capacity doubles as rows arrive
+        self._n = 0
+
+    @classmethod
+    def from_table(cls, columns, rows) -> "SolverTrace":
+        """The trace whose table has these column names and rows."""
+        trace = cls(sum(name.startswith("mean_") for name in columns))
+        if trace.columns != tuple(columns):
+            raise ValueError(f"not a trace header: {','.join(columns)}")
+        trace._table = np.array(rows, dtype=float, ndmin=2)
+        trace._n = len(trace._table)
+        return trace
 
     def append(self, step, estimate, drift_norms, points):
-        self.steps.append(int(step))
-        if estimate is None:
-            self.g_total.append(np.nan)
-            self.g_data.append(np.nan)
-            self.g_kl.append(np.nan)
-        else:
-            self.g_total.append(estimate.total)
-            self.g_data.append(estimate.data_term)
-            self.g_kl.append(estimate.kl_term)
-        if drift_norms is None:
-            self.drift_mean.append(np.nan)
-            self.drift_max.append(np.nan)
-        else:
-            self.drift_mean.append(float(drift_norms.mean()))
-            self.drift_max.append(float(drift_norms.max()))
-        self.mean.append(points.mean(axis=0))
-        self.var.append(points.var(axis=0))
+        if self._n == len(self._table):
+            self._table = np.concatenate([self._table, np.empty_like(self._table)])
+        g = (np.nan,) * 3 if estimate is None \
+            else (estimate.total, estimate.data_term, estimate.kl_term)
+        drift = (np.nan,) * 2 if drift_norms is None else (drift_norms.mean(), drift_norms.max())
+        self._table[self._n] = np.concatenate([(step, *g, *drift), points.mean(axis=0),
+                                               points.var(axis=0)])
+        self._n += 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The recorded rows, shape (len(self), len(self.columns)), read-only."""
+        view = self._table[:self._n]
+        view.flags.writeable = False
+        return view
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise KeyError(f"no trace column {name!r}; the columns are {self.columns}")
+        return self.rows[:, self.columns.index(name)]
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self._n
 
 
 def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step):
@@ -191,11 +203,10 @@ def _monitor_estimate(cloud, batch, kernel, ref, config,
         return None
 
 
-def _should_stop(g_values: list, tol: float, window: int) -> bool:
+def _should_stop(g_values: np.ndarray, tol: float, window: int) -> bool:
     if len(g_values) < 2 * window:
         return False
-    prev = np.asarray(g_values[-2 * window:-window])
-    cur = np.asarray(g_values[-window:])
+    prev, cur = g_values[-2 * window:-window], g_values[-window:]
     if not (np.all(np.isfinite(prev)) and np.all(np.isfinite(cur))):
         return False
     prev_mean = prev.mean()
@@ -234,7 +245,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     n, d = init.n_particles, init.dim
     m_eff = config.minibatch if config.minibatch is not None else min(n, observations.n_observations)
     cloud = ParticleCloud(init.points, init.step_index)
-    trace = SolverTrace()
+    trace = SolverTrace(d)
     batch = None
     stopped = False
 
@@ -253,8 +264,8 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
         trace.append(cloud.step_index, estimate, np.hypot.reduce(drift, axis=1), cloud.points)
         if monitor is not None:
             monitor(cloud.step_index, cloud, estimate)
-        if config.stop_tol is not None and _should_stop(trace.g_total, config.stop_tol,
-                                                        config.stop_window):
+        if config.stop_tol is not None and _should_stop(trace.column("g_hat"),
+                                                        config.stop_tol, config.stop_window):
             stopped = True
             break
         if noise_source is not None:

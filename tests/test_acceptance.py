@@ -205,7 +205,7 @@ def test_criterion_6_gradients_normalization_taming():
         config = dataclasses.replace(preset.solver, seed=seed, n_steps=60)
         init = build_initial_cloud(preset, config, obs, refp)
         _, trace = ff.run(config, preset.kernel, refp, init, obs)
-        norms = np.asarray(trace.drift_max[:-1])
+        norms = trace.column("drift_max")[:-1]
         increments = config.gamma * norms / (1.0 + config.gamma * norms)
         ok = ok and np.all(increments < 1.0)
         ok = ok and np.all(increments <= np.minimum(1.0, config.gamma * norms))
@@ -256,8 +256,8 @@ def test_criterion_8_stability_at_eta_zero():
         cloud, trace = ff.run(config, preset.kernel, ref, init, obs)
         ok = ok and cloud.step_index == 100
         ok = ok and np.all(np.isfinite(cloud.points))
-        ok = ok and np.all(np.isfinite(np.asarray(trace.g_total)))
-        ok = ok and np.all(np.isfinite(np.asarray(trace.drift_max[:-1])))
+        ok = ok and np.all(np.isfinite(trace.column("g_hat")))
+        ok = ok and np.all(np.isfinite(trace.column("drift_max")[:-1]))
     _gate(8, "the mixture preset completes 100 steps at eta=0 with finite "
              "values across 50 seeds", ok, started, 120.0)
 

@@ -5,6 +5,7 @@ import numpy as np
 from fredholm_flow import (DensityOnGrid, EvaluationGrid, ObservationSample,
                            ParticleCloud)
 from fredholm_flow import artifacts
+from fredholm_flow.functional import FunctionalEstimate
 from fredholm_flow.solver import SolverTrace
 
 
@@ -17,32 +18,18 @@ def test_cloud_roundtrip_bitexact(tmp_path, rng):
 
 
 def test_trace_roundtrip_bitexact(tmp_path, rng):
-    trace = SolverTrace()
-    for step in range(5):
-        trace.steps.append(step)
-        trace.g_total.append(rng.normal())
-        trace.g_data.append(rng.normal())
-        trace.g_kl.append(rng.normal())
-        trace.drift_mean.append(rng.exponential())
-        trace.drift_max.append(rng.exponential())
-        trace.mean.append(rng.normal(size=2))
-        trace.var.append(rng.exponential(size=2))
-    trace.steps.append(5)
-    trace.g_total.append(rng.normal())
-    trace.g_data.append(rng.normal())
-    trace.g_kl.append(rng.normal())
-    trace.drift_mean.append(np.nan)
-    trace.drift_max.append(np.nan)
-    trace.mean.append(rng.normal(size=2))
-    trace.var.append(rng.exponential(size=2))
+    trace = SolverTrace(2)
+    for step in range(20):   # past the initial capacity, so the table grows
+        estimate = FunctionalEstimate(*rng.normal(size=2)) if step != 3 else None
+        drift_norms = rng.exponential(size=7) if step < 19 else None
+        trace.append(step, estimate, drift_norms, rng.normal(size=(7, 2)) * 1e-7)
     path = tmp_path / "trace.csv"
-    artifacts.write_trace_csv(path, trace, dim=2)
+    artifacts.write_trace_csv(path, trace)
     back = artifacts.read_trace_csv(path)
-    assert back.steps == trace.steps
-    assert back.g_total == trace.g_total
-    assert np.isnan(back.drift_mean[-1])
-    assert all(np.array_equal(a, b) for a, b in zip(back.mean, trace.mean))
-    assert all(np.array_equal(a, b) for a, b in zip(back.var, trace.var))
+    assert back.columns == trace.columns
+    assert np.array_equal(back.column("step"), np.arange(20))
+    assert np.isnan(back.column("g_hat")[3]) and np.isnan(back.column("drift_mean")[-1])
+    assert np.array_equal(back.rows, trace.rows, equal_nan=True)
 
 
 def test_density_roundtrip_bitexact(tmp_path, rng):

@@ -299,12 +299,55 @@ def test_missing_observations_file_exits_2(tmp_path, capsys):
     assert "observations.file: file not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("metrics", ["ise", ["ise", "nope"]], ids=["string", "unknown"])
-def test_bad_metrics_rejected_before_solving(tmp_path, capsys, monkeypatch, metrics):
+GRIDLESS = {"preset": "highdim_mixture", "preset_options": {"dim": 10}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"metrics": "ise"}, "expected list"),
+    ({"metrics": ["ise", "nope"]}, "unknown metrics"),
+    (dict(GRIDLESS, metrics=["ise"]), "preset has no metric grid for ISE"),
+    (dict(GRIDLESS, metrics=["reconvolution_ise"]), "reconvolution needs a grid"),
+], ids=["string", "unknown", "gridless-ise", "gridless-reconvolution"])
+def test_bad_metrics_rejected_before_solving(tmp_path, capsys, monkeypatch, overrides,
+                                             message):
     def no_solve(*args, **kwargs):
         raise AssertionError("solver ran before the metrics were validated")
 
     monkeypatch.setattr("fredholm_flow.cli.run_solver", no_solve)
-    cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, metrics=metrics))
+    cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, **overrides))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "metrics: " in capsys.readouterr().err
+    assert f"metrics: {message}" in capsys.readouterr().err
+
+
+def test_inline_problem_rejects_metrics(tmp_path, capsys, rng):
+    obs_path = tmp_path / "obs.csv"
+    np.savetxt(obs_path, rng.normal(size=(40, 1)), delimiter=",")
+    cfg = write_config(tmp_path, "c.json", {
+        "problem": {"kernel": {"type": "gaussian_convolution", "noise_sd": [0.3]},
+                    "reference": {"kind": "from_sample"}},
+        "observations": {"file": str(obs_path)},
+        "solver": {"n_particles": 20, "n_steps": 2},
+        "metrics": ["ise"]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "metrics: inline problems have no truth density" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_preset_options_must_be_an_object(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, preset_options=[1]))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "preset_options: expected dict, got list" in capsys.readouterr().err
+
+
+def test_metrics_missing_cloud_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"preset": "gaussian_mixture_1d",
+                                            "clouds": [str(tmp_path / "nope.csv")]})
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "clouds: cloud files not found" in capsys.readouterr().err
+
+
+def test_baseline_toy_alpha_grid_must_be_a_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"baseline": "toy", "alpha_grid": "ab"})
+    assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "alpha_grid: expected list, got str" in capsys.readouterr().err

@@ -87,7 +87,7 @@ def test_monitor_trend_on_mixture_preset():
     init = build_initial_cloud(preset, config, obs, ref, mode="uniform",
                                box=[[-0.2, 1.2]])
     _, trace = run(config, preset.kernel, ref, init, obs)
-    g = np.asarray(trace.g_total)
+    g = trace.column("g_hat")
     assert np.all(np.isfinite(g))
     window = 10
     assert np.mean(g[-window:]) <= np.mean(g[:window])

@@ -159,15 +159,16 @@ def test_run_deterministic_bitwise():
     cloud_a, trace_a = run(config, kernel, ref, init, obs)
     cloud_b, trace_b = run(config, kernel, ref, init, obs)
     assert np.array_equal(cloud_a.points, cloud_b.points)
-    assert trace_a.g_total == trace_b.g_total
-    assert trace_a.drift_max == trace_b.drift_max
+    assert np.array_equal(trace_a.column("g_hat"), trace_b.column("g_hat"), equal_nan=True)
+    assert np.array_equal(trace_a.column("drift_max"), trace_b.column("drift_max"),
+                          equal_nan=True)
 
 
 def test_run_trace_length_bound():
     config, kernel, ref, init, obs = _small_setup(steps=8)
     _, trace = run(config, kernel, ref, init, obs)
     assert len(trace) == config.n_steps + 1
-    assert trace.steps == list(range(config.n_steps + 1))
+    assert np.array_equal(trace.column("step"), np.arange(config.n_steps + 1))
 
 
 def test_run_exchangeability(rng):
@@ -268,3 +269,13 @@ def test_tamed_step_non_finite_noise_fails():
     noise = np.array([[0.0], [np.inf]])
     with pytest.raises(NumericalFailure):
         tamed_step(cloud, np.zeros((2, 1)), 0.1, 0.5, noise)
+
+
+def test_trace_columns_are_read_only_views():
+    config, kernel, ref, init, obs = _small_setup(steps=3)
+    _, trace = run(config, kernel, ref, init, obs)
+    assert trace.rows.shape == (4, len(trace.columns))
+    with pytest.raises(ValueError):
+        trace.column("g_hat")[0] = 0.0
+    with pytest.raises(KeyError, match="mean_1"):
+        trace.column("g_total")
