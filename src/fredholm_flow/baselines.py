@@ -170,8 +170,12 @@ class GridProblem:
         object.__setattr__(self, "observed", mu / mu.sum())
         object.__setattr__(self, "reference", pi0 / pi0.sum())
         if self.bin_centers is not None:
-            object.__setattr__(self, "bin_centers",
-                               np.atleast_2d(np.asarray(self.bin_centers, dtype=float)))
+            centers = np.asarray(self.bin_centers, dtype=float)
+            if centers.ndim == 1:
+                centers = centers[:, None]
+            if centers.ndim != 2 or centers.shape[0] != pi0.size:
+                raise ValueError(f"bin_centers must have one row per solution bin ({pi0.size})")
+            object.__setattr__(self, "bin_centers", centers)
 
     @property
     def n_bins(self) -> int:

@@ -165,7 +165,7 @@ def _validate_common(kernel, solver, observations, ref, init_mode):
 
 def _grid_kde(preset, cloud) -> DensityOnGrid:
     grid = preset.metric_grid
-    return DensityOnGrid(grid, GaussianKde(cloud.points).evaluate(grid.nodes()))
+    return DensityOnGrid(grid, GaussianKde(cloud.points).on_grid(grid))
 
 
 def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
@@ -186,7 +186,7 @@ def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
             rows.append((name, wasserstein1_1d(cloud.points[:, 0], truth[:, 0])))
         else:  # reconvolution_ise
             grid = preset.observation_grid or preset.metric_grid
-            observed = DensityOnGrid(grid, GaussianKde(observations.points).evaluate(grid.nodes()))
+            observed = DensityOnGrid(grid, GaussianKde(observations.points).on_grid(grid))
             rows.append((name, ise(reconvolve(cloud.points, preset.kernel, grid), observed)))
     return rows
 

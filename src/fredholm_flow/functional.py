@@ -2,8 +2,10 @@
 
 The estimate splits into the data term, −(1/M) Σ_j log((1/N) Σ_k k(X_k, y_j) + η),
 and the penalty term, (α/N) Σ_k [log π̂(X_k) − log π₀(X_k)], where π̂ is the
-plug-in KDE of the current cloud evaluated at the particles themselves.
-It drives the trace, the stopping rule and cross-validation scoring.
+plug-in KDE of the current cloud (Silverman bandwidth) evaluated at the
+particles themselves through ``GaussianKde.at_particles``, which sums the
+symmetric N×N kernel matrix once per pair.  It drives the trace, the stopping
+rule and cross-validation scoring.
 """
 from __future__ import annotations
 
@@ -28,14 +30,14 @@ class FunctionalEstimate:
 
 
 def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
-          alpha: float, eta: float = 0.0, density: GaussianKde | None = None,
-          denom_floor: float = 1e-30, kernel_matrix: np.ndarray | None = None) -> FunctionalEstimate:
+          alpha: float, eta: float = 0.0, denom_floor: float = 1e-30,
+          kernel_matrix: np.ndarray | None = None) -> FunctionalEstimate:
     """Objective estimate for a cloud against an observation sample.
 
-    ``density`` is a KDE handle fitted on ``cloud``; when omitted (and
-    ``alpha > 0``) one is fitted with the default bandwidth rule.  A zero
-    mean-kernel at η = 0 is clamped at ``denom_floor`` and the estimate is
-    flagged as floored.  ``kernel_matrix`` may carry a precomputed
+    For ``alpha > 0`` the penalty needs a gaussian reference; the KDE is
+    fitted on ``cloud`` with the default bandwidth rule.  A zero mean-kernel
+    at η = 0 is clamped at ``denom_floor`` and the estimate is flagged as
+    floored.  ``kernel_matrix`` may carry a precomputed
     k(X_i, y_j) matrix for these exact inputs.
     """
     x = np.atleast_2d(getattr(cloud, "points", cloud))
@@ -50,7 +52,6 @@ def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
         return FunctionalEstimate(data_term, 0.0, floored)
     if ref.kind != "gaussian":
         raise ValueError("the penalty term needs a proper (gaussian) reference")
-    if density is None:
-        density = GaussianKde(x)
-    kl = float(np.mean(density.log_evaluate(x) - ref.log_density(x)))
+    log_density = np.log(GaussianKde(x).at_particles())
+    kl = float(np.mean(log_density - ref.log_density(x)))
     return FunctionalEstimate(data_term, alpha * kl, floored)

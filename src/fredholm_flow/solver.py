@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .density import GaussianKde
 from .errors import NumericalFailure
 from .functional import FunctionalEstimate, g_hat
 from .kernels import KernelModel
@@ -191,12 +190,8 @@ def draw_minibatch(full: ObservationSample, m: int, rng: np.random.Generator,
 def _monitor_estimate(cloud, batch, kernel, ref, config,
                       k_matrix=None) -> FunctionalEstimate | None:
     try:
-        density = None
-        if config.alpha > 0 and ref.kind == "gaussian":
-            density = GaussianKde(cloud.points)
         return g_hat(cloud, batch, kernel, ref, config.alpha, config.eta,
-                     density=density, denom_floor=config.denom_floor,
-                     kernel_matrix=k_matrix)
+                     denom_floor=config.denom_floor, kernel_matrix=k_matrix)
     except ValueError:
         # degenerate bandwidth (e.g. point-mass cloud) or improper reference:
         # the monitor is undefined there, the dynamics are not

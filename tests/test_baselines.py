@@ -181,3 +181,23 @@ def test_grid_discretization_centers_and_rows():
                                            ref, n_bins=4, lo=0.0, hi=1.0)
     assert np.allclose(problem.bin_centers.ravel(), [0.125, 0.375, 0.625, 0.875])
     assert np.allclose(problem.kernel_matrix.sum(axis=1), 1.0)
+
+
+def test_grid_problem_1d_centers_write_and_reread(tmp_path):
+    from fredholm_flow import artifacts
+    centers = [0.1, 0.5, 0.9]
+    problem = GridProblem(np.eye(3), np.ones(3), np.ones(3), bin_centers=centers)
+    assert problem.bin_centers.shape == (3, 1)
+    state = np.array([0.2, 0.3, 0.5])
+    path = tmp_path / "grid_state.csv"
+    artifacts.write_grid_state_csv(path, problem.bin_centers, state)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x_1,value"
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back, np.column_stack([centers, state]))
+
+
+@pytest.mark.parametrize("centers", [[0.1, 0.5], np.zeros((2, 1)), np.zeros((1, 3, 1))])
+def test_grid_problem_rejects_centers_of_wrong_count(centers):
+    with pytest.raises(ValueError, match="bin_centers"):
+        GridProblem(np.eye(3), np.ones(3), np.ones(3), bin_centers=centers)

@@ -247,19 +247,18 @@ def test_run_reads_out_metric_grid_once(tmp_path, monkeypatch):
     from fredholm_flow.density import GaussianKde
     from fredholm_flow.metrics import DensityOnGrid, ise
     preset = preset_gaussian_mixture_1d()
-    n_nodes = preset.metric_grid.nodes().shape[0]
     calls = []
-    evaluate = GaussianKde.evaluate
+    on_grid = GaussianKde.on_grid
 
-    def counting(self, xs):
-        calls.append(np.shape(xs)[0])
-        return evaluate(self, xs)
+    def counting(self, grid):
+        calls.append(grid)
+        return on_grid(self, grid)
 
-    monkeypatch.setattr(GaussianKde, "evaluate", counting)
+    monkeypatch.setattr(GaussianKde, "on_grid", counting)
     cfg = write_config(tmp_path, "c.json", SMALL_RUN)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert calls.count(n_nodes) == SMALL_RUN["replicates"]
+    assert calls.count(preset.metric_grid) == SMALL_RUN["replicates"]
     truth = DensityOnGrid(preset.metric_grid, preset.truth_pdf(preset.metric_grid.nodes()))
     rows = artifacts.read_metrics_csv(out / "metrics.csv")
     for r, rep in enumerate(("rep000", "rep001")):

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fredholm_flow import (GaussianConvolutionKernel, GaussianKde, ObservationSample,
-                           ParticleCloud, ReferenceMeasure, ToyGaussianSpec, g_hat,
-                           run, toy_closed_form_g, toy_optimal_beta)
+from fredholm_flow import (GaussianConvolutionKernel, ObservationSample, ParticleCloud,
+                           ReferenceMeasure, ToyGaussianSpec, g_hat, run,
+                           toy_closed_form_g, toy_optimal_beta)
 from fredholm_flow.problems import (TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ,
                                     build_initial_cloud, preset_gaussian_mixture_1d)
 from fredholm_flow.rng import stream
@@ -73,8 +73,7 @@ def test_kl_term_vanishes_on_reference_draws():
     kernel = GaussianConvolutionKernel([0.3])
     pts = ref.sample(10_000, stream(99, 1))
     cloud = ParticleCloud(pts)
-    est = g_hat(cloud, ObservationSample(pts[:100]), kernel, ref, alpha,
-                density=GaussianKde(cloud))
+    est = g_hat(cloud, ObservationSample(pts[:100]), kernel, ref, alpha)
     assert abs(est.kl_term) <= 0.05 * alpha
 
 
