@@ -33,10 +33,10 @@ class ToyGaussianSpec:
 
     def __post_init__(self):
         for name in ("sigma_pi_sq", "sigma_k_sq", "sigma0_sq"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be nonnegative and finite")
 
     @property
     def sigma_mu_sq(self) -> float:
@@ -186,6 +186,10 @@ def grid_problem_from_continuous(kernel: KernelModel, observed_pdf, ref: Referen
                                  n_bins: int, lo: float = 0.0, hi: float = 1.0) -> GridProblem:
     """1-D discretization on ``n_bins`` equal bins with centers (b−½)/B scaled
     to [lo, hi]; kernel and densities evaluated at center pairs."""
+    if n_bins < 1:
+        raise ValueError("n_bins must be at least 1")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError("lo and hi must be finite with lo < hi")
     width = (hi - lo) / n_bins
     centers = lo + (np.arange(n_bins) + 0.5) * width
     pts = centers[:, None]
@@ -222,6 +226,8 @@ def oslem_step(state: np.ndarray, problem: GridProblem, alpha: float) -> np.ndar
 
 def oslem_solve(problem: GridProblem, alpha: float, n_iterations: int,
                 init: np.ndarray | None = None) -> np.ndarray:
+    if n_iterations < 0:
+        raise ValueError("n_iterations must be nonnegative")
     state = problem.reference.copy() if init is None else np.asarray(init, dtype=float)
     for i in range(n_iterations):
         try:

@@ -2,17 +2,20 @@
 
 Subcommands: ``run`` (solve and emit artifacts), ``cv`` (cross-validate the
 penalty weight), ``baseline`` (grid EM / analytic toy tables) and ``metrics``
-(recompute metrics from stored cloud CSVs).  Configs are JSON; every run
-echoes its fully resolved configuration next to its outputs so any artifact
-is self-describing.  Numeric outputs are CSV with 17-significant-digit
-floats; repeated runs with identical configs produce identical bytes
-regardless of ``--workers``.
+(recompute metrics from stored cloud CSVs).  A config is one JSON object,
+read whole before any compute: ``_section`` checks each section against its
+key table, and the library type built from it checks the ranges.  Errors
+name the dotted key.  ``config_resolved.json`` echoes the config and what it
+resolved to.  Numeric outputs are CSV with 17-significant-digit floats,
+byte-identical for any ``--workers``.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import math
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -28,58 +31,121 @@ from .errors import ConfigError, NumericalFailure
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       RadonAlignmentKernel)
 from .metrics import DensityOnGrid, ise, reconvolve, wasserstein1_1d
-from .problems import (PRESET_NAMES, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ,
-                       build_initial_cloud, get_preset, load_observations_csv)
+from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, build_initial_cloud,
+                       get_preset, load_observations_csv)
 from .reference import ReferenceMeasure
 from .solver import SolverConfig, run as run_solver
 
-_SOLVER_TYPES = typing.get_type_hints(SolverConfig)
-_INIT_MODES = ("auto", "observations", "reference", "point", "uniform")
-_INIT_KEYS = {"mode", "point", "box"}
+# key tables: key -> type or section table; (key, tables) picks tables[the value of key]
+_SOLVER = typing.get_type_hints(SolverConfig)
+_INIT = {"mode": str, "point": list[float], "box": list}   # box: see build_initial_cloud
+_PRESET = {"preset": str, "preset_options": dict,
+           "observations": {"file": str, "n_samples": int, "seed": int}}
+_TOP = {"run": {**_PRESET, "problem": {"kernel": dict, "reference": dict}, "solver": _SOLVER,
+                "init": _INIT, "metrics": list[str], "replicates": int, "seed_base": int,
+                "kde_grid": bool},
+        "cv": {**_PRESET, "solver": _SOLVER, "init": _INIT, "cv": {
+            "alpha_grid": list[float], "folds": int, "seed": int, "score": str}},
+        "metrics": {**_PRESET, "clouds": list[str], "metrics": list[str], "seed": int},
+        "baseline": ("baseline", {
+            "toy": {"sigma_pi_sq": float, "sigma_k_sq": float, "sigma0_sq": float,
+                    "alpha_grid": list[float]},
+            "oslem": {**_PRESET, "n_bins": int, "alpha": float, "iterations": int,
+                      "lo": float, "hi": float}})}
+# preset name -> key table of its options, from the preset function's annotations
+_PRESET_OPTIONS = {name: {key: kind for key, kind in typing.get_type_hints(factory).items()
+                          if key != "return"} for name, factory in PRESETS.items()}
+_KERNELS = {"gaussian_convolution": {"noise_sd": list[float]},
+            "gaussian_mixture_delay": {"weights": list[float], "means": list[float],
+                                       "sds": list[float]},
+            "radon_alignment": {"sigma": float, "xi_max": float}}
+_KERNEL_TYPES = {"gaussian_convolution": GaussianConvolutionKernel,
+                 "gaussian_mixture_delay": GaussianMixtureDelayKernel,
+                 "radon_alignment": RadonAlignmentKernel}
+# kind: the ReferenceMeasure constructor of that name
+_REFERENCES = {"gaussian": {"mean": list[float], "variances": list[float]},
+               "flat": {"dim": int}, "from_sample": {"mean_shift": float}}
+_INIT_ERROR_KEYS = {"point": "init.point", "uniform": "init.box"}   # else init.mode
 _METRIC_NAMES = ("ise", "w1_marginal1", "reconvolution_ise")
+_INLINE_SOLVER = SolverConfig(alpha=0.01, gamma=1e-3, n_particles=200, n_steps=100)
 
 
-def _load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def _load_config(path):
     try:
-        return json.loads(path.read_text())
+        return json.loads(Path(path).read_text())
+    except OSError as err:
+        raise ConfigError(f"cannot read the config file: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"line {err.lineno} column {err.colno}: {err.msg}",
                           path=str(path)) from err
 
 
-def _expect(cfg: dict, key: str, kind, path: str, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError("missing required key", path=f"{path}{key}")
-        return default
-    value = cfg[key]
-    kinds = typing.get_args(kind) or (kind,)
-    if float in kinds and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool) and bool not in kinds):
+def _typed(value, kind, path: str):
+    """``value`` checked as ``kind``: a bool is no number, an int is accepted
+    as a float, a float must be finite, and list elements are checked too."""
+    if isinstance(kind, (dict, tuple)):
+        return _section(value, path, kind)
+    is_list = typing.get_origin(kind) is list
+    kinds = (list,) if is_list else typing.get_args(kind) or (kind,)   # or a union
+    if float in kinds and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ConfigError(f"expected {getattr(kind, '__name__', kind)}, got "
-                          f"{type(value).__name__}", path=f"{path}{key}")
-    return value
+                          f"{type(value).__name__}", path=path)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value}", path=path)
+    return [_typed(item, typing.get_args(kind)[0], f"{path}[{i}]")
+            for i, item in enumerate(value)] if is_list else value
 
 
-def _solver_overrides(cfg: dict, base):
-    unknown = set(cfg) - set(_SOLVER_TYPES)
+def _section(cfg, path: str, keys) -> dict:
+    """The section at dotted ``path`` ("" for the top level) checked against its key
+    table ``keys``: an object with no unknown key, each value of its key's type."""
+    prefix = f"{path}." if path else ""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected dict, got {type(cfg).__name__}", path=path or "config")
+    if isinstance(keys, tuple):
+        kind, tables = keys
+        if not isinstance(cfg.get(kind), str) or cfg[kind] not in tables:
+            raise ConfigError(f"expected one of {tuple(tables)}, got {cfg.get(kind)!r}",
+                              path=prefix + kind)
+        keys = {kind: str, **tables[cfg[kind]]}
+    unknown = sorted(set(cfg) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown solver keys {sorted(unknown)}", path="solver")
-    values = {key: _expect(cfg, key, _SOLVER_TYPES[key], "solver.") for key in cfg}
+        raise ConfigError(f"unknown {path or 'top-level'} keys {unknown}",
+                          path=path or unknown[0])
+    return {key: _typed(value, keys[key], prefix + key) for key, value in cfg.items()}
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Report a library range error or missing argument as a config error at ``path``."""
     try:
-        return dataclasses.replace(base, **values)
-    except ValueError as err:
-        raise ConfigError(str(err), path="solver") from err
+        yield
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err), path=path) from err
+
+
+def _seed(seed: int, path: str, count: int = 1) -> int:
+    """``seed``, once it and the ``count - 1`` seeds after it lie in [0, 2**63)."""
+    if seed < 0 or seed + count > 1 << 63:
+        raise ConfigError(f"seed {seed} must lie in [0, 2**63 - {count}]", path=path)
+    return seed
+
+
+def _preset(cfg: dict):
+    name = cfg.get("preset")
+    if name not in _PRESET_OPTIONS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {tuple(_PRESET_OPTIONS)}",
+                          path="preset")
+    options = _section(cfg.get("preset_options", {}), "preset_options", _PRESET_OPTIONS[name])
+    with _at("preset_options"):
+        return get_preset(name, **options)
 
 
 def _metric_names(cfg: dict, preset) -> list:
     """The requested metrics, checked against the preset before any solve."""
-    names = _expect(cfg, "metrics", list, "",
-                    default=list(preset.default_metrics) if preset is not None else [])
+    names = cfg.get("metrics", list(preset.default_metrics) if preset is not None else [])
     unknown = [name for name in names if name not in _METRIC_NAMES]
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}",
@@ -94,73 +160,58 @@ def _metric_names(cfg: dict, preset) -> list:
     return names
 
 
-def _init_config(cfg: dict) -> dict:
-    init_cfg = _expect(cfg, "init", dict, "", default={})
-    unknown = set(init_cfg) - _INIT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown init keys {sorted(unknown)}", path="init")
-    return init_cfg
-
-
-def _build_kernel(cfg: dict, path="problem.kernel."):
-    kind = _expect(cfg, "type", str, path, required=True)
-    if kind == "gaussian_convolution":
-        return GaussianConvolutionKernel(_expect(cfg, "noise_sd", list, path, required=True))
-    if kind == "gaussian_mixture_delay":
-        return GaussianMixtureDelayKernel(_expect(cfg, "weights", list, path, required=True),
-                                          _expect(cfg, "means", list, path, required=True),
-                                          _expect(cfg, "sds", list, path, required=True))
-    if kind == "radon_alignment":
-        return RadonAlignmentKernel(_expect(cfg, "sigma", float, path, required=True),
-                                    _expect(cfg, "xi_max", float, path, default=2.0))
-    raise ConfigError(f"unknown kernel type {kind!r}", path=path + "type")
-
-
-def _build_reference(cfg: dict, observations, path="problem.reference."):
-    kind = _expect(cfg, "kind", str, path, required=True)
-    if kind == "gaussian":
-        return ReferenceMeasure.gaussian(_expect(cfg, "mean", list, path, required=True),
-                                         _expect(cfg, "variances", list, path, required=True))
-    if kind == "flat":
-        return ReferenceMeasure.flat(_expect(cfg, "dim", int, path, required=True))
-    if kind == "from_sample":
-        return ReferenceMeasure.from_sample(observations.points,
-                                            mean_shift=_expect(cfg, "mean_shift", float,
-                                                               path, default=0.0))
-    raise ConfigError(f"unknown reference kind {kind!r}", path=path + "kind")
-
-
-def _observations_for(cfg: dict | None, preset, replicate_seed: int):
-    cfg = cfg or {}
-    if "file" in cfg:
-        path = Path(_expect(cfg, "file", str, "observations."))
+def _observations(cfg: dict, preset, kernel, solver=None):
+    """``draw(replicate_seed) -> (observations, seed)``, checked once: the file's sample
+    (seed None) or a preset draw seeded by ``observations.seed`` or the replicate's seed."""
+    obs = cfg.get("observations", {})
+    if "file" in obs:
+        path = Path(obs["file"])
         if not path.is_file():
             raise ConfigError(f"file not found: {path}", path="observations.file")
-        return load_observations_csv(path)
-    if preset is None:
+        with _at("observations.file"):
+            sample = load_observations_csv(path)
+        if sample.dim != kernel.dim_y:
+            raise ConfigError(f"observations have dimension {sample.dim}, kernel "
+                              f"expects {kernel.dim_y}", path="observations")
+        n, draw = sample.n_observations, lambda _: (sample, None)
+    elif preset is None:
         raise ConfigError("inline problems need observations from a file",
                           path="observations.file")
-    n = _expect(cfg, "n_samples", int, "observations.", default=preset.n_observations)
-    if n < 1:
-        raise ConfigError("n_samples must be positive", path="observations.n_samples")
-    seed = _expect(cfg, "seed", int, "observations.",
-                   default=_rng.derive_seed(replicate_seed, 11))
-    return preset.sample_observations(n, seed)
+    else:
+        n = obs.get("n_samples", preset.n_observations)
+        if n < 1:
+            raise ConfigError("n_samples must be positive", path="observations.n_samples")
+        fixed = _seed(obs["seed"], "observations.seed") if "seed" in obs else None
 
-
-def _validate_common(kernel, solver, observations, ref, init_mode):
-    if observations.dim != kernel.dim_y:
-        raise ConfigError(f"observations have dimension {observations.dim}, kernel "
-                          f"expects {kernel.dim_y}", path="observations")
-    if solver.minibatch is not None and solver.resample_policy == "without_replacement" \
-            and solver.minibatch > observations.n_observations:
+        def draw(replicate_seed):
+            seed = _rng.derive_seed(replicate_seed, 11) if fixed is None else fixed
+            return preset.sample_observations(n, seed), seed
+    if solver is not None and solver.minibatch is not None and solver.minibatch > n \
+            and solver.resample_policy == "without_replacement":
         raise ConfigError("minibatch exceeds the observation count under "
                           "without-replacement resampling", path="solver.minibatch")
-    if ref is not None and ref.kind == "flat" and solver.alpha > 0:
+    return draw
+
+
+def _inline_problem(cfg: dict, solver) -> tuple:
+    """(kernel, draw, reference) of an inline ``problem`` and its observation file."""
+    problem = cfg["problem"]
+    fields = _section(problem.get("kernel"), "problem.kernel", ("type", _KERNELS))
+    with _at("problem.kernel"):
+        kernel = _KERNEL_TYPES[fields.pop("type")](**fields)
+    draw = _observations(cfg, None, kernel, solver)
+    fields = _section(problem.get("reference"), "problem.reference", ("kind", _REFERENCES))
+    if fields["kind"] == "from_sample":
+        fields["points"] = draw(None)[0].points
+    with _at("problem.reference"):
+        ref = getattr(ReferenceMeasure, fields.pop("kind"))(**fields)
+    if ref.dim != kernel.dim_x:
+        raise ConfigError(f"reference has dimension {ref.dim}, kernel expects {kernel.dim_x}",
+                          path="problem.reference")
+    if ref.kind == "flat" and solver.alpha > 0:
         raise ConfigError("a flat reference cannot carry a positive penalty weight",
                           path="solver.alpha")
-    if init_mode not in _INIT_MODES:
-        raise ConfigError(f"init mode must be one of {_INIT_MODES}", path="init.mode")
+    return kernel, draw, ref
 
 
 def _grid_kde(preset, cloud) -> DensityOnGrid:
@@ -169,11 +220,7 @@ def _grid_kde(preset, cloud) -> DensityOnGrid:
 
 
 def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
-    """(metric, value) rows for a fitted cloud under a preset.
-
-    ``names`` have passed ``_metric_names`` for this preset.  ``grid_kde`` is
-    the cloud's KDE on the metric grid, computed here if not given.
-    """
+    """(metric, value) rows of a fitted cloud; ``grid_kde`` is its metric-grid KDE if known."""
     rows = []
     for name in names:
         if name == "ise":
@@ -191,187 +238,133 @@ def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
     return rows
 
 
-def _replicate_job(cfg, preset, solver, init_cfg, metric_names, emit_kde, replicate_seed):
-    observations = _observations_for(cfg.get("observations"), preset, replicate_seed)
-    if preset is not None:
-        kernel = preset.kernel
-        ref = preset.make_reference(observations)
-    else:
-        kernel = _build_kernel(cfg["problem"]["kernel"])
-        ref = _build_reference(cfg["problem"]["reference"], observations)
-    config = dataclasses.replace(solver, seed=replicate_seed)
-    init_mode = init_cfg.get("mode", "auto")
-    _validate_common(kernel, config, observations, ref, init_mode)
-    init = build_initial_cloud(preset, config, observations, ref, mode=init_mode,
-                               point=init_cfg.get("point"), box=init_cfg.get("box"))
-    cloud, trace = run_solver(config, kernel, ref, init, observations)
-    if preset is None:
-        return cloud, trace, [], observations, None
-    write_kde = emit_kde and cloud.dim <= 2
-    needs_kde = preset.metric_grid is not None and (write_kde or "ise" in metric_names)
-    grid_kde = _grid_kde(preset, cloud) if needs_kde else None
-    metric_rows = compute_metrics(preset, cloud, observations, metric_names,
-                                  replicate_seed, grid_kde)
-    return cloud, trace, metric_rows, observations, grid_kde if write_kde else None
-
-
-def _resolve_preset(cfg):
-    if "problem" in cfg:
-        if "preset" in cfg:
-            raise ConfigError("give either a preset or an inline problem, not both",
-                              path="preset")
-        return None
-    name = _expect(cfg, "preset", str, "", required=True)
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}",
+def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
+    if "problem" in cfg and "preset" in cfg:
+        raise ConfigError("give either a preset or an inline problem, not both",
                           path="preset")
-    return get_preset(name, **_expect(cfg, "preset_options", dict, "", default={}))
-
-
-def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> int:
-    preset = _resolve_preset(cfg)
-    base = preset.solver if preset is not None else _default_solver_config()
-    solver = _solver_overrides(cfg.get("solver", {}), base)
-    replicates = _expect(cfg, "replicates", int, "", default=1)
+    preset = None if "problem" in cfg else _preset(cfg)
+    with _at("solver"):
+        solver = dataclasses.replace(preset.solver if preset is not None else _INLINE_SOLVER,
+                                     **cfg.get("solver", {}))
+    replicates = cfg.get("replicates", 1)
     if replicates < 1:
         raise ConfigError("replicates must be positive", path="replicates")
-    seed_base = seed_override if seed_override is not None \
-        else _expect(cfg, "seed_base", int, "", default=solver.seed)
+    seed_base = _seed(seed_override if seed_override is not None
+                      else cfg.get("seed_base", solver.seed), "seed_base", replicates)
     metric_names = _metric_names(cfg, preset)
-    init_cfg = _init_config(cfg)
-    emit_kde = _expect(cfg, "kde_grid", bool, "", default=True)
+    init = cfg.get("init", {})
+    kernel, draw, ref = _inline_problem(cfg, solver) if preset is None else \
+        (preset.kernel, _observations(cfg, preset, preset.kernel, solver), None)
 
-    jobs = list(range(replicates))
-    runner = lambda r: _replicate_job(cfg, preset, solver, init_cfg, metric_names,
-                                      emit_kde, seed_base + r)
+    def replicate(seed):
+        observations, obs_seed = draw(seed)
+        rep_ref = ref if ref is not None else preset.make_reference(observations)
+        config = dataclasses.replace(solver, seed=seed)
+        with _at(_INIT_ERROR_KEYS.get(init.get("mode"), "init.mode")):
+            start = build_initial_cloud(preset, config, observations, rep_ref, **init)
+        cloud, trace = run_solver(config, kernel, rep_ref, start, observations)
+        write_kde = cfg.get("kde_grid", True) and preset is not None \
+            and preset.metric_grid is not None and cloud.dim <= 2
+        grid_kde = _grid_kde(preset, cloud) if write_kde or "ise" in metric_names else None
+        rows = [(preset.name, "particle_flow", solver.n_particles, observations.n_observations,
+                 seed, metric, value) for metric, value in
+                compute_metrics(preset, cloud, observations, metric_names, seed, grid_kde)]
+        return cloud, trace, grid_kde if write_kde else None, rows, observations, obs_seed
+
+    seeds = [seed_base + r for r in range(replicates)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, jobs))
+            results = list(pool.map(replicate, seeds))
     else:
-        results = [runner(r) for r in jobs]
-
+        results = [replicate(seed) for seed in seeds]
     out.mkdir(parents=True, exist_ok=True)
-    all_metric_rows = []
-    for r, (cloud, trace, metric_rows, observations, grid_kde) in zip(jobs, results):
+    for r, (cloud, trace, grid_kde, *_) in enumerate(results):
         rep_dir = out / f"rep{r:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         artifacts.write_trace_csv(rep_dir / "trace.csv", trace)
         artifacts.write_cloud_csv(rep_dir / "cloud_final.csv", cloud)
         if grid_kde is not None:
             artifacts.write_density_csv(rep_dir / "kde_grid.csv", grid_kde)
-        name = preset.name if preset is not None else "inline"
-        for metric, value in metric_rows:
-            all_metric_rows.append((name, "particle_flow", solver.n_particles,
-                                    observations.n_observations, seed_base + r,
-                                    metric, value))
-    artifacts.write_metrics_csv(out / "metrics.csv", all_metric_rows)
-    _echo_config(cfg, out, seed_base=seed_base, command="run")
-    return 0
+    artifacts.write_metrics_csv(out / "metrics.csv", [row for res in results for row in res[3]])
+    return {"seed_base": seed_base, "resolved": {
+        "solver": dataclasses.asdict(dataclasses.replace(solver, seed=seed_base)),
+        "init": {"mode": "auto", **init}, "metrics": metric_names, "seeds": seeds,
+        "observations": {"n_samples": results[0][4].n_observations,
+                         "seeds": [res[5] for res in results]}}}
 
 
-def _default_solver_config():
-    return SolverConfig(alpha=0.01, gamma=1e-3, n_particles=200, n_steps=100)
-
-
-def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> int:
-    preset = _resolve_preset(cfg)
-    if preset is None:
-        raise ConfigError("cross-validation needs a preset problem", path="preset")
-    solver = _solver_overrides(cfg.get("solver", {}), preset.solver)
-    cv_cfg = cfg.get("cv", {})
-    plan = CvPlan(alpha_grid=tuple(_expect(cv_cfg, "alpha_grid", list, "cv.", required=True)),
-                  n_folds=_expect(cv_cfg, "folds", int, "cv.", default=5),
-                  seed=seed_override if seed_override is not None
-                  else _expect(cv_cfg, "seed", int, "cv.", default=0),
-                  score=_expect(cv_cfg, "score", str, "cv.", default="penalized"))
-    init_cfg = _init_config(cfg)
-    observations = _observations_for(cfg.get("observations"), preset, plan.seed)
-    _validate_common(preset.kernel, solver, observations, None, init_cfg.get("mode", "auto"))
-    result = cv_score(plan, preset, observations, solver, workers=workers, init=init_cfg)
+def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
+    preset = _preset(cfg)
+    with _at("solver"):
+        solver = dataclasses.replace(preset.solver, **cfg.get("solver", {}))
+    cv = cfg.get("cv", {})
+    seed = seed_override if seed_override is not None else _seed(cv.get("seed", 0), "cv.seed")
+    with _at("cv"):
+        plan = CvPlan(**{"n_folds" if key == "folds" else key: value
+                         for key, value in cv.items()} | {"seed": seed})
+    init = cfg.get("init", {})
+    observations, _ = _observations(cfg, preset, preset.kernel, solver)(plan.seed)
+    result = cv_score(plan, preset, observations, solver, workers=workers, init=init)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_cv_csv(out / "cv_table.csv", result)
-    _echo_config(cfg, out, seed_base=plan.seed, command="cv")
     print(f"selected alpha: {artifacts.fmt(result.selected_alpha())}")
-    return 0
+    return {"seed_base": plan.seed, "resolved": {
+        "solver": dataclasses.asdict(solver), "cv": dataclasses.asdict(plan)}}
 
 
-def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) -> int:
-    kind = _expect(cfg, "baseline", str, "", required=True)
+def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "toy":
-        sigma_pi_sq = _expect(cfg, "sigma_pi_sq", float, "", default=TOY_SIGMA_PI_SQ)
-        sigma_k_sq = _expect(cfg, "sigma_k_sq", float, "", default=TOY_SIGMA_K_SQ)
-        sigma0_sq = _expect(cfg, "sigma0_sq", float, "", default=0.0) \
-            or resolve_toy_sigma0_sq(0.44, 1.0, sigma_pi_sq, sigma_k_sq)
-        spec = ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
-        rows = toy_sweep(spec, _expect(cfg, "alpha_grid", list, "", default=[0.0, 0.5, 1.0]))
+    if cfg["baseline"] == "toy":
+        sigma_pi_sq = cfg.get("sigma_pi_sq", TOY_SIGMA_PI_SQ)
+        sigma_k_sq = cfg.get("sigma_k_sq", TOY_SIGMA_K_SQ)
+        with _at(""):   # the messages name the key
+            sigma0_sq = cfg.get("sigma0_sq", 0.0) \
+                or resolve_toy_sigma0_sq(0.44, 1.0, sigma_pi_sq, sigma_k_sq)
+            spec = ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
+            rows = toy_sweep(spec, cfg.get("alpha_grid", [0.0, 0.5, 1.0]))
         artifacts.write_toy_sweep_csv(out / "toy_sweep.csv", rows)
-        _echo_config(cfg, out, seed_base=0, command="baseline",
-                     extra={"sigma0_sq_resolved": spec.sigma0_sq})
         for alpha, beta, value in rows:
             print(f"alpha={artifacts.fmt(alpha)} beta={artifacts.fmt(beta)} "
                   f"objective={artifacts.fmt(value)}")
-        return 0
-    if kind == "oslem":
-        preset = _resolve_preset(cfg)
-        if preset is None or preset.observed_pdf is None or preset.dim != 1:
-            raise ConfigError("grid EM baseline needs a 1-D preset with a closed-form "
-                              "observed density", path="preset")
-        n_bins = _expect(cfg, "n_bins", int, "", default=100)
-        alpha = _expect(cfg, "alpha", float, "", default=preset.solver.alpha)
-        iterations = _expect(cfg, "iterations", int, "", default=500)
-        lo = _expect(cfg, "lo", float, "", default=0.0)
-        hi = _expect(cfg, "hi", float, "", default=1.0)
-        observations = _observations_for(cfg.get("observations"), preset,
-                                         seed_override if seed_override is not None else 0)
-        ref = preset.make_reference(observations)
-        problem = grid_problem_from_continuous(preset.kernel, preset.observed_pdf, ref,
-                                               n_bins, lo, hi)
-        state = oslem_solve(problem, alpha, iterations)
-        artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)
-        _echo_config(cfg, out, seed_base=0, command="baseline")
-        print(f"objective: {artifacts.fmt(discrete_objective(state, problem, alpha))}")
-        return 0
-    raise ConfigError(f"unknown baseline {kind!r}", path="baseline")
+        return {"seed_base": 0, "sigma0_sq_resolved": spec.sigma0_sq}
+    preset = _preset(cfg)
+    if preset.observed_pdf is None or preset.dim != 1:
+        raise ConfigError("grid EM baseline needs a 1-D preset with a closed-form "
+                          "observed density", path="preset")
+    alpha = cfg.get("alpha", preset.solver.alpha)
+    observations, _ = _observations(cfg, preset, preset.kernel)(
+        seed_override if seed_override is not None else 0)
+    with _at(""):   # the messages name the key
+        problem = grid_problem_from_continuous(
+            preset.kernel, preset.observed_pdf, preset.make_reference(observations),
+            cfg.get("n_bins", 100), cfg.get("lo", 0.0), cfg.get("hi", 1.0))
+    with _at("iterations"):
+        state = oslem_solve(problem, alpha, cfg.get("iterations", 500))
+    artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)
+    print(f"objective: {artifacts.fmt(discrete_objective(state, problem, alpha))}")
+    return {"seed_base": 0}
 
 
-def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -> int:
-    preset = _resolve_preset(cfg)
-    if preset is None:
-        raise ConfigError("metric recomputation needs a preset problem", path="preset")
+def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
+    preset = _preset(cfg)
     cloud_paths = cfg.get("clouds")
-    if not isinstance(cloud_paths, list) or not cloud_paths:
+    if not cloud_paths:
         raise ConfigError("give the stored cloud CSVs as a list", path="clouds")
-    missing = [p for p in cloud_paths if not isinstance(p, str) or not Path(p).is_file()]
+    missing = [p for p in cloud_paths if not Path(p).is_file()]
     if missing:
         raise ConfigError(f"cloud files not found: {missing}", path="clouds")
     names = _metric_names(cfg, preset)
-    seed = seed_override if seed_override is not None \
-        else _expect(cfg, "seed", int, "", default=0)
-    needs_obs = "reconvolution_ise" in names
-    observations = _observations_for(cfg.get("observations"), preset, seed) \
-        if needs_obs or "observations" in cfg else None
-    rows = []
-    for i, path in enumerate(cloud_paths):
-        cloud = artifacts.read_cloud_csv(path)
-        for metric, value in compute_metrics(preset, cloud, observations, names,
-                                             _rng.derive_seed(seed, i)):
-            rows.append((preset.name, "stored_cloud", cloud.n_particles,
-                         observations.n_observations if observations else 0,
-                         seed, metric, value))
+    seed = seed_override if seed_override is not None else _seed(cfg.get("seed", 0), "seed")
+    observations = _observations(cfg, preset, preset.kernel)(seed)[0] \
+        if "reconvolution_ise" in names or "observations" in cfg else None
+    n_observations = observations.n_observations if observations else 0
+    rows = [(preset.name, "stored_cloud", cloud.n_particles, n_observations, seed, metric, value)
+            for i, cloud in enumerate(map(artifacts.read_cloud_csv, cloud_paths))
+            for metric, value in compute_metrics(preset, cloud, observations, names,
+                                                 _rng.derive_seed(seed, i))]
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_metrics_csv(out / "metrics.csv", rows)
-    _echo_config(cfg, out, seed_base=seed, command="metrics")
-    return 0
-
-
-def _echo_config(cfg: dict, out: Path, *, seed_base: int, command: str,
-                 extra: dict | None = None) -> None:
-    resolved = {"command": command, "config": cfg, "seed_base": seed_base,
-                "version": __version__}
-    if extra:
-        resolved.update(extra)
-    artifacts.write_resolved_config(out / "config_resolved.json", resolved)
+    return {"seed_base": seed}
 
 
 def main(argv=None) -> int:
@@ -390,8 +383,14 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "cv": cmd_cv, "baseline": cmd_baseline,
                 "metrics": cmd_metrics}
     try:
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
         cfg = _load_config(args.config)
-        return handlers[args.command](cfg, Path(args.out), args.workers, args.seed)
+        echo = handlers[args.command](_section(cfg, "", _TOP[args.command]), Path(args.out),
+                                      args.workers, args.seed)
+        artifacts.write_resolved_config(Path(args.out) / "config_resolved.json", {
+            "command": args.command, "config": cfg, "version": __version__, **echo})
+        return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -33,8 +33,8 @@ class CvPlan:
 
     def __post_init__(self):
         grid = tuple(float(a) for a in self.alpha_grid)
-        if len(grid) < 1 or any(a <= 0 for a in grid):
-            raise ValueError("alpha_grid must be nonempty and positive")
+        if len(grid) < 1 or any(not 0 < a < np.inf for a in grid):
+            raise ValueError("alpha_grid must be nonempty, positive and finite")
         if list(grid) != sorted(set(grid)):
             raise ValueError("alpha_grid must be strictly increasing")
         if self.n_folds < 2:

@@ -8,6 +8,7 @@ given their seed; all randomness flows through the keyed streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -98,8 +99,8 @@ def build_initial_cloud(preset: ExperimentPreset | None, config: SolverConfig,
             raise ValueError(f"point initialization needs a point of dimension {ref.dim}")
         return ParticleCloud(np.tile(np.asarray(point, dtype=float), (n, 1)))
     if mode == "uniform":
-        if box is None or np.shape(box) != (ref.dim, 2):
-            raise ValueError(f"uniform initialization needs a box of {ref.dim} [lo, hi] pairs")
+        if box is None or np.shape(box) != (ref.dim, 2) or not np.all(np.isfinite(box)):
+            raise ValueError(f"uniform initialization needs a box of {ref.dim} finite [lo, hi] pairs")
         box = np.asarray(box, dtype=float)
         return ParticleCloud(gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0])))
     raise ValueError(f"unknown init mode {mode!r}")
@@ -199,7 +200,7 @@ def preset_toy_gaussian() -> ExperimentPreset:
 # d-dimensional mixture
 # ---------------------------------------------------------------------------
 
-def preset_highdim_mixture(dim: int) -> ExperimentPreset:
+def preset_highdim_mixture(dim: int = 2) -> ExperimentPreset:
     """Product-form generalization of the 1-D mixture to d dimensions."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
@@ -356,7 +357,11 @@ def preset_epidemiology_synthetic(misspecified: bool = False) -> ExperimentPrese
 # ---------------------------------------------------------------------------
 
 def preset_ct_phantom() -> ExperimentPreset:
-    """Two Gaussian blobs observed through the line-alignment kernel."""
+    """Two Gaussian blobs observed through the line-alignment kernel.
+
+    ``reconvolution_ise`` is scored on the (φ, ξ) grid [0, 2π] × [−ξ_max, ξ_max],
+    where the observation KDE, not periodic in φ, runs low within a few
+    bandwidths of φ = 0 and φ = 2π (about half the density at the edges)."""
     weights = (0.5, 0.5)
     centers = (np.array([-0.3, -0.25]), np.array([0.35, 0.2]))
     blob_sds = (0.12, 0.18)
@@ -421,6 +426,8 @@ def preset_ct_phantom() -> ExperimentPreset:
         metric_grid=EvaluationGrid(((-1.2, 1.2, 161), (-1.2, 1.2, 161))),
         init_shift=None,
         default_metrics=("ise", "w1_marginal1"),
+        observation_grid=EvaluationGrid(((0.0, 2.0 * np.pi, 161),
+                                         (-kernel.xi_max, kernel.xi_max, 161))),
     )
 
 
@@ -428,32 +435,30 @@ def preset_ct_phantom() -> ExperimentPreset:
 # registry and file input
 # ---------------------------------------------------------------------------
 
+PRESETS = {"gaussian_mixture_1d": preset_gaussian_mixture_1d,
+           "toy_gaussian": preset_toy_gaussian,
+           "highdim_mixture": preset_highdim_mixture,
+           "epidemiology_synthetic": preset_epidemiology_synthetic,
+           "ct_phantom": preset_ct_phantom}
+
+
 def get_preset(name: str, **options) -> ExperimentPreset:
-    if name == "gaussian_mixture_1d":
-        return preset_gaussian_mixture_1d()
-    if name == "toy_gaussian":
-        return preset_toy_gaussian()
-    if name == "highdim_mixture":
-        return preset_highdim_mixture(int(options.get("dim", 2)))
-    if name == "epidemiology_synthetic":
-        return preset_epidemiology_synthetic(bool(options.get("misspecified", False)))
-    if name == "ct_phantom":
-        return preset_ct_phantom()
-    raise ValueError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("gaussian_mixture_1d", "toy_gaussian", "highdim_mixture",
-                "epidemiology_synthetic", "ct_phantom")
+    """The preset ``name`` built with its keyword ``options`` (``dim``, ``misspecified``)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    return PRESETS[name](**options)
 
 
 def load_observations_csv(path) -> ObservationSample:
-    """One observation per row, p comma-separated columns; a header is allowed."""
-    with open(path) as fh:
-        first = fh.readline()
-        try:
-            [float(v) for v in first.split(",")]
-            skip = 0
-        except ValueError:
-            skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    """One observation per row, p comma-separated finite numbers; a header is allowed."""
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    try:
+        [float(v) for v in (lines[0] if lines else "").split(",")]
+    except ValueError:  # a header row
+        lines = lines[1:]
+    if not lines:
+        raise ValueError("no observation rows")
+    data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"non-finite entry in row {np.argwhere(~np.isfinite(data))[0, 0] + 1}")
     return ObservationSample(data)

@@ -50,26 +50,26 @@ class SolverConfig:
     denom_floor: float = 1e-30
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be at least 1")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be nonnegative and finite")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        if self.n_particles < 2:
+            raise ValueError("n_particles must be at least 2")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not 0 <= self.eta < np.inf:
+            raise ValueError("eta must be nonnegative and finite")
         if self.minibatch is not None and self.minibatch < 1:
             raise ValueError("minibatch must be at least 1")
         if self.resample_policy not in RESAMPLE_POLICIES:
             raise ValueError(f"resample_policy must be one of {RESAMPLE_POLICIES}")
-        if self.stop_tol is not None and self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        if self.stop_tol is not None and not 0 < self.stop_tol < np.inf:
+            raise ValueError("stop_tol must be positive and finite")
         if self.stop_window < 1:
             raise ValueError("stop_window must be at least 1")
-        if self.denom_floor < _MIN_DENOM_FLOOR:
-            raise ValueError(f"denom_floor must be at least {_MIN_DENOM_FLOOR}")
+        if not _MIN_DENOM_FLOOR <= self.denom_floor < np.inf:
+            raise ValueError(f"denom_floor must be finite and at least {_MIN_DENOM_FLOOR}")
 
 
 class SolverTrace:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -350,3 +351,128 @@ def test_baseline_toy_alpha_grid_must_be_a_list(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"baseline": "toy", "alpha_grid": "ab"})
     assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "alpha_grid: expected list, got str" in capsys.readouterr().err
+
+
+OBS_FILE, NAN_FILE = "<observations.csv>", "<nan.csv>"   # written by the test
+INLINE = {"problem": {"kernel": {"type": "gaussian_convolution", "noise_sd": [0.3]},
+                      "reference": {"kind": "from_sample"}},
+          "observations": {"file": OBS_FILE}, "solver": {"n_particles": 10, "n_steps": 2}}
+OSLEM = {"baseline": "oslem", "preset": "highdim_mixture", "preset_options": {"dim": 1},
+         "n_bins": 20, "iterations": 5, "observations": {"n_samples": 100, "seed": 2}}
+CV = {"preset": "toy_gaussian", "observations": {"n_samples": 100},
+      "solver": {"n_particles": 20, "minibatch": 20, "n_steps": 2},
+      "cv": {"alpha_grid": [0.01, 0.1], "folds": 2}}
+NAN, INF = float("nan"), float("inf")
+
+
+def _probe(command, config, key, case):
+    return pytest.param(command, config, key, id=case)
+
+
+@pytest.mark.parametrize("command, config, key", [
+    _probe("run", [1, 2], "config", "top-level-list"),
+    _probe("run", dict(SMALL_RUN, solvr={}), "solvr", "unknown-top-level-key"),
+    _probe("run", dict(SMALL_RUN, solver=[1]), "solver", "solver-not-object"),
+    _probe("run", dict(SMALL_RUN, solver={"alpha": NAN}), "solver.alpha", "alpha-nan"),
+    _probe("run", dict(SMALL_RUN, solver={"gamma": INF}), "solver.gamma", "gamma-inf"),
+    _probe("run", dict(SMALL_RUN, solver={"stop_tol": NAN}), "solver.stop_tol", "stop-tol-nan"),
+    _probe("run", dict(SMALL_RUN, solver={"n_particles": 1}), "solver", "one-particle"),
+    _probe("run", dict(SMALL_RUN, observations=[1]), "observations", "observations-not-object"),
+    _probe("run", dict(SMALL_RUN, seed_base=-1), "seed_base", "negative-seed-base"),
+    _probe("run", dict(SMALL_RUN, seed_base=2**63 - 1), "seed_base", "seed-base-plus-replicates"),
+    _probe("run", dict(SMALL_RUN, observations={"seed": 2**63}), "observations.seed",
+           "observation-seed-too-large"),
+    _probe("run", {"preset": "toy_gaussian", "preset_options": {"dim": 3}}, "preset_options",
+           "option-of-another-preset"),
+    _probe("run", {"preset": "highdim_mixture", "preset_options": {"dim": "x"}},
+           "preset_options.dim", "dim-string"),
+    _probe("run", dict(SMALL_RUN, init={"mode": "point", "point": [0.1, 0.2]}), "init.point",
+           "point-of-wrong-dimension"),
+    _probe("run", dict(INLINE, problem={"kernel": {"type": "gaussian_convolution",
+                                                   "noise_sd": ["a"]},
+                                        "reference": {"kind": "from_sample"}}),
+           "problem.kernel.noise_sd", "noise-sd-string"),
+    _probe("run", dict(INLINE, problem={"kernel": {"type": "gaussian_convolution",
+                                                   "noise_sd": [0.3]},
+                                        "reference": {"kind": "flat", "dim": 1}},
+                       solver={"alpha": 0.0, "n_particles": 10, "n_steps": 2}),
+           "init.mode", "flat-reference-default-init"),
+    _probe("run", dict(INLINE, problem={"kernel": {"type": "gaussian_convolution",
+                                                   "noise_sd": [0.3]},
+                                        "reference": {"kind": "gaussian", "mean": [0.0, 0.0],
+                                                      "variances": [1.0, 1.0]}}),
+           "problem.reference", "reference-of-wrong-dimension"),
+    _probe("run", dict(SMALL_RUN, observations={"file": NAN_FILE}), "observations.file",
+           "observation-file-nan"),
+    _probe("baseline", dict(OSLEM, n_bins=0), "n_bins", "oslem-no-bins"),
+    _probe("baseline", dict(OSLEM, iterations=-1), "iterations", "oslem-negative-iterations"),
+    _probe("baseline", dict(OSLEM, lo=1, hi=0), "lo", "oslem-empty-span"),
+    _probe("baseline", dict(OSLEM, itrations=5), "itrations", "oslem-unknown-key"),
+    _probe("baseline", {"baseline": "toy", "alpha_grid": [NAN]}, "alpha_grid", "toy-alpha-nan"),
+    _probe("cv", dict(CV, cv=[1]), "cv", "cv-not-object"),
+    _probe("cv", dict(CV, cv={"alpha_grid": [0.01], "folds": 1}), "cv", "one-fold"),
+    _probe("cv", dict(CV, cv={"alpha_grid": [0.01], "score": "bogus"}), "cv", "unknown-score"),
+    _probe("cv", dict(CV, cv={"alpha_grid": [0.01], "seed": -1}), "cv.seed", "negative-cv-seed"),
+    _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [OBS_FILE], "seed": -1},
+           "seed", "negative-metrics-seed"),
+])
+def test_invalid_config_exits_2_at_its_key(tmp_path, capsys, monkeypatch, rng, command,
+                                           config, key):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran on an invalid config")
+
+    monkeypatch.setattr("fredholm_flow.cli.run_solver", no_solve)
+    np.savetxt(tmp_path / "obs.csv", rng.normal(size=(40, 1)), delimiter=",")
+    (tmp_path / "nan.csv").write_text("0.1\nnan\n0.3\n")
+    text = json.dumps(config).replace(OBS_FILE, str(tmp_path / "obs.csv")) \
+        .replace(NAN_FILE, str(tmp_path / "nan.csv"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    # the key, then ": ", " " (a message naming it) or "[" (a list element)
+    assert re.match(rf"config error: {re.escape(key)}(: | |\[)", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63)])
+def test_seed_flag_outside_the_key_range_exits_2(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, "c.json", SMALL_RUN)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("config error: --seed")
+
+
+@pytest.mark.parametrize("content", ["", "y_1\n", "0.1,0.2\n0.3\n", "0.1\nabc\n"],
+                         ids=["empty", "header-only", "ragged", "non-numeric"])
+def test_bad_observation_file_exits_2(tmp_path, capsys, content):
+    (tmp_path / "obs.csv").write_text(content)
+    payload = dict(SMALL_RUN, observations={"file": str(tmp_path / "obs.csv")})
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: observations.file")
+
+
+def test_observation_file_is_read_once_per_run(tmp_path, monkeypatch, rng):
+    from fredholm_flow import cli
+    np.savetxt(tmp_path / "obs.csv", rng.normal(0.4, 0.1, size=(60, 1)), delimiter=",")
+    reads = []
+    load = cli.load_observations_csv
+    monkeypatch.setattr(cli, "load_observations_csv", lambda path: reads.append(path) or load(path))
+    payload = dict(SMALL_RUN, observations={"file": str(tmp_path / "obs.csv")}, replicates=3)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "2"]) == 0
+    assert len(reads) == 1
+
+
+def test_resolved_config_records_what_the_run_used(tmp_path):
+    cfg = write_config(tmp_path, "c.json", SMALL_RUN)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
+    echo = json.loads((out / "config_resolved.json").read_text())
+    assert echo["config"] == SMALL_RUN
+    resolved = echo["resolved"]
+    preset = preset_gaussian_mixture_1d()
+    assert resolved["solver"] == dict(vars(preset.solver), n_particles=50, n_steps=10, seed=5)
+    assert resolved["init"] == {"mode": "auto"}
+    assert resolved["metrics"] == ["ise", "w1_marginal1"]
+    assert resolved["seeds"] == [5, 6]
+    assert resolved["observations"] == {"n_samples": 200, "seeds": [21, 21]}
+    assert "workers" not in json.dumps(echo)
