@@ -123,7 +123,7 @@ class GaussianMixtureDelayKernel(KernelModel):
     def weighted_grad1(self, xs, ys, k, w):
         # d/dx N(y-x; m, s^2) = N * (y-x-m)/s^2
         grad = sum(dens * z / s for s, z, dens in self._components(xs, ys))
-        return (grad @ w)[:, None]
+        return np.sum(grad * w, axis=1)[:, None]
 
 
 class RadonAlignmentKernel(KernelModel):
@@ -156,18 +156,18 @@ class RadonAlignmentKernel(KernelModel):
         return float(2.0 * np.pi * inner)
 
     def _residual(self, xs, ys):
-        phi = ys[:, 0]
-        xi = ys[:, 1]
-        u = np.column_stack([np.cos(phi), np.sin(phi)])           # (m, 2)
-        r = xs @ u.T                                              # (n, m)
-        return r - xi[None, :], u
+        """(x₁cosφ + x₂sinφ − ξ, cosφ, sinφ); row i depends on particle i alone."""
+        cos, sin = np.cos(ys[:, 0]), np.sin(ys[:, 0])
+        return xs[:, 0, None] * cos + xs[:, 1, None] * sin - ys[:, 1], cos, sin
 
     def eval_matrix(self, xs, ys):
         xs = _as_points(xs, 2, "x")
         ys = _as_points(ys, 2, "y")
-        res, _ = self._residual(xs, ys)
+        res, _, _ = self._residual(xs, ys)
         return np.exp(-0.5 * (res / self.sigma) ** 2) / self.norm_const
 
     def weighted_grad1(self, xs, ys, k, w):
-        res, u = self._residual(xs, ys)
-        return -((k * w * res) @ u) / self.sigma**2
+        res, cos, sin = self._residual(xs, ys)
+        kwr = k * w * res
+        return -np.column_stack([np.sum(kwr * cos, axis=1),
+                                 np.sum(kwr * sin, axis=1)]) / self.sigma**2
