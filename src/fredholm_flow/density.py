@@ -3,12 +3,16 @@
 Diagonal bandwidths only; the rule of thumb is Silverman's.  The KDE with
 bandwidth H is the particle mean of the Gaussian convolution kernel with
 variances diag(H), so all evaluation goes through its ``eval_matrix``, and no
-pairwise block holds more than ``_BLOCK_PAIRS`` entries.  Each evaluation uses
+pairwise block holds more than ``BLOCK_PAIRS`` entries.  Each evaluation uses
 its structure:
 
-- ``evaluate(xs)``: arbitrary queries, blocked over query rows;
+- ``evaluate(xs)``: arbitrary queries, in row blocks on the shared pool of
+  ``blocks``;
 - ``at_particles()``: the cloud at its own points, summing the symmetric N×N
   matrix by upper-triangular row blocks, so about half the exps are computed;
+  the blocks run on the shared pool, and the calling thread adds their row
+  sums and the column sums below the diagonal in block order, so the result
+  is the same bits for any thread count;
 - ``on_grid(grid)``: a tensor-product grid; the diagonal Gaussian factorizes
   over coordinates, so one 1-D (n_i, N) factor per axis is contracted by GEMM
   (in 2-D, A₁ A₂ᵀ / N) in place of one exp per (node, particle) pair.
@@ -22,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BLOCK_PAIRS, map_blocks, row_blocks, scratch
 from .kernels import GaussianConvolutionKernel
-
-# entries per pairwise block: 2 MB of float64, one core's L2 cache
-_BLOCK_PAIRS = 2**18
 
 
 def _points_of(cloud_or_points) -> np.ndarray:
@@ -125,13 +127,17 @@ class GaussianKde:
         self.bandwidth = silverman_bandwidth(self.points) if bandwidth is None else bandwidth
         self._kernel = GaussianConvolutionKernel(np.sqrt(self.bandwidth.diag))
 
+    def _block(self, xs, ys) -> np.ndarray:
+        """k(xs, ys) for one block, in this thread's workspace."""
+        return self._kernel.eval_matrix(xs, ys, out=scratch("kde", xs.shape[0], ys.shape[0]))
+
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        block = max(1, _BLOCK_PAIRS // self.points.shape[0])
+        rows = row_blocks(xs.shape[0], self.points.shape[0])
         out = np.empty(xs.shape[0])
-        for start in range(0, xs.shape[0], block):
-            chunk = xs[start:start + block]
-            out[start:start + block] = self._kernel.eval_matrix(chunk, self.points).mean(axis=1)
+        means = map_blocks(lambda r: self._block(xs[r], self.points).mean(axis=1), rows)
+        for r, mean in zip(rows, means):
+            out[r] = mean
         return out
 
     def at_particles(self) -> np.ndarray:
@@ -139,12 +145,16 @@ class GaussianKde:
         bit for bit, since (a − b)² == (b − a)², so only the summation order changes."""
         pts = self.points
         n = pts.shape[0]
-        block = max(1, _BLOCK_PAIRS // n)
+        rows = row_blocks(n, n)
+
+        def sums(r):
+            k = self._block(pts[r], pts[r.start:])
+            return k.sum(axis=1), k[:, r.stop - r.start:].sum(axis=0)
+
         out = np.zeros(n)
-        for start in range(0, n, block):
-            k = self._kernel.eval_matrix(pts[start:start + block], pts[start:])
-            out[start:start + block] += k.sum(axis=1)
-            out[start + block:] += k[:, block:].sum(axis=0)
+        for r, (row_sums, col_sums) in zip(rows, map_blocks(sums, rows)):
+            out[r] += row_sums
+            out[r.stop:] += col_sums
         return out / n
 
     def on_grid(self, grid: EvaluationGrid) -> np.ndarray:
@@ -159,8 +169,8 @@ class GaussianKde:
         n_lead = int(np.prod(lead_shape))
         # particles per block keep every (n_i, block) factor within the cap;
         # leading nodes per block keep their row products within it too
-        p_block = max(1, _BLOCK_PAIRS // max(grid.shape))
-        r_block = max(1, _BLOCK_PAIRS // p_block)
+        p_block = max(1, BLOCK_PAIRS // max(grid.shape))
+        r_block = max(1, BLOCK_PAIRS // p_block)
         out = np.zeros((n_lead, n_last))
         for p0 in range(0, self.points.shape[0], p_block):
             chunk = self.points[p0:p0 + p_block]

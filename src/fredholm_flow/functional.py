@@ -4,8 +4,9 @@ The estimate splits into the data term, −(1/M) Σ_j log((1/N) Σ_k k(X_k, y_j)
 and the penalty term, (α/N) Σ_k [log π̂(X_k) − log π₀(X_k)], where π̂ is the
 plug-in KDE of the current cloud (Silverman bandwidth) evaluated at the
 particles themselves through ``GaussianKde.at_particles``, which sums the
-symmetric N×N kernel matrix once per pair.  It drives the trace, the stopping
-rule and cross-validation scoring.
+symmetric N×N kernel matrix once per pair.  The data term reads only the
+column means of k(X_k, y_j); the solver passes the drift's.  It drives the
+trace, the stopping rule and cross-validation scoring.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import column_means
 from .density import GaussianKde
 from .kernels import KernelModel
 from .reference import ReferenceMeasure
@@ -31,20 +33,20 @@ class FunctionalEstimate:
 
 def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
           alpha: float, eta: float = 0.0, denom_floor: float = 1e-30,
-          kernel_matrix: np.ndarray | None = None) -> FunctionalEstimate:
+          k_mean: np.ndarray | None = None) -> FunctionalEstimate:
     """Objective estimate for a cloud against an observation sample.
 
     For ``alpha > 0`` the penalty needs a gaussian reference; the KDE is
     fitted on ``cloud`` with the default bandwidth rule.  A zero mean-kernel
     at η = 0 is clamped at ``denom_floor`` and the estimate is flagged as
-    floored.  ``kernel_matrix`` may carry a precomputed
-    k(X_i, y_j) matrix for these exact inputs.
+    floored.  ``k_mean`` may carry the precomputed column means
+    (1/N) Σ_i k(X_i, y_j) for these exact inputs.
     """
     x = np.atleast_2d(getattr(cloud, "points", cloud))
     y = np.atleast_2d(getattr(observations, "points", observations))
-    if kernel_matrix is None:
-        kernel_matrix = kernel.eval_matrix(x, y)
-    mean_k = kernel_matrix.mean(axis=0) + eta
+    if k_mean is None:
+        k_mean = column_means(kernel, x, y)[1]
+    mean_k = k_mean + eta
     floored = bool(np.any(mean_k < denom_floor))
     data_term = float(-np.mean(np.log(np.maximum(mean_k, denom_floor))))
 

@@ -3,21 +3,30 @@
 A kernel implements two batched methods, both on all particles against all
 batch observations at once:
 
-- ``eval_matrix(xs, ys)``: the (n, m) matrix k(x_i, y_j);
+- ``eval_matrix(xs, ys, out=None)``: the (n, m) matrix k(x_i, y_j), written
+  into ``out`` when one is given;
 - ``weighted_grad1(xs, ys, k, w)``: the (n, d) rows Σ_j w_j ∇₁k(x_i, y_j),
   given that matrix ``k`` and weights ``w`` of shape (m,).
 
 The drift needs only that weighted sum, so no (n, m, d) gradient tensor is
-ever formed.  Pointwise ``eval`` and ``grad1`` are derived from the two (one
-pair, unit weight).  Every kernel is immutable after construction.
-``bound_M`` is an analytic uniform bound on both k and ``‖∇₁k‖`` (second
-derivatives are bounded too but nothing downstream consumes them).
+ever formed.  Row i of either result is computed from particle i alone, with
+elementwise ufuncs and row sums (no BLAS call), so it is the same bits
+whichever rows are evaluated with it: the solver and the KDE run both
+methods in row blocks on several threads (see ``blocks``).  Temporaries go
+to the calling thread's reusable ``blocks.scratch`` workspaces "a", "b" and
+"c", so an ``out`` must not be one of those.  Pointwise
+``eval`` and ``grad1`` are derived from the two (one pair, unit weight).
+Every kernel is immutable after construction.  ``bound_M`` is an analytic
+uniform bound on both k and ``‖∇₁k‖`` (second derivatives are bounded too
+but nothing downstream consumes them).
 """
 from __future__ import annotations
 
 import abc
 
 import numpy as np
+
+from .blocks import scratch
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -38,8 +47,9 @@ class KernelModel(abc.ABC):
     bound_M: float
 
     @abc.abstractmethod
-    def eval_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """k(x_i, y_j) for xs (n, d) and ys (m, p); returns (n, m)."""
+    def eval_matrix(self, xs: np.ndarray, ys: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """k(x_i, y_j) for xs (n, d) and ys (m, p); returns (n, m), ``out`` if given."""
 
     @abc.abstractmethod
     def weighted_grad1(self, xs: np.ndarray, ys: np.ndarray, k: np.ndarray,
@@ -71,21 +81,32 @@ class GaussianConvolutionKernel(KernelModel):
         # sup k at y = x; sup ‖∇₁k‖ at a unit displacement of the narrowest axis
         self.bound_M = max(self._norm, self._norm * np.exp(-0.5) / sd.min())
 
-    def eval_matrix(self, xs, ys):
+    def eval_matrix(self, xs, ys, out=None):
         xs = _as_points(xs, self.dim_x, "x")
         ys = _as_points(ys, self.dim_y, "y")
-        sq = np.zeros((xs.shape[0], ys.shape[0]))
+        sq = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
         for i in range(self.dim_x):
-            sq += (ys[:, i] - xs[:, i, None]) ** 2 / self._var[i]
-        return self._norm * np.exp(-0.5 * sq)
+            term = sq if i == 0 else scratch("a", *sq.shape)
+            np.subtract(ys[:, i], xs[:, i, None], out=term)
+            np.square(term, out=term)
+            term /= self._var[i]
+            if i:
+                sq += term
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= self._norm
+        return sq
 
     def weighted_grad1(self, xs, ys, k, w):
         # per-coordinate differences, not (k∘w)@Y − x∘rowsum, which cancels
         # when the cloud sits far from the origin
-        kw = k * w
+        kw = np.multiply(k, w, out=scratch("b", *k.shape))
+        term = scratch("a", *k.shape)
         out = np.empty((xs.shape[0], self.dim_x))
         for i in range(self.dim_x):
-            out[:, i] = np.sum(kw * (ys[:, i] - xs[:, i, None]), axis=1) / self._var[i]
+            np.subtract(ys[:, i], xs[:, i, None], out=term)
+            term *= kw
+            out[:, i] = np.sum(term, axis=1) / self._var[i]
         return out
 
 
@@ -109,21 +130,40 @@ class GaussianMixtureDelayKernel(KernelModel):
         self.bound_M = max(peak, grad_peak)
 
     def _components(self, xs, ys):
-        """Per component: sd s, z = (y − x − m)/s and w·N(y − x; m, s²), (n, m) each."""
-        u = ys[:, 0] - xs[:, 0, None]
+        """Per component: sd s, z = (y − x − m)/s and w·N(y − x; m, s²), (n, m)
+        each, in workspaces that the next component overwrites."""
+        z = scratch("a", xs.shape[0], ys.shape[0])
+        dens = scratch("b", *z.shape)
         for w, m, s in zip(self.weights, self.means, self.sds):
-            z = (u - m) / s
-            yield s, z, w * (np.exp(-0.5 * z**2) / (s * _SQRT_2PI))
+            np.subtract(ys[:, 0], xs[:, 0, None], out=z)
+            z -= m
+            z /= s
+            np.square(z, out=dens)
+            dens *= -0.5
+            np.exp(dens, out=dens)
+            dens /= s * _SQRT_2PI
+            dens *= w
+            yield s, z, dens
 
-    def eval_matrix(self, xs, ys):
+    def eval_matrix(self, xs, ys, out=None):
         xs = _as_points(xs, 1, "x")
         ys = _as_points(ys, 1, "y")
-        return sum(dens for _, _, dens in self._components(xs, ys))
+        out = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
+        out.fill(0.0)
+        for _, _, dens in self._components(xs, ys):
+            out += dens
+        return out
 
     def weighted_grad1(self, xs, ys, k, w):
         # d/dx N(y-x; m, s^2) = N * (y-x-m)/s^2
-        grad = sum(dens * z / s for s, z, dens in self._components(xs, ys))
-        return np.sum(grad * w, axis=1)[:, None]
+        grad = scratch("c", *k.shape)
+        grad.fill(0.0)
+        for s, z, dens in self._components(xs, ys):
+            dens *= z
+            dens /= s
+            grad += dens
+        grad *= w
+        return np.sum(grad, axis=1)[:, None]
 
 
 class RadonAlignmentKernel(KernelModel):
@@ -155,19 +195,30 @@ class RadonAlignmentKernel(KernelModel):
         inner = np.trapezoid(vals, xi)          # independent of phi and of the line offset
         return float(2.0 * np.pi * inner)
 
-    def _residual(self, xs, ys):
-        """(x₁cosφ + x₂sinφ − ξ, cosφ, sinφ); row i depends on particle i alone."""
+    def _residual(self, xs, ys, out):
+        """x₁cosφ + x₂sinφ − ξ into ``out``, by broadcasting; returns (cosφ, sinφ)."""
         cos, sin = np.cos(ys[:, 0]), np.sin(ys[:, 0])
-        return xs[:, 0, None] * cos + xs[:, 1, None] * sin - ys[:, 1], cos, sin
+        np.multiply(xs[:, 0, None], cos, out=out)
+        out += np.multiply(xs[:, 1, None], sin, out=scratch("b", *out.shape))
+        out -= ys[:, 1]
+        return cos, sin
 
-    def eval_matrix(self, xs, ys):
+    def eval_matrix(self, xs, ys, out=None):
         xs = _as_points(xs, 2, "x")
         ys = _as_points(ys, 2, "y")
-        res, _, _ = self._residual(xs, ys)
-        return np.exp(-0.5 * (res / self.sigma) ** 2) / self.norm_const
+        res = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
+        self._residual(xs, ys, res)
+        res /= self.sigma
+        np.square(res, out=res)
+        res *= -0.5
+        np.exp(res, out=res)
+        res /= self.norm_const
+        return res
 
     def weighted_grad1(self, xs, ys, k, w):
-        res, cos, sin = self._residual(xs, ys)
-        kwr = k * w * res
-        return -np.column_stack([np.sum(kwr * cos, axis=1),
-                                 np.sum(kwr * sin, axis=1)]) / self.sigma**2
+        res = scratch("a", *k.shape)
+        cos, sin = self._residual(xs, ys, res)
+        kwr = np.multiply(k, w, out=scratch("b", *k.shape))
+        kwr *= res
+        rows = [np.sum(np.multiply(kwr, c, out=res), axis=1) for c in (cos, sin)]
+        return -np.column_stack(rows) / self.sigma**2

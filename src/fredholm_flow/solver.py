@@ -7,6 +7,14 @@ reference measure, and isotropic noise with diffusion coefficient √(2α).
 The deterministic part of every step is tamed, γb/(1 + γ‖b‖), so its length
 never exceeds min(1, γ‖b‖) regardless of how large the drift gets when the
 denominator is small.
+
+The drift runs in fixed row blocks on the shared pool of ``blocks``: pass 1
+writes k = eval_matrix(X, Y) block by block into one (N, m) buffer per run
+while the calling thread folds its column sums in block order; pass 2 forms
+each block's ``weighted_grad1`` rows.  The monitor reads only the column
+means, so k is dead once pass 2 is done.  Every result is the same bits for
+any thread count and any ``--workers``, and a step holds about one N×m
+matrix plus a few block workspaces per thread.
 """
 from __future__ import annotations
 
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
+from .blocks import column_means, map_blocks, matrix_buffer
 from .errors import NumericalFailure
 from .functional import FunctionalEstimate, g_hat
 from .kernels import KernelModel
@@ -124,18 +133,20 @@ class SolverTrace:
         return self._n
 
 
-def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step):
-    """(k matrix, drift); the monitor reuses the k matrix."""
-    k_matrix = kernel.eval_matrix(points, batch_points)
-    denom = np.maximum(k_matrix.mean(axis=0) + eta, denom_floor)       # (m,)
-    weights = 1.0 / (k_matrix.shape[1] * denom)
-    drift = (kernel.weighted_grad1(points, batch_points, k_matrix, weights)
-             - alpha * ref.grad_u(points))
+def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step, buf=None):
+    """(column means of the k matrix, drift); the monitor reuses the means.
+    ``buf`` is a ``matrix_buffer`` for k, reused across steps."""
+    blocks, k_mean = column_means(kernel, points, batch_points, buf)
+    denom = np.maximum(k_mean + eta, denom_floor)                      # (m,)
+    weights = 1.0 / (batch_points.shape[0] * denom)
+    grads = map_blocks(lambda block: kernel.weighted_grad1(points[block[0]], batch_points,
+                                                           block[1], weights), blocks)
+    drift = np.concatenate(list(grads)) - alpha * ref.grad_u(points)
     finite_rows = np.all(np.isfinite(drift), axis=1)
     if not np.all(finite_rows):
         raise NumericalFailure("non-finite drift", step=step,
                                index=int(np.argmin(finite_rows)))
-    return k_matrix, drift
+    return k_mean, drift
 
 
 def drift_empirical(cloud: ParticleCloud, batch: ObservationSample,
@@ -187,11 +198,10 @@ def draw_minibatch(full: ObservationSample, m: int, rng: np.random.Generator,
     return ObservationSample(full.points[idx])
 
 
-def _monitor_estimate(cloud, batch, kernel, ref, config,
-                      k_matrix=None) -> FunctionalEstimate | None:
+def _monitor_estimate(cloud, batch, kernel, ref, config, k_mean) -> FunctionalEstimate | None:
     try:
         return g_hat(cloud, batch, kernel, ref, config.alpha, config.eta,
-                     denom_floor=config.denom_floor, kernel_matrix=k_matrix)
+                     denom_floor=config.denom_floor, k_mean=k_mean)
     except ValueError:
         # degenerate bandwidth (e.g. point-mass cloud) or improper reference:
         # the monitor is undefined there, the dynamics are not
@@ -241,6 +251,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     m_eff = config.minibatch if config.minibatch is not None else min(n, observations.n_observations)
     cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
+    buf = matrix_buffer(n, min(m_eff, observations.n_observations))
     batch = None
     stopped = False
 
@@ -250,12 +261,12 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
                                    _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step),
                                    config.resample_policy)
         try:
-            k_matrix, drift = _drift(kernel, cloud.points, batch.points, ref,
-                                     config.alpha, config.eta, config.denom_floor, step)
+            k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
+                                   config.eta, config.denom_floor, step, buf)
         except NumericalFailure as failure:
             raise NumericalFailure("drift evaluation failed", step=step,
                                    index=failure.index) from failure
-        estimate = _monitor_estimate(cloud, batch, kernel, ref, config, k_matrix=k_matrix)
+        estimate = _monitor_estimate(cloud, batch, kernel, ref, config, k_mean)
         trace.append(cloud.step_index, estimate, np.hypot.reduce(drift, axis=1), cloud.points)
         if monitor is not None:
             monitor(cloud.step_index, cloud, estimate)
@@ -271,7 +282,8 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
 
     if not stopped:
         final_batch = batch if batch is not None else observations
-        estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config)
+        k_mean = column_means(kernel, cloud.points, final_batch.points, buf)[1]
+        estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config, k_mean)
         trace.append(cloud.step_index, estimate, None, cloud.points)
         if monitor is not None:
             monitor(cloud.step_index, cloud, estimate)

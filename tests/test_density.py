@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fredholm_flow import (BandwidthMatrix, EvaluationGrid, GaussianConvolutionKernel,
-                           GaussianKde, ParticleCloud, density, kde_eval, kde_grid,
+                           GaussianKde, ParticleCloud, blocks, density, kde_eval, kde_grid,
                            silverman_bandwidth)
 
 
@@ -116,7 +116,7 @@ def test_kde_normalization(d, rng):
 def test_kde_blocks_cover_every_query(rng):
     # queries spanning two and a half blocks: both edge rows of every block
     pts = rng.normal(size=(3000, 2))
-    rows = density._BLOCK_PAIRS // pts.shape[0]
+    rows = blocks.BLOCK_PAIRS // pts.shape[0]
     bw = BandwidthMatrix([0.3, 0.5])
     xs = rng.normal(size=(2 * rows + rows // 2, 2))
     vals = GaussianKde(pts, bw).evaluate(xs)
@@ -128,7 +128,7 @@ def test_kde_blocks_cover_every_query(rng):
 def test_kde_at_particles_matches_evaluate(rng):
     # N is not a multiple of the block rows, so the last block is partial
     pts = rng.normal(size=(3000, 2))
-    assert pts.shape[0] % (density._BLOCK_PAIRS // pts.shape[0]) != 0
+    assert pts.shape[0] % (blocks.BLOCK_PAIRS // pts.shape[0]) != 0
     kde = GaussianKde(pts, BandwidthMatrix([0.3, 0.5]))
     np.testing.assert_allclose(kde.at_particles(), kde.evaluate(pts), rtol=1e-12, atol=0)
 
@@ -137,9 +137,9 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
     sizes = []
     eval_matrix = GaussianConvolutionKernel.eval_matrix
 
-    def recording(self, xs, ys):
+    def recording(self, xs, ys, out=None):
         sizes.append(np.atleast_2d(xs).shape[0] * np.atleast_2d(ys).shape[0])
-        return eval_matrix(self, xs, ys)
+        return eval_matrix(self, xs, ys, out=out)
 
     monkeypatch.setattr(GaussianConvolutionKernel, "eval_matrix", recording)
     grids = {1: EvaluationGrid(((-3.0, 3.0, 301),)),
@@ -154,9 +154,9 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
             call()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert sizes and max(sizes) <= density._BLOCK_PAIRS
+            assert sizes and max(sizes) <= blocks.BLOCK_PAIRS
             # a few blocks' worth of temporaries, not a whole (nodes, N) product
-            assert peak <= 8 * 8 * density._BLOCK_PAIRS
+            assert peak <= 8 * 8 * blocks.BLOCK_PAIRS
         # several particle blocks (and leading-node blocks in 3-D) against one sum
         np.testing.assert_allclose(kde.on_grid(grid), kde.evaluate(grid.nodes()),
                                    rtol=1e-12, atol=0)

@@ -20,10 +20,12 @@ class ConstantInXKernel(KernelModel):
         self.dim_y = dim
         self.bound_M = (2 * np.pi) ** (-dim / 2)
 
-    def eval_matrix(self, xs, ys):
+    def eval_matrix(self, xs, ys, out=None):
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
         dens = np.exp(-0.5 * np.sum(ys**2, axis=1)) * (2 * np.pi) ** (-self.dim_y / 2)
-        return np.broadcast_to(dens[None, :], (xs.shape[0], ys.shape[0])).copy()
+        out = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
+        out[:] = dens
+        return out
 
     def weighted_grad1(self, xs, ys, k, w):
         return np.zeros((np.atleast_2d(xs).shape[0], self.dim_x))
