@@ -42,7 +42,11 @@ def write_cloud_csv(path, cloud: ParticleCloud) -> None:
 
 
 def read_cloud_csv(path) -> ParticleCloud:
+    """A cloud as ``write_cloud_csv`` wrote it; a non-finite entry is a ValueError."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite entry in row "
+                         f"{np.argwhere(~np.isfinite(data))[0, 0] + 1}")
     return ParticleCloud(data)
 
 

@@ -126,6 +126,11 @@ def _at(path: str):
         raise ConfigError(str(err), path=path) from err
 
 
+def _at_init(init: dict):
+    """Report an initialization error at the ``init`` key it concerns."""
+    return _at(_INIT_ERROR_KEYS.get(init.get("mode"), "init.mode"))
+
+
 def _seed(seed: int, path: str, count: int = 1) -> int:
     """``seed``, once it and the ``count - 1`` seeds after it lie in [0, 2**63)."""
     if seed < 0 or seed + count > 1 << 63:
@@ -260,7 +265,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         observations, obs_seed = draw(seed)
         rep_ref = ref if ref is not None else preset.make_reference(observations)
         config = dataclasses.replace(solver, seed=seed)
-        with _at(_INIT_ERROR_KEYS.get(init.get("mode"), "init.mode")):
+        with _at_init(init):
             start = build_initial_cloud(preset, config, observations, rep_ref, **init)
         cloud, trace = run_solver(config, kernel, rep_ref, start, observations)
         write_kde = cfg.get("kde_grid", True) and preset is not None \
@@ -304,6 +309,12 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
                          for key, value in cv.items()} | {"seed": seed})
     init = cfg.get("init", {})
     observations, _ = _observations(cfg, preset, preset.kernel, solver)(plan.seed)
+    if plan.n_folds > observations.n_observations:
+        raise ConfigError(f"{plan.n_folds} folds need at least as many observations, "
+                          f"got {observations.n_observations}", path="cv.folds")
+    with _at_init(init):   # every cell builds its cloud the same way
+        build_initial_cloud(preset, solver, observations, preset.make_reference(observations),
+                            **init)
     result = cv_score(plan, preset, observations, solver, workers=workers, init=init)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_cv_csv(out / "cv_table.csv", result)
@@ -353,13 +364,20 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
     missing = [p for p in cloud_paths if not Path(p).is_file()]
     if missing:
         raise ConfigError(f"cloud files not found: {missing}", path="clouds")
+    clouds = []
+    for path in cloud_paths:
+        with _at("clouds"):
+            clouds.append(artifacts.read_cloud_csv(path))
+        if clouds[-1].dim != preset.dim:
+            raise ConfigError(f"{path} has dimension {clouds[-1].dim}, the preset "
+                              f"{preset.dim}", path="clouds")
     names = _metric_names(cfg, preset)
     seed = seed_override if seed_override is not None else _seed(cfg.get("seed", 0), "seed")
     observations = _observations(cfg, preset, preset.kernel)(seed)[0] \
         if "reconvolution_ise" in names or "observations" in cfg else None
     n_observations = observations.n_observations if observations else 0
     rows = [(preset.name, "stored_cloud", cloud.n_particles, n_observations, seed, metric, value)
-            for i, cloud in enumerate(map(artifacts.read_cloud_csv, cloud_paths))
+            for i, cloud in enumerate(clouds)
             for metric, value in compute_metrics(preset, cloud, observations, names,
                                                  _rng.derive_seed(seed, i))]
     out.mkdir(parents=True, exist_ok=True)

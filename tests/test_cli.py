@@ -413,6 +413,18 @@ def _probe(command, config, key, case):
     _probe("cv", dict(CV, cv={"alpha_grid": [0.01], "folds": 1}), "cv", "one-fold"),
     _probe("cv", dict(CV, cv={"alpha_grid": [0.01], "score": "bogus"}), "cv", "unknown-score"),
     _probe("cv", dict(CV, cv={"alpha_grid": [0.01], "seed": -1}), "cv.seed", "negative-cv-seed"),
+    _probe("cv", dict(CV, init={"mode": "point", "point": [0.1, 0.2]}), "init.point",
+           "cv-point-of-wrong-dimension"),
+    _probe("cv", dict(CV, init={"mode": "uniform", "box": [[0.0, 1.0], [0.0, 1.0]]}),
+           "init.box", "cv-box-of-wrong-dimension"),
+    _probe("cv", dict(CV, observations={"n_samples": 3},
+                      solver={"n_particles": 20, "minibatch": 1, "n_steps": 2},
+                      cv={"alpha_grid": [0.01], "folds": 5}), "cv.folds",
+           "cv-more-folds-than-observations"),
+    _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [NAN_FILE]}, "clouds",
+           "metrics-cloud-nan"),
+    _probe("metrics", {"preset": "highdim_mixture", "preset_options": {"dim": 2},
+                       "clouds": [OBS_FILE]}, "clouds", "metrics-cloud-of-wrong-dimension"),
     _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [OBS_FILE], "seed": -1},
            "seed", "negative-metrics-seed"),
 ])
