@@ -78,7 +78,7 @@ def scratch(key: str, n: int, m: int) -> np.ndarray:
     if n * m > BLOCK_PAIRS:
         return np.empty((n, m))
     buf = getattr(_local, key, None)
-    if buf is None:
+    if buf is None or buf.size < n * m:
         buf = np.empty(BLOCK_PAIRS)
         setattr(_local, key, buf)
     return buf[:n * m].reshape(n, m)
