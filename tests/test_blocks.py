@@ -1,4 +1,5 @@
 """The row-blocked step: same bits for any block cut and thread count, bounded memory."""
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -73,6 +74,33 @@ def test_blocked_step_is_the_same_bits_for_any_thread_count(rng, monkeypatch):
             assert np.array_equal(got_mean, k_mean)
             assert np.array_equal(got, want)
             assert np.array_equal(GaussianKde(xs).at_particles(), want_kde)
+
+
+def test_concurrent_callers_share_the_pool(rng, monkeypatch):
+    # more callers than pool threads and cores, switching threads every microsecond:
+    # a workspace or buffer row shared between threads would change some result
+    kernel, xs, ys, ref = gaussian_step(rng, 1001, 700)
+    clouds = [xs + 0.01 * i for i in range(8)]
+
+    def step(points):
+        k_mean, drift = _drift(kernel, points, ys, ref, 0.3, 0.0, 1e-30, step=0)
+        return k_mean, drift, GaussianKde(points).at_particles()
+
+    monkeypatch.setattr(blocks, "_pool", InlinePool())
+    want = [step(points) for points in clouds]
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(blocks, "_pool", pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(step, points) for points in clouds]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+    for have, expected in zip(got, want):
+        for a, b in zip(have, expected):
+            assert np.array_equal(a, b)
 
 
 def test_drift_holds_one_kernel_matrix(rng, monkeypatch):
