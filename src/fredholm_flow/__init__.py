@@ -4,7 +4,6 @@ The package simulates an interacting particle system whose empirical measure
 descends a cross-entropy-regularized data-fit objective, plus the analytic
 and grid baselines, density readout, metrics and cross-validation around it.
 """
-from . import blocks
 from .baselines import (GridProblem, ToyGaussianSpec, discrete_objective,
                         oslem_solve, oslem_step, richardson_lucy_step,
                         resolve_toy_sigma0_sq, toy_closed_form_g,
