@@ -1,5 +1,8 @@
 """The row-blocked step: same bits for any block cut and thread count, bounded memory."""
+import os
+import signal
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -125,3 +128,21 @@ def test_one_block_runs_inline(rng, monkeypatch):
     assert np.array_equal(k_mean, kernel.eval_matrix(xs, ys).mean(axis=0))
     g_hat(xs, ys, kernel, ref, 0.3, k_mean=k_mean)
     GaussianKde(xs).evaluate(ys)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_pool(rng):
+    # a child has none of the parent's pool threads; reusing the pool would hang
+    pts = rng.normal(size=(2000, 2))
+    assert len(blocks.row_blocks(2000, 2000)) > 1
+    want = GaussianKde(pts).at_particles()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if np.array_equal(GaussianKde(pts).at_particles(), want) else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
