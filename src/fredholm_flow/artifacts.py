@@ -26,9 +26,14 @@ def _write_lines(path, lines):
 
 
 def _write_table(path, header, rows, comments=()) -> None:
-    """Comment lines, the header, then one line per row with every cell ``fmt``-ed."""
+    """Comment lines, the header, then one line per row with every cell ``fmt``-ed.
+
+    Each row is formatted by one ``%`` over a line template; ``%.17g`` of a
+    float is the same text as ``fmt``.
+    """
+    line = ",".join(["%.17g"] * len(header))
     _write_lines(path, [*comments, ",".join(header),
-                        *(",".join(fmt(v) for v in row) for row in rows)])
+                        *(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())])
 
 
 def _names(prefix: str, dim: int) -> list:

@@ -291,11 +291,12 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         if grid_kde is not None:
             artifacts.write_density_csv(rep_dir / "kde_grid.csv", grid_kde)
     artifacts.write_metrics_csv(out / "metrics.csv", [row for res in results for row in res[3]])
+    n_samples = results[0][4].n_observations
     return {"seed_base": seed_base, "resolved": {
         "solver": dataclasses.asdict(dataclasses.replace(solver, seed=seed_base)),
+        "minibatch": solver.batch_size(n_samples),
         "init": {"mode": "auto", **init}, "metrics": metric_names, "seeds": seeds,
-        "observations": {"n_samples": results[0][4].n_observations,
-                         "seeds": [res[5] for res in results]}}}
+        "observations": {"n_samples": n_samples, "seeds": [res[5] for res in results]}}}
 
 
 def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:

@@ -3,16 +3,19 @@
 Each preset bundles the kernel, a closed-form truth density (for metrics), an
 observation sampler, the rule that builds the reference measure from the
 observed sample, and default solver settings.  Samplers are deterministic
-given their seed; all randomness flows through the keyed streams.
+given their seed; all randomness flows through the keyed streams.  The normal
+CDF and its inverse come from the standard library (``math.erfc`` and
+``statistics.NormalDist``), so the module needs numpy alone.
 """
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import rng as _rng
 from .density import EvaluationGrid
@@ -266,9 +269,21 @@ _INC_SD1 = np.sqrt(1.0 / (2 * 0.05))      # left branch exp(-0.05 (8-x)^2)
 _INC_SD2 = np.sqrt(1.0 / (2 * 0.001))     # right branch exp(-0.001 (x-8)^2)
 _INC_PEAK = 8.0
 _INC_END = 100.0
-# branch masses by Gaussian CDF, exact
-_INC_Z1 = float(_INC_SD1 * _SQRT_2PI * (0.5 - ndtr((0.0 - _INC_PEAK) / _INC_SD1)))
-_INC_Z2 = float(_INC_SD2 * _SQRT_2PI * (ndtr((_INC_END - _INC_PEAK) / _INC_SD2) - 0.5))
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+# standard normal quantile, elementwise: CPython's C port of Wichura's AS241
+_ndtri = np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)
+
+# CDF values at the ends of the support, and the branch masses, exact
+_INC_Q_LO = _ndtr((0.0 - _INC_PEAK) / _INC_SD1)
+_INC_Q_HI = _ndtr((_INC_END - _INC_PEAK) / _INC_SD2)
+_INC_Z1 = float(_INC_SD1 * _SQRT_2PI * (0.5 - _INC_Q_LO))
+_INC_Z2 = float(_INC_SD2 * _SQRT_2PI * (_INC_Q_HI - 0.5))
 _INC_Z = _INC_Z1 + _INC_Z2
 
 
@@ -285,14 +300,9 @@ def incidence_pdf(points) -> np.ndarray:
 def _sample_incidence(m, gen) -> np.ndarray:
     take_left = gen.random(m) < _INC_Z1 / _INC_Z
     u = gen.random(m)
-    lo_left = ndtr((0.0 - _INC_PEAK) / _INC_SD1)
-    hi_right = ndtr((_INC_END - _INC_PEAK) / _INC_SD2)
-    q_left = lo_left + u * (0.5 - lo_left)
-    q_right = 0.5 + u * (hi_right - 0.5)
-    x = np.where(take_left,
-                 _INC_PEAK + _INC_SD1 * ndtri(q_left),
-                 _INC_PEAK + _INC_SD2 * ndtri(q_right))
-    return x[:, None]
+    q = np.where(take_left, _INC_Q_LO + u * (0.5 - _INC_Q_LO), 0.5 + u * (_INC_Q_HI - 0.5))
+    sd = np.where(take_left, _INC_SD1, _INC_SD2)
+    return (_INC_PEAK + sd * _ndtri(q).astype(float))[:, None]
 
 
 def _affected_days(last_day: int) -> np.ndarray:

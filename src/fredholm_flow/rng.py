@@ -8,7 +8,9 @@ noise by construction, which is what couples the stability comparisons.
 """
 from __future__ import annotations
 
-import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that cost in
+# the package import rather than in the first draw of a run
+from numpy.random import Generator, Philox
 
 ROLE_NOISE = 1
 ROLE_MINIBATCH = 2
@@ -20,11 +22,10 @@ ROLE_MISSPEC = 6
 _MASK64 = (1 << 64) - 1
 
 
-def stream(seed: int, role: int, step: int = 0) -> np.random.Generator:
+def stream(seed: int, role: int, step: int = 0) -> Generator:
     """Generator for one (seed, role, step) cell of the key space."""
-    bitgen = np.random.Philox(key=[seed & _MASK64, role & _MASK64],
-                              counter=[step & _MASK64, 0, 0, 0])
-    return np.random.Generator(bitgen)
+    bitgen = Philox(key=[seed & _MASK64, role & _MASK64], counter=[step & _MASK64, 0, 0, 0])
+    return Generator(bitgen)
 
 
 def derive_seed(seed: int, *indices: int) -> int:

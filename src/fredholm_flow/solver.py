@@ -39,10 +39,10 @@ _MIN_DENOM_FLOOR = float(np.finfo(float).tiny)
 class SolverConfig:
     """All knobs of one solver run.
 
-    ``minibatch=None`` applies the default batch rule m = min(N, M).  The
-    stopping rule is active only when ``stop_tol`` is set: the run stops once
-    the relative decrease of the window-averaged objective estimate falls
-    below ``stop_tol``.
+    ``minibatch=None`` applies the default batch rule m = min(N, M), which
+    ``batch_size`` computes.  The stopping rule is active only when
+    ``stop_tol`` is set: the run stops once the relative decrease of the
+    window-averaged objective estimate falls below ``stop_tol``.
     """
 
     alpha: float
@@ -79,6 +79,11 @@ class SolverConfig:
             raise ValueError("stop_window must be at least 1")
         if not _MIN_DENOM_FLOOR <= self.denom_floor < np.inf:
             raise ValueError(f"denom_floor must be finite and at least {_MIN_DENOM_FLOOR}")
+
+    def batch_size(self, n_observations: int) -> int:
+        """Observations per step: ``minibatch``, or N by default, and at most M."""
+        return min(self.minibatch if self.minibatch is not None else self.n_particles,
+                   n_observations)
 
 
 class SolverTrace:
@@ -248,10 +253,10 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
         raise ValueError("dimension mismatch between observations and kernel")
 
     n, d = init.n_particles, init.dim
-    m_eff = config.minibatch if config.minibatch is not None else min(n, observations.n_observations)
+    m_eff = config.batch_size(observations.n_observations)
     cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
-    buf = matrix_buffer(n, min(m_eff, observations.n_observations))
+    buf = matrix_buffer(n, m_eff)
     batch = None
     stopped = False
 

@@ -63,3 +63,14 @@ def test_resolved_config_is_sorted_json(tmp_path):
     text = path.read_text()
     assert json.loads(text) == {"b": 1, "a": {"z": 2, "y": 3}}
     assert text.index('"a"') < text.index('"b"')
+
+
+def test_table_rows_match_per_cell_format(tmp_path, rng):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-320, 5e-324, -1.7976931348623157e308,
+                0.1, 1.0 / 3.0, 2.0**53 + 1, -7.0]
+    rows = np.concatenate([np.reshape(specials, (4, 3)), rng.normal(size=(5, 3)) * 1e-7])
+    path = tmp_path / "table.csv"
+    artifacts._write_table(path, ["a", "b", "c"], rows, ["# comment"])
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# comment", "a,b,c"]
+    assert lines[2:] == [",".join(artifacts.fmt(v) for v in row) for row in rows]

@@ -1,10 +1,13 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fredholm_flow
 from fredholm_flow import artifacts
 from fredholm_flow.cli import main
 from fredholm_flow.problems import preset_gaussian_mixture_1d
@@ -488,3 +491,24 @@ def test_resolved_config_records_what_the_run_used(tmp_path):
     assert resolved["seeds"] == [5, 6]
     assert resolved["observations"] == {"n_samples": 200, "seeds": [21, 21]}
     assert "workers" not in json.dumps(echo)
+
+
+def test_resolved_config_records_the_effective_minibatch(tmp_path):
+    payload = {"preset": "ct_phantom", "solver": {"n_steps": 0}, "kde_grid": False,
+               "metrics": ["w1_marginal1"]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, "c.json", payload),
+                 "--out", str(out)]) == 0
+    resolved = json.loads((out / "config_resolved.json").read_text())["resolved"]
+    assert resolved["solver"]["minibatch"] is None
+    assert resolved["minibatch"] == 2000
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    src = str(Path(fredholm_flow.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fredholm_flow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=120).stdout.splitlines()
+    assert out == ["[]", "True"]

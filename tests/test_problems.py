@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fredholm_flow import EvaluationGrid, ReferenceMeasure
+from fredholm_flow import problems
 from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_preset,
                                     incidence_pdf, load_observations_csv,
                                     preset_ct_phantom, preset_epidemiology_synthetic,
@@ -96,6 +97,25 @@ def test_incidence_continuous_at_junction():
     left = incidence_pdf(np.array([[8.0 - 1e-9]]))[0]
     right = incidence_pdf(np.array([[8.0 + 1e-9]]))[0]
     assert left == pytest.approx(right, rel=1e-6)
+
+
+def test_normal_cdf_and_quantile_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    for x in ((0.0 - problems._INC_PEAK) / problems._INC_SD1,
+              (problems._INC_END - problems._INC_PEAK) / problems._INC_SD2, -3.0, 0.0, 1.7):
+        assert problems._ndtr(x) == pytest.approx(special.ndtr(x), rel=1e-14, abs=0.0)
+    # the q range of each incidence branch, as _sample_incidence draws it
+    u = np.arange(10_000) / 10_000
+    for q in (problems._INC_Q_LO + u * (0.5 - problems._INC_Q_LO),
+              0.5 + u * (problems._INC_Q_HI - 0.5)):
+        got = problems._ndtri(q).astype(float)
+        np.testing.assert_allclose(got, special.ndtri(q), rtol=1e-14, atol=0.0)
+
+
+def test_incidence_draws_stay_on_the_support():
+    x = problems._sample_incidence(100_000, np.random.default_rng(3))
+    assert x.shape == (100_000, 1)
+    assert x.min() >= 0.0 and x.max() <= 100.0
 
 
 def test_epidemiology_observation_mean_shift():
