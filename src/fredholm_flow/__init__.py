@@ -10,8 +10,7 @@ from .baselines import (GridProblem, ToyGaussianSpec, discrete_objective,
                         toy_cubic_coefficients, toy_cubic_residual,
                         toy_optimal_beta, toy_sweep)
 from .crossval import CvPlan, CvResult, cv_score, make_folds
-from .density import (BandwidthMatrix, EvaluationGrid, GaussianKde, kde_eval,
-                      kde_grid, silverman_bandwidth)
+from .density import BandwidthMatrix, EvaluationGrid, GaussianKde, silverman_bandwidth
 from .errors import ConfigError, NumericalFailure
 from .functional import FunctionalEstimate, g_hat
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
@@ -33,7 +32,7 @@ __all__ = [
     "NumericalFailure", "ObservationSample", "ParticleCloud", "RadonAlignmentKernel",
     "ReferenceMeasure", "SolverConfig", "SolverTrace", "ToyGaussianSpec",
     "build_initial_cloud", "cv_score", "discrete_objective", "draw_minibatch",
-    "drift_empirical", "g_hat", "get_preset", "ise", "kde_eval", "kde_grid",
+    "drift_empirical", "g_hat", "get_preset", "ise",
     "load_observations_csv", "make_folds", "oslem_solve", "oslem_step",
     "pointwise_mse", "reconvolve", "resolve_toy_sigma0_sq", "richardson_lucy_step",
     "run", "silverman_bandwidth", "tamed_step", "toy_closed_form_g",

@@ -25,7 +25,7 @@ from . import __version__, artifacts, rng as _rng
 from .baselines import (ToyGaussianSpec, discrete_objective,
                         grid_problem_from_continuous, oslem_solve,
                         resolve_toy_sigma0_sq, toy_sweep)
-from .crossval import CvPlan, cv_score
+from .crossval import CvPlan, cv_score, make_folds
 from .density import GaussianKde
 from .errors import ConfigError, NumericalFailure
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
@@ -316,12 +316,16 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     with _at_init(init):   # every cell builds its cloud the same way
         build_initial_cloud(preset, solver, observations, preset.make_reference(observations),
                             **init)
-    result = cv_score(plan, preset, observations, solver, workers=workers, init=init)
+    folds = make_folds(observations.n_observations, plan.n_folds, plan.seed)
+    result = cv_score(plan, preset, observations, solver, workers=workers, folds=folds,
+                      init=init)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_cv_csv(out / "cv_table.csv", result)
     print(f"selected alpha: {artifacts.fmt(result.selected_alpha())}")
     return {"seed_base": plan.seed, "resolved": {
-        "solver": dataclasses.asdict(solver), "cv": dataclasses.asdict(plan)}}
+        "solver": dataclasses.asdict(solver), "cv": dataclasses.asdict(plan),
+        "minibatch": [solver.batch_size(observations.n_observations - len(fold))
+                      for fold in folds]}}
 
 
 def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:

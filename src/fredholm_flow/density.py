@@ -108,16 +108,6 @@ def silverman_bandwidth(cloud) -> BandwidthMatrix:
     return BandwidthMatrix((factor * sd) ** 2)
 
 
-def kde_eval(cloud, bandwidth: BandwidthMatrix, x) -> float:
-    """Density estimate (1/N) Σ_k det(H)^{-1/2} φ(H^{-1/2}(x − X_k)) at one point."""
-    return float(GaussianKde(cloud, bandwidth).evaluate(x)[0])
-
-
-def kde_grid(cloud, bandwidth: BandwidthMatrix, grid: EvaluationGrid) -> np.ndarray:
-    """Pointwise KDE at every grid node, returned flattened row-major."""
-    return GaussianKde(cloud, bandwidth).on_grid(grid)
-
-
 class GaussianKde:
     """Fitted KDE handle: the cloud, a bandwidth, and evaluation at arbitrary
     queries, at the particles themselves and on a tensor-product grid."""
@@ -132,6 +122,7 @@ class GaussianKde:
         return self._kernel.eval_matrix(xs, ys, out=scratch("kde", xs.shape[0], ys.shape[0]))
 
     def evaluate(self, xs) -> np.ndarray:
+        """(1/N) Σ_k det(H)^{-1/2} φ(H^{-1/2}(x − X_k)) at each row x of ``xs``."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         rows = row_blocks(xs.shape[0], self.points.shape[0])
         out = np.empty(xs.shape[0])

@@ -53,6 +53,26 @@ def _iso_mixture_pdf(points, weights, means, sds):
     return out
 
 
+def _mixture_sampler(weights, means, sds, dim) -> Callable:
+    """``sample_truth(m, seed)`` for ``_iso_mixture_pdf``'s mixture in ``dim`` dimensions.
+
+    A component label per row (none with one component), then one (m, dim)
+    standard-normal block.  ``means`` holds a scalar or a ``dim``-vector per
+    component; scalars broadcast over the coordinates.
+    """
+    thresholds = np.cumsum(weights)[:-1]
+    means = np.asarray(means, dtype=float).reshape(len(weights), -1)
+    sds = np.asarray(sds, dtype=float)
+
+    def sample_truth(m, seed):
+        gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
+        label = np.searchsorted(thresholds, gen.random(m), side="right") \
+            if thresholds.size else np.zeros(m, dtype=int)
+        return means[label] + sds[label, None] * gen.standard_normal((m, dim))
+
+    return sample_truth
+
+
 @dataclass(frozen=True)
 class ExperimentPreset:
     name: str
@@ -65,7 +85,6 @@ class ExperimentPreset:
     make_reference: Callable
     metric_grid: EvaluationGrid | None
     observed_pdf: Callable | None = None
-    marginal1_pdf: Callable | None = None
     init_shift: float | None = 0.0
     default_metrics: tuple = ("ise",)
     observation_grid: EvaluationGrid | None = None
@@ -110,153 +129,74 @@ def build_initial_cloud(preset: ExperimentPreset | None, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# 1-D Gaussian mixture deconvolution
+# isotropic Gaussian mixtures under additive Gaussian noise
 # ---------------------------------------------------------------------------
 
-def preset_gaussian_mixture_1d() -> ExperimentPreset:
-    """Two-component mixture observed through additive N(0, 0.045²) noise."""
-    weights = (1.0 / 3.0, 2.0 / 3.0)
-    means = (0.3, 0.5)
-    sds = (0.015, 0.043)
-    noise_sd = 0.045
+def _additive_noise_preset(name, weights, means, sds, noise_sd, dim=1,
+                           **fields) -> ExperimentPreset:
+    """An isotropic Gaussian mixture in d = ``dim`` dimensions observed through
+    additive N(0, noise_sd² I) noise; ``fields`` are the remaining preset fields."""
     obs_sds = tuple(np.hypot(s, noise_sd) for s in sds)
-
-    def truth_pdf(points):
-        return _iso_mixture_pdf(points, weights, means, sds)
-
-    def observed_pdf(points):
-        return _iso_mixture_pdf(points, weights, means, obs_sds)
-
-    def sample_truth(m, seed):
-        gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
-        comp = gen.random(m) < weights[0]
-        x = np.where(comp, means[0] + sds[0] * gen.standard_normal(m),
-                     means[1] + sds[1] * gen.standard_normal(m))
-        return x[:, None]
-
-    def sample_observations(m, seed):
-        x = sample_truth(m, seed)
-        gen = _rng.stream(_rng.derive_seed(seed, 1), _rng.ROLE_OBSERVATIONS)
-        return ObservationSample(x + noise_sd * gen.standard_normal((m, 1)))
-
-    return ExperimentPreset(
-        name="gaussian_mixture_1d",
-        kernel=GaussianConvolutionKernel([noise_sd]),
-        solver=SolverConfig(alpha=0.01, gamma=1e-3, n_particles=200, n_steps=100),
-        n_observations=1000,
-        truth_pdf=truth_pdf,
-        observed_pdf=observed_pdf,
-        marginal1_pdf=truth_pdf,
-        sample_observations=sample_observations,
-        sample_truth=sample_truth,
-        make_reference=ReferenceMeasure.from_sample,
-        metric_grid=EvaluationGrid(((-0.25, 1.25, 3001),)),
-        init_shift=0.0,
-        default_metrics=("ise", "w1_marginal1"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# centered Gaussian toy model
-# ---------------------------------------------------------------------------
-
-def preset_toy_gaussian() -> ExperimentPreset:
-    """N(0, 0.43²) signal under N(0, 0.45²) noise; the analytic baseline's twin."""
-    sd_pi = np.sqrt(TOY_SIGMA_PI_SQ)
-    sd_k = np.sqrt(TOY_SIGMA_K_SQ)
-    sd_mu = np.hypot(sd_pi, sd_k)
-
-    def truth_pdf(points):
-        return _iso_mixture_pdf(points, (1.0,), (0.0,), (sd_pi,))
-
-    def observed_pdf(points):
-        return _iso_mixture_pdf(points, (1.0,), (0.0,), (sd_mu,))
-
-    def sample_truth(m, seed):
-        gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
-        return sd_pi * gen.standard_normal((m, 1))
-
-    def sample_observations(m, seed):
-        x = sample_truth(m, seed)
-        gen = _rng.stream(_rng.derive_seed(seed, 1), _rng.ROLE_OBSERVATIONS)
-        return ObservationSample(x + sd_k * gen.standard_normal((m, 1)))
-
-    return ExperimentPreset(
-        name="toy_gaussian",
-        kernel=GaussianConvolutionKernel([sd_k]),
-        solver=SolverConfig(alpha=0.02, gamma=1e-2, n_particles=500, n_steps=300,
-                            minibatch=500),
-        n_observations=10_000,
-        truth_pdf=truth_pdf,
-        observed_pdf=observed_pdf,
-        marginal1_pdf=truth_pdf,
-        sample_observations=sample_observations,
-        sample_truth=sample_truth,
-        make_reference=ReferenceMeasure.from_sample,
-        metric_grid=EvaluationGrid(((-4.0, 4.0, 2001),)),
-        init_shift=0.0,
-        default_metrics=("ise", "w1_marginal1"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# d-dimensional mixture
-# ---------------------------------------------------------------------------
-
-def preset_highdim_mixture(dim: int = 2) -> ExperimentPreset:
-    """Product-form generalization of the 1-D mixture to d dimensions."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    weights = (1.0 / 3.0, 2.0 / 3.0)
-    means = (0.3, 0.7)
-    sds = (0.07, 0.1)
-    noise_sd = 0.15
-    obs_sds = tuple(np.hypot(s, noise_sd) for s in sds)
-
-    def truth_pdf(points):
-        return _iso_mixture_pdf(points, weights, means, sds)
-
-    def observed_pdf(points):
-        return _iso_mixture_pdf(points, weights, means, obs_sds)
-
-    def marginal1_pdf(points):
-        return _iso_mixture_pdf(np.atleast_2d(points)[:, :1], weights, means, sds)
-
-    def sample_truth(m, seed):
-        gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
-        comp = gen.random(m) < weights[0]
-        sd = np.where(comp, sds[0], sds[1])[:, None]
-        mean = np.where(comp, means[0], means[1])[:, None]
-        return mean + sd * gen.standard_normal((m, dim))
+    sample_truth = _mixture_sampler(weights, means, sds, dim)
 
     def sample_observations(m, seed):
         x = sample_truth(m, seed)
         gen = _rng.stream(_rng.derive_seed(seed, 1), _rng.ROLE_OBSERVATIONS)
         return ObservationSample(x + noise_sd * gen.standard_normal((m, dim)))
 
-    def make_reference(_observations):
-        return ReferenceMeasure.gaussian(np.full(dim, 0.5), np.full(dim, 0.25**2))
+    return ExperimentPreset(
+        name=name,
+        kernel=GaussianConvolutionKernel([noise_sd] * dim),
+        truth_pdf=lambda points: _iso_mixture_pdf(points, weights, means, sds),
+        observed_pdf=lambda points: _iso_mixture_pdf(points, weights, means, obs_sds),
+        sample_truth=sample_truth,
+        sample_observations=sample_observations,
+        **fields,
+    )
 
+
+def preset_gaussian_mixture_1d() -> ExperimentPreset:
+    """Two-component mixture observed through additive N(0, 0.045²) noise."""
+    return _additive_noise_preset(
+        "gaussian_mixture_1d", (1.0 / 3.0, 2.0 / 3.0), (0.3, 0.5), (0.015, 0.043), 0.045,
+        solver=SolverConfig(alpha=0.01, gamma=1e-3, n_particles=200, n_steps=100),
+        n_observations=1000,
+        make_reference=ReferenceMeasure.from_sample,
+        metric_grid=EvaluationGrid(((-0.25, 1.25, 3001),)),
+        default_metrics=("ise", "w1_marginal1"),
+    )
+
+
+def preset_toy_gaussian() -> ExperimentPreset:
+    """N(0, 0.43²) signal under N(0, 0.45²) noise; the analytic baseline's twin."""
+    return _additive_noise_preset(
+        "toy_gaussian", (1.0,), (0.0,), (np.sqrt(TOY_SIGMA_PI_SQ),), np.sqrt(TOY_SIGMA_K_SQ),
+        solver=SolverConfig(alpha=0.02, gamma=1e-2, n_particles=500, n_steps=300,
+                            minibatch=500),
+        n_observations=10_000,
+        make_reference=ReferenceMeasure.from_sample,
+        metric_grid=EvaluationGrid(((-4.0, 4.0, 2001),)),
+        default_metrics=("ise", "w1_marginal1"),
+    )
+
+
+def preset_highdim_mixture(dim: int = 2) -> ExperimentPreset:
+    """Product-form generalization of the 1-D mixture to d dimensions."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     if dim == 1:
         grid = EvaluationGrid(((-0.3, 1.3, 3201),))
     elif dim == 2:
         grid = EvaluationGrid(((-0.3, 1.3, 321),) * 2)
     else:
         grid = None
-
-    return ExperimentPreset(
-        name=f"highdim_mixture_{dim}d",
-        kernel=GaussianConvolutionKernel([noise_sd] * dim),
+    return _additive_noise_preset(
+        f"highdim_mixture_{dim}d", (1.0 / 3.0, 2.0 / 3.0), (0.3, 0.7), (0.07, 0.1), 0.15, dim,
         solver=SolverConfig(alpha=0.01, gamma=1e-2, n_particles=1000, n_steps=50),
         n_observations=100_000,
-        truth_pdf=truth_pdf,
-        observed_pdf=observed_pdf,
-        marginal1_pdf=marginal1_pdf,
-        sample_observations=sample_observations,
-        sample_truth=sample_truth,
-        make_reference=make_reference,
+        make_reference=lambda _observations: ReferenceMeasure.gaussian(
+            np.full(dim, 0.5), np.full(dim, 0.25**2)),
         metric_grid=grid,
-        init_shift=0.0,
         default_metrics=("w1_marginal1",) if grid is None else ("ise", "w1_marginal1"),
     )
 
@@ -317,11 +257,6 @@ def preset_epidemiology_synthetic(misspecified: bool = False) -> ExperimentPrese
     recorded on each (6th, 7th) day of every week two days later, mimicking
     weekend reporting delays the kernel does not model.
     """
-    kernel = GaussianMixtureDelayKernel(DELAY_WEIGHTS, DELAY_MEANS, DELAY_SDS)
-
-    def sample_truth(m, seed):
-        return _sample_incidence(m, _rng.stream(seed, _rng.ROLE_OBSERVATIONS))
-
     def sample_observations(m, seed):
         gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
         x = _sample_incidence(m, gen)[:, 0]
@@ -339,22 +274,18 @@ def preset_epidemiology_synthetic(misspecified: bool = False) -> ExperimentPrese
                 y = np.where(moved, y + 2.0, y)
         return ObservationSample(y[:, None])
 
-    def make_reference(observations):
-        return ReferenceMeasure.from_sample(observations.points,
-                                            mean_shift=-REPORTING_SHIFT_DAYS)
-
     return ExperimentPreset(
         name="epidemiology_synthetic" + ("_misspecified" if misspecified else ""),
-        kernel=kernel,
+        kernel=GaussianMixtureDelayKernel(DELAY_WEIGHTS, DELAY_MEANS, DELAY_SDS),
         solver=SolverConfig(alpha=1e-3, gamma=1e-1, n_particles=500, n_steps=3000,
                             minibatch=500),
         n_observations=5000,
         truth_pdf=incidence_pdf,
-        observed_pdf=None,
-        marginal1_pdf=incidence_pdf,
         sample_observations=sample_observations,
-        sample_truth=sample_truth,
-        make_reference=make_reference,
+        sample_truth=lambda m, seed: _sample_incidence(
+            m, _rng.stream(seed, _rng.ROLE_OBSERVATIONS)),
+        make_reference=lambda observations: ReferenceMeasure.from_sample(
+            observations.points, mean_shift=-REPORTING_SHIFT_DAYS),
         metric_grid=EvaluationGrid(((0.0, 100.0, 2001),)),
         init_shift=-REPORTING_SHIFT_DAYS,
         default_metrics=("ise", "reconvolution_ise"),
@@ -378,14 +309,7 @@ def preset_ct_phantom() -> ExperimentPreset:
     kernel = RadonAlignmentKernel(sigma=0.05, xi_max=2.0)
     # integral of the alignment Gaussian over xi, used by the closed-form projections
     slice_mass = kernel.sigma * _SQRT_2PI
-
-    def truth_pdf(points):
-        points = np.atleast_2d(points)
-        out = np.zeros(points.shape[0])
-        for w, c, s in zip(weights, centers, blob_sds):
-            z = (points - c) / s
-            out += w * np.exp(-0.5 * np.sum(z * z, axis=1)) / (2 * np.pi * s * s)
-        return out
+    sample_truth = _mixture_sampler(weights, centers, blob_sds, 2)
 
     def observed_pdf(points):
         points = np.atleast_2d(points)
@@ -397,13 +321,6 @@ def preset_ct_phantom() -> ExperimentPreset:
             out += w * _gauss_pdf(xi, u @ c, sd)
         return out * slice_mass / kernel.norm_const
 
-    def sample_truth(m, seed):
-        gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
-        comp = gen.random(m) < weights[0]
-        c = np.where(comp[:, None], centers[0], centers[1])
-        s = np.where(comp, blob_sds[0], blob_sds[1])[:, None]
-        return c + s * gen.standard_normal((m, 2))
-
     def sample_observations(m, seed):
         x = sample_truth(m, seed)
         gen = _rng.stream(_rng.derive_seed(seed, 1), _rng.ROLE_OBSERVATIONS)
@@ -412,27 +329,17 @@ def preset_ct_phantom() -> ExperimentPreset:
               + kernel.sigma * gen.standard_normal(m))
         return ObservationSample(np.column_stack([phi, xi]))
 
-    def make_reference(_observations):
-        return ReferenceMeasure.gaussian(np.zeros(2), np.full(2, 0.35**2))
-
-    def marginal1_pdf(points):
-        x1 = np.atleast_2d(points)[:, 0]
-        out = np.zeros(x1.shape[0])
-        for w, c, s in zip(weights, centers, blob_sds):
-            out += w * _gauss_pdf(x1, c[0], s)
-        return out
-
     return ExperimentPreset(
         name="ct_phantom",
         kernel=kernel,
         solver=SolverConfig(alpha=7e-3, gamma=1e-3, n_particles=2000, n_steps=200),
         n_observations=20_000,
-        truth_pdf=truth_pdf,
+        truth_pdf=lambda points: _iso_mixture_pdf(points, weights, centers, blob_sds),
         observed_pdf=observed_pdf,
-        marginal1_pdf=marginal1_pdf,
         sample_observations=sample_observations,
         sample_truth=sample_truth,
-        make_reference=make_reference,
+        make_reference=lambda _observations: ReferenceMeasure.gaussian(
+            np.zeros(2), np.full(2, 0.35**2)),
         metric_grid=EvaluationGrid(((-1.2, 1.2, 161), (-1.2, 1.2, 161))),
         init_shift=None,
         default_metrics=("ise", "w1_marginal1"),

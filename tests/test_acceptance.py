@@ -138,7 +138,7 @@ def test_criterion_5_oracle_equivalences():
         pts = gen.normal(size=(int(gen.integers(2, 7)), d))
         diag = gen.uniform(0.1, 1.5, size=d)
         x = gen.normal(size=d)
-        mine = ff.kde_eval(ff.ParticleCloud(pts), ff.BandwidthMatrix(diag), x)
+        mine = ff.GaussianKde(ff.ParticleCloud(pts), ff.BandwidthMatrix(diag)).evaluate(x)[0]
         ok = ok and np.isclose(mine, naive_kde(pts, diag, x), rtol=1e-12, atol=0)
 
     kernel1 = ff.GaussianConvolutionKernel([0.3])
@@ -193,7 +193,7 @@ def test_criterion_6_gradients_normalization_taming():
     pts = gen.normal(size=(60, 1)) * 0.4
     bw = ff.silverman_bandwidth(ff.ParticleCloud(pts))
     grid = ff.EvaluationGrid(((-6.0, 6.0, 3001),))
-    vals = ff.kde_grid(ff.ParticleCloud(pts), bw, grid)
+    vals = ff.GaussianKde(ff.ParticleCloud(pts), bw).on_grid(grid)
     ok = ok and abs(grid.trapezoid_weights() @ vals - 1.0) <= 1e-3
     rec = ff.reconvolve(pts, ff.GaussianConvolutionKernel([0.3]), grid)
     ok = ok and abs(rec.integral() - 1.0) <= 1e-3

@@ -504,6 +504,19 @@ def test_resolved_config_records_the_effective_minibatch(tmp_path):
     assert resolved["minibatch"] == 2000
 
 
+def test_cv_resolved_config_records_the_minibatch_of_each_fold(tmp_path):
+    # toy_gaussian's minibatch of 500 exceeds the 400 observations each fold trains on
+    payload = {"preset": "toy_gaussian", "observations": {"n_samples": 600},
+               "solver": {"n_particles": 20, "n_steps": 1},
+               "cv": {"alpha_grid": [0.1], "folds": 3}}
+    out = tmp_path / "out"
+    assert main(["cv", "--config", write_config(tmp_path, "c.json", payload),
+                 "--out", str(out)]) == 0
+    resolved = json.loads((out / "config_resolved.json").read_text())["resolved"]
+    assert resolved["solver"]["minibatch"] == 500
+    assert resolved["minibatch"] == [400, 400, 400]
+
+
 def test_cli_import_loads_numpy_random_and_no_scipy():
     src = str(Path(fredholm_flow.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import fredholm_flow.cli; "

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fredholm_flow import (BandwidthMatrix, EvaluationGrid, GaussianConvolutionKernel,
-                           GaussianKde, ParticleCloud, blocks, density, kde_eval, kde_grid,
-                           silverman_bandwidth)
+                           GaussianKde, ParticleCloud, blocks, density, silverman_bandwidth)
 
 
 def naive_kde(points, diag, x):
@@ -49,13 +48,14 @@ def test_kde_single_particle_at_origin():
     for d in (1, 2, 3):
         cloud = ParticleCloud(np.zeros((1, d)))
         bw = BandwidthMatrix(np.ones(d))
-        assert kde_eval(cloud, bw, np.zeros(d)) == pytest.approx((2 * np.pi) ** (-d / 2), rel=1e-14)
+        assert GaussianKde(cloud, bw).evaluate(np.zeros(d))[0] == pytest.approx(
+            (2 * np.pi) ** (-d / 2), rel=1e-14)
 
 
 def test_kde_far_query_is_zero():
     cloud = ParticleCloud(np.zeros((3, 1)))
     bw = BandwidthMatrix([0.01])
-    assert kde_eval(cloud, bw, [50.0]) <= 1e-300
+    assert GaussianKde(cloud, bw).evaluate([50.0])[0] <= 1e-300
 
 
 def test_kde_matches_naive_oracle(rng):
@@ -64,7 +64,7 @@ def test_kde_matches_naive_oracle(rng):
         pts = rng.normal(size=(rng.integers(2, 9), d))
         diag = rng.uniform(0.1, 2.0, size=d)
         x = rng.normal(size=d)
-        val = kde_eval(ParticleCloud(pts), BandwidthMatrix(diag), x)
+        val = GaussianKde(ParticleCloud(pts), BandwidthMatrix(diag)).evaluate(x)[0]
         assert val == pytest.approx(naive_kde(pts, diag, x), rel=1e-12)
 
 
@@ -73,19 +73,19 @@ def test_kde_grid_matches_pointwise_1d(rng):
     pts = rng.normal(size=(6, 1))
     bw = BandwidthMatrix([0.3])
     grid = EvaluationGrid(((-2.0, 2.0, 7),))
-    vals = kde_grid(ParticleCloud(pts), bw, grid)
+    vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
     nodes = grid.nodes()
     for i in range(nodes.shape[0]):
-        assert vals[i] == kde_eval(ParticleCloud(pts), bw, nodes[i])
+        assert vals[i] == GaussianKde(ParticleCloud(pts), bw).evaluate(nodes[i])[0]
 
 
 def test_kde_grid_matches_pointwise(rng):
     pts = rng.normal(size=(6, 2))
     bw = BandwidthMatrix([0.3, 0.5])
     grid = EvaluationGrid(((-2.0, 2.0, 7), (-1.0, 1.0, 5)))
-    vals = kde_grid(ParticleCloud(pts), bw, grid)
+    vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
     nodes = grid.nodes()
-    pointwise = [kde_eval(ParticleCloud(pts), bw, x) for x in nodes]
+    pointwise = [GaussianKde(ParticleCloud(pts), bw).evaluate(x)[0] for x in nodes]
     naive = [naive_kde(pts, bw.diag, x) for x in nodes]
     np.testing.assert_allclose(vals, pointwise, rtol=1e-12, atol=0)
     np.testing.assert_allclose(vals, naive, rtol=1e-12, atol=0)
@@ -95,9 +95,9 @@ def test_kde_grid_two_point_grid_hits_endpoints(rng):
     pts = rng.normal(size=(4, 1))
     bw = BandwidthMatrix([0.4])
     grid = EvaluationGrid(((-1.0, 1.0, 2),))
-    vals = kde_grid(ParticleCloud(pts), bw, grid)
-    assert vals[0] == kde_eval(ParticleCloud(pts), bw, [-1.0])
-    assert vals[1] == kde_eval(ParticleCloud(pts), bw, [1.0])
+    vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
+    assert vals[0] == GaussianKde(ParticleCloud(pts), bw).evaluate([-1.0])[0]
+    assert vals[1] == GaussianKde(ParticleCloud(pts), bw).evaluate([1.0])[0]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -108,7 +108,7 @@ def test_kde_normalization(d, rng):
     half = 8 * np.sqrt(bw.diag.max()) + np.abs(pts).max()
     n = 1201 if d == 1 else 301
     grid = EvaluationGrid(tuple((-half, half, n) for _ in range(d)))
-    vals = kde_grid(cloud, bw, grid)
+    vals = GaussianKde(cloud, bw).on_grid(grid)
     assert grid.trapezoid_weights() @ vals == pytest.approx(1.0, abs=1e-3)
     assert np.all(vals >= 0.0)
 
@@ -122,7 +122,7 @@ def test_kde_blocks_cover_every_query(rng):
     vals = GaussianKde(pts, bw).evaluate(xs)
     for start in range(0, xs.shape[0], rows):
         for i in (start, min(start + rows, xs.shape[0]) - 1):
-            assert vals[i] == kde_eval(ParticleCloud(pts), bw, xs[i])
+            assert vals[i] == GaussianKde(ParticleCloud(pts), bw).evaluate(xs[i])[0]
 
 
 def test_kde_at_particles_matches_evaluate(rng):
@@ -197,8 +197,8 @@ def test_kde_permutation_invariance(rng):
     perm = rng.permutation(15)
     bw = BandwidthMatrix([0.2, 0.7])
     x = rng.normal(size=2)
-    assert kde_eval(ParticleCloud(pts), bw, x) == pytest.approx(
-        kde_eval(ParticleCloud(pts[perm]), bw, x), rel=1e-12)
+    assert GaussianKde(ParticleCloud(pts), bw).evaluate(x)[0] == pytest.approx(
+        GaussianKde(ParticleCloud(pts[perm]), bw).evaluate(x)[0], rel=1e-12)
 
 
 def test_grid_validation():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,11 +65,11 @@ def test_toy_observed_matches_convolution():
 
 
 def test_highdim_first_marginal_is_1d_mixture(rng):
-    preset = preset_highdim_mixture(4)
+    preset = preset_highdim_mixture(1)
     pts = rng.normal(0.5, 0.3, size=(50, 1))
     expected = (gauss_pdf(pts[:, 0], 0.3, 0.07**2) / 3
                 + 2 * gauss_pdf(pts[:, 0], 0.7, 0.1**2) / 3)
-    assert np.allclose(preset.marginal1_pdf(pts), expected, rtol=1e-12)
+    assert np.allclose(preset.truth_pdf(pts), expected, rtol=1e-12)
 
 
 def test_highdim_marginal_convolution():
@@ -164,6 +166,35 @@ def test_samplers_deterministic():
         a = preset.sample_observations(200, seed=11).points
         b = preset.sample_observations(200, seed=11).points
         assert np.array_equal(a, b)
+
+
+# sha256 of sample_observations(4, seed=2209).points as little-endian float64 bytes;
+# a changed hash is a changed observation stream, and every artifact moves with it
+PINNED_STREAMS = [
+    ("gaussian_mixture_1d", {}, "c4c3f39ecb10797dc8109dc1c96a69d80dd5f67904ca650331e4176ed4d3cdde"),
+    ("toy_gaussian", {}, "20e18641560650efa3e20dc13eab6e40cc90f88236de512aecfeca77b585d194"),
+    ("highdim_mixture", {"dim": 1},
+     "1ea244747160300a345fd8fc12e576c1eff48ebd5c516710e43b0871ff2400c9"),
+    ("highdim_mixture", {"dim": 3},
+     "b435b14dd2fbef7461f373a23d8ce045ebbb8d9762b6892aae3ed5fca5531ec4"),
+    ("highdim_mixture", {"dim": 10},
+     "ce3f9b3a091c31b895596db78863d5604be26a8ee4cd7864e7a0af656fe3c3fd"),
+    ("ct_phantom", {}, "246aa6ad51f4fc9b5b1496cafdd8874427dc3ab609b0694786c45895bc594749"),
+    ("epidemiology_synthetic", {"misspecified": False},
+     "281456d69e65a7bc1f74dd7d40a5d9b075c0f9f622c4092e5fa78084d2d72051"),
+    # none of the four observations falls on a weekend day, so no case moves
+    ("epidemiology_synthetic", {"misspecified": True},
+     "281456d69e65a7bc1f74dd7d40a5d9b075c0f9f622c4092e5fa78084d2d72051"),
+]
+
+
+@pytest.mark.parametrize("name, options, digest", PINNED_STREAMS,
+                         ids=["-".join([n, *(f"{k}={v}" for k, v in o.items())])
+                              for n, o, _ in PINNED_STREAMS])
+def test_preset_observation_streams_are_pinned(name, options, digest):
+    points = get_preset(name, **options).sample_observations(4, seed=2209).points
+    data = np.ascontiguousarray(points, dtype="<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_init_modes():
