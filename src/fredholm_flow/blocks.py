@@ -1,7 +1,8 @@
 """Row blocks of pairwise work on one process-wide thread pool.
 
-Every O(N·m) pass of a solver step (the kernel matrix, its weighted gradient
-and the KDE at the particles) is row-separable: row i reads all of the other
+Every O(N·m) pass of a solver step (the kernel matrix, its weighted gradient,
+or the fused k and ∂ₓk of a kernel with ``eval_and_grad1_matrix``, and the KDE
+at the particles) is row-separable: row i reads all of the other
 point set, but particle i alone.  ``row_blocks`` cuts the rows into blocks of
 at most ``BLOCK_PAIRS`` pairs (at least one row each); the cut depends on
 (n, m) only, never on the thread count.  ``map_blocks`` runs one task per
@@ -90,7 +91,8 @@ def matrix_buffer(n: int, m: int) -> np.ndarray:
     return np.empty((n + len(row_blocks(n, m)) - 1, m))
 
 
-def column_means(kernel, xs: np.ndarray, ys: np.ndarray, buf: np.ndarray | None = None):
+def column_means(kernel, xs: np.ndarray, ys: np.ndarray, buf: np.ndarray | None = None,
+                 grad: np.ndarray | None = None):
     """``(blocks, means)``: k = kernel.eval_matrix(xs, ys) in row blocks and its
     column means, bit for bit ``k.mean(axis=0)``.
 
@@ -99,6 +101,8 @@ def column_means(kernel, xs: np.ndarray, ys: np.ndarray, buf: np.ndarray | None 
     into the running column sums as the block arrives, in block order: the
     sums are copied into the spare row before the block, and one reduction
     adds the block's rows to them one after another, as ``k.sum(axis=0)`` does.
+    Given an (n, m) ``grad``, the blocks come from
+    ``kernel.eval_and_grad1_matrix``, which also writes ∂ₓk into ``grad[rows]``.
     """
     n, m = xs.shape[0], ys.shape[0]
     rows = row_blocks(n, m)
@@ -106,7 +110,13 @@ def column_means(kernel, xs: np.ndarray, ys: np.ndarray, buf: np.ndarray | None 
         buf = matrix_buffer(n, m)
     blocks = [(r, buf[r.start + j:r.stop + j]) for j, r in enumerate(rows)]
     sums = np.empty(m)
-    done = map_blocks(lambda block: kernel.eval_matrix(xs[block[0]], ys, out=block[1]), blocks)
+
+    def fill(block):
+        if grad is None:
+            kernel.eval_matrix(xs[block[0]], ys, out=block[1])
+        else:
+            kernel.eval_and_grad1_matrix(xs[block[0]], ys, block[1], grad[block[0]])
+    done = map_blocks(fill, blocks)
     for j, _ in enumerate(done):
         first = rows[j].start + j
         if j:

@@ -408,6 +408,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             _seed(args.seed, "--seed")
+        if args.workers < 1:
+            raise ConfigError(f"{args.workers} must be at least 1", path="--workers")
         cfg = _load_config(args.config)
         echo = handlers[args.command](_section(cfg, "", _TOP[args.command]), Path(args.out),
                                       args.workers, args.seed)

@@ -9,12 +9,24 @@ batch observations at once:
   given that matrix ``k`` and weights ``w`` of shape (m,).
 
 The drift needs only that weighted sum, so no (n, m, d) gradient tensor is
-ever formed.  Row i of either result is computed from particle i alone, with
-elementwise ufuncs and row sums (no BLAS call), so it is the same bits
-whichever rows are evaluated with it: the solver and the KDE run both
-methods in row blocks on several threads (see ``blocks``).  Temporaries go
-to the calling thread's reusable ``blocks.scratch`` workspaces "a", "b" and
-"c", so an ``out`` must not be one of those.  Pointwise
+ever formed.  A kernel on a 1-D x whose gradient would redo the exps of k
+may add a third, optional method:
+
+- ``eval_and_grad1_matrix(xs, ys, out=None, grad_out=None)``: k and the
+  (n, m) matrix ∂ₓk(x_i, y_j) from one evaluation, written into ``out`` and
+  ``grad_out`` when given.  The solver then weights the rows of ∂ₓk itself
+  and calls neither ``weighted_grad1`` nor, in the drift, ``eval_matrix``.
+
+The delay kernel has it; its three methods share one component sweep.  The
+Gaussian gradient redoes no exp, and a Radon ∂ₓk would need one (n, m) plane
+per coordinate, so those two keep the two-method drift.
+
+Row i of every result is computed from particle i alone, with elementwise
+ufuncs and row sums (no BLAS call), so it is the same bits whichever rows
+are evaluated with it: the solver and the KDE run the methods in row blocks
+on several threads (see ``blocks``).  Temporaries go to the calling thread's
+reusable ``blocks.scratch`` workspaces "a" to "d", so an ``out`` must not be
+one of those.  Pointwise
 ``eval`` and ``grad1`` are derived from the two (one pair, unit weight).
 Every kernel is immutable after construction.  ``bound_M`` is an analytic
 uniform bound on both k and ``‖∇₁k‖`` (second derivatives are bounded too
@@ -129,39 +141,53 @@ class GaussianMixtureDelayKernel(KernelModel):
         grad_peak = float(np.sum(w * np.exp(-0.5) / (s**2 * _SQRT_2PI)))
         self.bound_M = max(peak, grad_peak)
 
-    def _components(self, xs, ys):
-        """Per component: sd s, z = (y − x − m)/s and w·N(y − x; m, s²), (n, m)
-        each, in workspaces that the next component overwrites."""
-        z = scratch("a", xs.shape[0], ys.shape[0])
-        dens = scratch("b", *z.shape)
+    def _sweep(self, xs, ys, out, grad):
+        """Σ_c w_c N(y − x; m_c, s_c²) into ``out`` and its x-derivative
+        Σ_c w_c N(y − x; m_c, s_c²)(y − x − m_c)/s_c² into ``grad``, both (n, m),
+        in one pass over the components; either may be None to skip it."""
+        diff = np.subtract(ys[:, 0], xs[:, 0, None], out=scratch("a", xs.shape[0], ys.shape[0]))
+        dens = scratch("b", *diff.shape)
+        z = dens if grad is None else scratch("c", *diff.shape)   # k alone needs no z
+        for acc in (out, grad):
+            if acc is not None:
+                acc.fill(0.0)
         for w, m, s in zip(self.weights, self.means, self.sds):
-            np.subtract(ys[:, 0], xs[:, 0, None], out=z)
-            z -= m
+            np.subtract(diff, m, out=z)
             z /= s
             np.square(z, out=dens)
             dens *= -0.5
             np.exp(dens, out=dens)
             dens /= s * _SQRT_2PI
             dens *= w
-            yield s, z, dens
+            if out is not None:
+                out += dens
+            if grad is not None:
+                # d/dx N(y-x; m, s^2) = N * (y-x-m)/s^2
+                z *= dens
+                z /= s
+                grad += z
+
+    def eval_and_grad1_matrix(self, xs, ys, out=None, grad_out=None):
+        """(k, ∂ₓk) for xs (n, 1) and ys (m, 1), each (n, m), in ``out`` and
+        ``grad_out`` if given: both from one evaluation of each component."""
+        xs = _as_points(xs, 1, "x")
+        ys = _as_points(ys, 1, "y")
+        shape = (xs.shape[0], ys.shape[0])
+        out = np.empty(shape) if out is None else out
+        grad_out = np.empty(shape) if grad_out is None else grad_out
+        self._sweep(xs, ys, out, grad_out)
+        return out, grad_out
 
     def eval_matrix(self, xs, ys, out=None):
         xs = _as_points(xs, 1, "x")
         ys = _as_points(ys, 1, "y")
         out = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
-        out.fill(0.0)
-        for _, _, dens in self._components(xs, ys):
-            out += dens
+        self._sweep(xs, ys, out, None)
         return out
 
     def weighted_grad1(self, xs, ys, k, w):
-        # d/dx N(y-x; m, s^2) = N * (y-x-m)/s^2
-        grad = scratch("c", *k.shape)
-        grad.fill(0.0)
-        for s, z, dens in self._components(xs, ys):
-            dens *= z
-            dens /= s
-            grad += dens
+        grad = scratch("d", *k.shape)
+        self._sweep(xs, ys, None, grad)
         grad *= w
         return np.sum(grad, axis=1)[:, None]
 

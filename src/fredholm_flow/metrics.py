@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import column_means
 from .density import EvaluationGrid
 from .kernels import KernelModel
 
@@ -86,5 +87,5 @@ def reconvolve(source, kernel: KernelModel, y_grid: EvaluationGrid) -> DensityOn
         values = weights @ kernel.eval_matrix(x_nodes, y_nodes)
     else:
         pts = np.atleast_2d(getattr(source, "points", source))
-        values = kernel.eval_matrix(pts, y_nodes).mean(axis=0)
+        values = column_means(kernel, pts, y_nodes)[1]
     return DensityOnGrid(y_grid, values)

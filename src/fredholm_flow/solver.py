@@ -11,10 +11,14 @@ denominator is small.
 The drift runs in fixed row blocks on the shared pool of ``blocks``: pass 1
 writes k = eval_matrix(X, Y) block by block into one (N, m) buffer per run
 while the calling thread folds its column sums in block order; pass 2 forms
-each block's ``weighted_grad1`` rows.  The monitor reads only the column
-means, so k is dead once pass 2 is done.  Every result is the same bits for
-any thread count and any ``--workers``, and a step holds about one N×m
-matrix plus a few block workspaces per thread.
+each block's ``weighted_grad1`` rows.  A kernel with ``eval_and_grad1_matrix``
+(the delay kernel) writes k and ∂ₓk in pass 1, the latter into a second
+(N, m) buffer per run, and pass 2 only weights and sums each block's ∂ₓk
+rows, so each mixture component is evaluated once per step.  The monitor
+reads only the column means, so k is dead once pass 2 is done.  Every result
+is the same bits for any thread count and any ``--workers``, and a step holds
+about one N×m matrix (two for a fused kernel) plus a few block workspaces per
+thread.
 """
 from __future__ import annotations
 
@@ -138,14 +142,26 @@ class SolverTrace:
         return self._n
 
 
-def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step, buf=None):
+def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step, buf=None,
+           grad=None):
     """(column means of the k matrix, drift); the monitor reuses the means.
-    ``buf`` is a ``matrix_buffer`` for k, reused across steps."""
-    blocks, k_mean = column_means(kernel, points, batch_points, buf)
+    ``buf`` is a ``matrix_buffer`` for k and ``grad`` an (N, m) buffer for ∂ₓk,
+    used when the kernel has ``eval_and_grad1_matrix``; both are reused across
+    steps."""
+    fused = hasattr(kernel, "eval_and_grad1_matrix")
+    if fused and grad is None:
+        grad = np.empty((points.shape[0], batch_points.shape[0]))
+    blocks, k_mean = column_means(kernel, points, batch_points, buf, grad if fused else None)
     denom = np.maximum(k_mean + eta, denom_floor)                      # (m,)
     weights = 1.0 / (batch_points.shape[0] * denom)
-    grads = map_blocks(lambda block: kernel.weighted_grad1(points[block[0]], batch_points,
-                                                           block[1], weights), blocks)
+
+    def weighted_rows(block):
+        if not fused:
+            return kernel.weighted_grad1(points[block[0]], batch_points, block[1], weights)
+        rows = grad[block[0]]
+        rows *= weights
+        return np.sum(rows, axis=1)[:, None]
+    grads = map_blocks(weighted_rows, blocks)
     drift = np.concatenate(list(grads)) - alpha * ref.grad_u(points)
     finite_rows = np.all(np.isfinite(drift), axis=1)
     if not np.all(finite_rows):
@@ -257,6 +273,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
     buf = matrix_buffer(n, m_eff)
+    grad = np.empty((n, m_eff)) if hasattr(kernel, "eval_and_grad1_matrix") else None
     batch = None
     stopped = False
 
@@ -267,7 +284,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
                                    config.resample_policy)
         try:
             k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
-                                   config.eta, config.denom_floor, step, buf)
+                                   config.eta, config.denom_floor, step, buf, grad)
         except NumericalFailure as failure:
             raise NumericalFailure("drift evaluation failed", step=step,
                                    index=failure.index) from failure

@@ -44,6 +44,10 @@ def test_kernel_rows_do_not_depend_on_the_block(name, rng):
     w = rng.uniform(0.1, 2.0, ys.shape[0])
     full = kernel.eval_matrix(xs, ys)
     grad = kernel.weighted_grad1(xs, ys, full, w)
+    fused = getattr(kernel, "eval_and_grad1_matrix", None)
+    if fused is not None:
+        k_full, dk_full = fused(xs, ys)
+        assert np.array_equal(k_full, full)
     for rows in (slice(0, 1), slice(5, 17), slice(36, 37), slice(0, 37)):
         part = kernel.eval_matrix(xs[rows], ys)
         assert np.array_equal(part, full[rows])
@@ -51,6 +55,14 @@ def test_kernel_rows_do_not_depend_on_the_block(name, rng):
         assert kernel.eval_matrix(xs[rows], ys, out=out) is out
         assert np.array_equal(out, full[rows])
         assert np.array_equal(kernel.weighted_grad1(xs[rows], ys, part, w), grad[rows])
+        if fused is not None:
+            out, grad_out = np.full_like(part, np.nan), np.full_like(part, np.nan)
+            got = fused(xs[rows], ys, out, grad_out)
+            assert got[0] is out and got[1] is grad_out
+            assert np.array_equal(out, full[rows])
+            assert np.array_equal(grad_out, dk_full[rows])
+            # weighted once, the ∂ₓk rows are the weighted_grad1 rows
+            assert np.array_equal(np.sum(grad_out * w, axis=1)[:, None], grad[rows])
 
 
 def gaussian_step(rng, n, m):
@@ -77,6 +89,38 @@ def test_blocked_step_is_the_same_bits_for_any_thread_count(rng, monkeypatch):
             assert np.array_equal(got_mean, k_mean)
             assert np.array_equal(got, want)
             assert np.array_equal(GaussianKde(xs).at_particles(), want_kde)
+
+
+def delay_step(rng, n, m):
+    kernel, xs, ys = kernel_batch("delay", rng, n, m)
+    return kernel, xs, ys, ReferenceMeasure.gaussian([1.0], [4.0])
+
+
+def test_fused_delay_drift_is_the_two_method_drift(rng, monkeypatch):
+    n, m = 1001, 700
+    kernel, xs, ys, ref = delay_step(rng, n, m)
+    k = kernel.eval_matrix(xs, ys)
+    k_mean = k.mean(axis=0)
+    weights = 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
+    want = kernel.weighted_grad1(xs, ys, k, weights) - 0.3 * ref.grad_u(xs)
+
+    def two_pass(*args, **kwargs):
+        raise AssertionError("the drift evaluated a component sweep twice")
+
+    monkeypatch.setattr(kernel, "eval_matrix", two_pass)
+    monkeypatch.setattr(kernel, "weighted_grad1", two_pass)
+    buf, grad = blocks.matrix_buffer(n, m), np.empty((n, m))
+    pools = [InlinePool(), ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
+    try:
+        for pool in pools:
+            monkeypatch.setattr(blocks, "_pool", pool)
+            for buffers in ((), (buf, grad), (buf, grad)):   # fresh, then reused as by run
+                got_mean, got = _drift(kernel, xs, ys, ref, 0.3, 0.01, 1e-30, 0, *buffers)
+                assert np.array_equal(got_mean, k_mean)
+                assert np.array_equal(got, want)
+    finally:
+        for pool in pools[1:]:
+            pool.shutdown()
 
 
 def test_concurrent_callers_share_the_pool(rng, monkeypatch):
@@ -117,6 +161,19 @@ def test_drift_holds_one_kernel_matrix(rng, monkeypatch):
         tracemalloc.stop()
     # the k buffer plus a few block workspaces per thread, not three N×m matrices
     assert peak <= 1.5 * 8 * n * m
+
+
+def test_delay_drift_holds_two_kernel_matrices(rng, monkeypatch):
+    n = m = 2000
+    kernel, xs, ys, ref = delay_step(rng, n, m)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(blocks, "_pool", pool)
+        tracemalloc.start()
+        _drift(kernel, xs, ys, ref, 0.3, 0.0, 1e-30, step=0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # the k and ∂ₓk buffers plus a few block workspaces per thread
+    assert peak <= 2.5 * 8 * n * m
 
 
 def test_one_block_runs_inline(rng, monkeypatch):

@@ -455,6 +455,16 @@ def test_seed_flag_outside_the_key_range_exits_2(tmp_path, capsys, seed):
     assert capsys.readouterr().err.startswith("config error: --seed")
 
 
+@pytest.mark.parametrize("command", ["run", "cv"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_flag_below_one_exits_2(tmp_path, capsys, command, workers):
+    cfg = write_config(tmp_path, "c.json", SMALL_RUN if command == "run" else CV)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+    assert capsys.readouterr().err.startswith("config error: --workers")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", ["", "y_1\n", "0.1,0.2\n0.3\n", "0.1\nabc\n"],
                          ids=["empty", "header-only", "ragged", "non-numeric"])
 def test_bad_observation_file_exits_2(tmp_path, capsys, content):

@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fredholm_flow import (DensityOnGrid, EvaluationGrid, GaussianConvolutionKernel,
-                           ise, pointwise_mse, reconvolve, wasserstein1_1d)
+                           GaussianMixtureDelayKernel, RadonAlignmentKernel, blocks, ise,
+                           pointwise_mse, reconvolve, wasserstein1_1d)
 from fredholm_flow.problems import preset_gaussian_mixture_1d
 
 from conftest import gauss_pdf
@@ -134,6 +137,34 @@ def test_reconvolve_matches_loop(rng):
     for i, node in enumerate(grid.nodes()):
         oracle = sum(kernel.eval(p, node) for p in pts) / len(pts)
         assert out.values[i] == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["gauss-d3", "delay", "radon"])
+def test_particle_reconvolution_is_the_column_mean_in_blocks(name, rng, monkeypatch):
+    if name == "radon":
+        kernel = RadonAlignmentKernel(sigma=0.2)
+        grid = EvaluationGrid(((0.0, 2 * np.pi, 51), (-1.5, 1.5, 51)))
+        pts = rng.normal(0.0, 0.3, (2000, 2))
+    elif name == "delay":
+        kernel = GaussianMixtureDelayKernel((0.595, 0.405), (8.63, 15.24), (2.56, 5.39))
+        grid = _grid(-10.0, 60.0, 2601)
+        pts = rng.normal(5.0, 3.0, (2000, 1))
+    else:
+        kernel = GaussianConvolutionKernel([0.3, 0.5, 0.8])
+        grid = EvaluationGrid(((-2.0, 2.0, 14),) * 3)
+        pts = rng.normal(0.0, 0.5, (2000, 3))
+    n_nodes = int(np.prod(grid.shape))
+    assert len(blocks.row_blocks(len(pts), n_nodes)) > 1
+    want = kernel.eval_matrix(pts, grid.nodes()).mean(axis=0)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(blocks, "_pool", pool)
+        tracemalloc.start()
+        got = reconvolve(pts, kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert np.array_equal(got.values, want)
+    # one (N, nodes) matrix and a few block workspaces per thread, not three matrices
+    assert peak <= 1.5 * 8 * len(pts) * n_nodes
 
 
 def test_reconvolve_of_truth_matches_observed_density():
