@@ -26,11 +26,10 @@ ufuncs and row sums (no BLAS call), so it is the same bits whichever rows
 are evaluated with it: the solver and the KDE run the methods in row blocks
 on several threads (see ``blocks``).  Temporaries go to the calling thread's
 reusable ``blocks.scratch`` workspaces "a" to "d", so an ``out`` must not be
-one of those.  Pointwise
-``eval`` and ``grad1`` are derived from the two (one pair, unit weight).
-Every kernel is immutable after construction.  ``bound_M`` is an analytic
-uniform bound on both k and ``‖∇₁k‖`` (second derivatives are bounded too
-but nothing downstream consumes them).
+one of those.  Pointwise ``eval`` and ``grad1`` are derived from the two
+(one pair, unit weight).  Every kernel is immutable after construction.
+``bound_M`` is an analytic uniform bound on both k and ``‖∇₁k‖`` (second
+derivatives are bounded too but nothing downstream consumes them).
 """
 from __future__ import annotations
 
@@ -162,7 +161,6 @@ class GaussianMixtureDelayKernel(KernelModel):
             if out is not None:
                 out += dens
             if grad is not None:
-                # d/dx N(y-x; m, s^2) = N * (y-x-m)/s^2
                 z *= dens
                 z /= s
                 grad += z
