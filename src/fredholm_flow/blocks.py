@@ -1,29 +1,39 @@
 """Row blocks of pairwise work on one process-wide thread pool.
 
-Every O(N·m) pass of a solver step (the kernel matrix, its weighted gradient,
-or the fused k and ∂ₓk of a kernel with ``eval_and_grad1_matrix``, and the KDE
-at the particles) is row-separable: row i reads all of the other
-point set, but particle i alone.  ``row_blocks`` cuts the rows into blocks of
-at most ``BLOCK_PAIRS`` pairs (at least one row each); the cut depends on
-(n, m) only, never on the thread count.  ``map_blocks`` runs one task per
-block and yields the results in block order, so a caller that folds them in
-that order gets the same bits for any number of threads.  A single block
-runs inline, with no pool call.
+Every O(N·m) pass of a solver step (the kernel matrix and its weighted
+gradient, and the KDE at the particles) is row-separable: row i reads all of
+the other point set, but particle i alone.  ``row_blocks`` cuts the rows into
+blocks of at most ``BLOCK_PAIRS`` pairs (at least one row each); the cut
+depends on (n, m) only, never on the thread count.  ``map_blocks`` runs one
+task per block and yields the results in block order, so a caller that folds
+them in that order gets the same bits for any number of threads.  A single
+block runs inline, with no pool call.
 
 The pool has one thread per core this process may run on.  It is shared by
 every caller, the replicate threads of ``--workers`` included, so no thread
 count is passed down.  A task never submits to the pool, so no task waits on
 another.
 
+``column_means`` and ``drift_rows`` hold the two-pass shape of the drift.
+Pass 1 folds the column sums of k block by block, in block order, on the
+calling thread.  A kernel's k goes either into an (n, m) ``matrix_buffer``
+that pass 2 reads back, or into a ring of ``ring_depth()`` block buffers of
+the calling thread, when nothing reads k again: the column sums of
+``column_means`` without a buffer, and the drift of a kernel with
+``eval_and_grad1_matrix``, whose buffer holds its gradient plane instead.
+Block j + R is submitted only after block j is folded, so the ring is never
+overwritten early, and the fold is the same either way.
+
 ``scratch`` gives each thread reusable block-sized workspaces: a block costs
 the same whatever the allocator's state (a fresh 2 MB array sits at glibc's
-dynamic mmap threshold and may be mapped and unmapped on every call).
+dynamic mmap threshold and may be mapped and unmapped on every call).  The
+ring is kept per thread for the same reason.
 """
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -45,6 +55,11 @@ def _cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def ring_depth() -> int:
+    """Blocks in flight in one fold: one per pool thread, plus the one being folded."""
+    return _cores() + 1
 
 
 def _shared_pool() -> ThreadPoolExecutor:
@@ -85,42 +100,130 @@ def scratch(key: str, n: int, m: int) -> np.ndarray:
     return buf[:n * m].reshape(n, m)
 
 
+def _ring(depth: int, size: int) -> list:
+    """This thread's ``depth`` reusable flat buffers of at least ``size`` floats.
+
+    Buffers of more than two blocks (a row longer than ``BLOCK_PAIRS``) are not kept."""
+    if size > 2 * BLOCK_PAIRS:
+        return [np.empty(size) for _ in range(depth)]
+    ring = getattr(_local, "ring", [])
+    if len(ring) < depth or ring[0].size < size:
+        ring = _local.ring = [np.empty(size) for _ in range(depth)]
+    return ring
+
+
 def matrix_buffer(n: int, m: int) -> np.ndarray:
-    """Storage for an (n, m) matrix held by ``column_means``: the row blocks, one
-    spare row before each block after the first."""
-    return np.empty((n + len(row_blocks(n, m)) - 1, m))
+    """Storage for an (n, m) matrix in the row blocks of ``row_blocks(n, m)``,
+    with one spare row before each block."""
+    return np.empty((n + len(row_blocks(n, m)), m))
 
 
-def column_means(kernel, xs: np.ndarray, ys: np.ndarray, buf: np.ndarray | None = None,
-                 grad: np.ndarray | None = None):
-    """``(blocks, means)``: k = kernel.eval_matrix(xs, ys) in row blocks and its
-    column means, bit for bit ``k.mean(axis=0)``.
+def _buffer_slots(buf, n, m, rows):
+    """Block j's spare row and rows in ``buf``, an (n, m) ``matrix_buffer`` (new
+    if it is None or of another shape)."""
+    if buf is None or buf.shape != (n + len(rows), m):
+        buf = matrix_buffer(n, m)
+    return [buf[r.start + j:r.stop + j + 1] for j, r in enumerate(rows)]
 
-    ``blocks`` lists ``(rows, k[rows])``, views into ``buf`` (a ``matrix_buffer``
-    of this shape, or a new one).  The calling thread folds each block's rows
-    into the running column sums as the block arrives, in block order: the
-    sums are copied into the spare row before the block, and one reduction
-    adds the block's rows to them one after another, as ``k.sum(axis=0)`` does.
-    Given an (n, m) ``grad``, the blocks come from
-    ``kernel.eval_and_grad1_matrix``, which also writes ∂ₓk into ``grad[rows]``.
-    """
+
+def _ring_slots(rows, m):
+    """Block j's spare row and rows in slot j mod R of this thread's ring."""
+    depth = min(ring_depth(), len(rows))
+    longest = max(r.stop - r.start for r in rows) + 1
+    ring = _ring(depth, longest * m)
+    return [ring[j % depth][:(r.stop - r.start + 1) * m].reshape(-1, m)
+            for j, r in enumerate(rows)]
+
+
+def _run_inline(fn, *args) -> Future:
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _fold(fill, slots) -> tuple[np.ndarray, list]:
+    """(column sums, results) of the blocks that ``fill(j, out)`` writes into
+    ``out = slots[j][1:]``.
+
+    The calling thread folds each block into the running sums as it arrives,
+    in block order: the sums are copied into the spare row ``slots[j][0]``, and
+    one reduction adds the block's rows to them one after another, as
+    ``k.sum(axis=0)`` does.  Block j + ``ring_depth()`` is submitted only after
+    block j is folded, so slots j and j + ``ring_depth()`` may share memory."""
+    submit = _run_inline if len(slots) == 1 else _shared_pool().submit
+    depth = ring_depth()
+    futures = [submit(fill, j, slots[j][1:]) for j in range(min(depth, len(slots)))]
+    results, column = [], []
+    try:
+        for j, slot in enumerate(slots):
+            results.append(futures[j].result())
+            if slot.shape[1] == 1:
+                # numpy sums a single column pairwise, not row after row
+                column.append(slot[1:, 0].copy())
+            elif j == 0:
+                sums = np.add.reduce(slot[1:], axis=0)
+            else:
+                slot[0] = sums
+                np.add.reduce(slot, axis=0, out=sums)
+            if j + depth < len(slots):
+                futures.append(submit(fill, j + depth, slots[j + depth][1:]))
+    finally:
+        # no block may still write into a slot once the fold has returned or raised
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    if column:
+        sums = np.add.reduce(np.concatenate(column))[None]
+    return sums, results
+
+
+def column_means(kernel, xs: np.ndarray, ys: np.ndarray,
+                 buf: np.ndarray | None = None) -> np.ndarray:
+    """Column means of k = kernel.eval_matrix(xs, ys), bit for bit
+    ``k.mean(axis=0)``, with k written in row blocks into ``buf`` (a
+    ``matrix_buffer`` of this shape) or, without one, into this thread's ring."""
     n, m = xs.shape[0], ys.shape[0]
     rows = row_blocks(n, m)
-    if buf is None or buf.shape != (n + len(rows) - 1, m):
-        buf = matrix_buffer(n, m)
-    blocks = [(r, buf[r.start + j:r.stop + j]) for j, r in enumerate(rows)]
-    sums = np.empty(m)
+    slots = _ring_slots(rows, m) if buf is None else _buffer_slots(buf, n, m, rows)
+    return _fold(lambda j, out: kernel.eval_matrix(xs[rows[j]], ys, out=out), slots)[0] / n
 
-    def fill(block):
-        if grad is None:
-            kernel.eval_matrix(xs[block[0]], ys, out=block[1])
-        else:
-            kernel.eval_and_grad1_matrix(xs[block[0]], ys, block[1], grad[block[0]])
-    done = map_blocks(fill, blocks)
-    for j, _ in enumerate(done):
-        first = rows[j].start + j
-        if j:
-            first -= 1
-            buf[first] = sums
-        np.add.reduce(buf[first:rows[j].stop + j], axis=0, out=sums)
-    return blocks, sums / n
+
+def plane_rows(plane: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (n, d) rows Σ_j w_j G_ij v_j of a gradient plane G (n, m) with
+    per-column directions v (m, d): one no-BLAS row reduction per coordinate,
+    so row i depends on G's row i alone."""
+    return np.column_stack([np.einsum("ij,j->i", plane, w * v[:, i])
+                            for i in range(v.shape[1])])
+
+
+def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights,
+               buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(means, rows)``: the column means of k = kernel.eval_matrix(xs, ys), as
+    ``column_means`` gives them, and the (n, d) rows Σ_j w_j ∇₁k(x_i, y_j) for
+    ``w = weights(means)``.
+
+    ``buf`` is a ``matrix_buffer`` of this shape that a caller may reuse
+    across calls.  Pass 1 writes k into it, and pass 2 hands each block of k
+    to ``kernel.weighted_grad1``.  A kernel with ``eval_and_grad1_matrix``
+    writes its gradient plane G into ``buf`` and k into the ring instead, and
+    pass 2 is ``plane_rows`` of each block of G, so k and ∇₁k come from one
+    sweep per block."""
+    n, m = xs.shape[0], ys.shape[0]
+    rows = row_blocks(n, m)
+    slots = _buffer_slots(buf, n, m, rows)
+    blocks = [slot[1:] for slot in slots]
+    fused = getattr(kernel, "eval_and_grad1_matrix", None)
+    if fused is None:
+        sums = _fold(lambda j, out: kernel.eval_matrix(xs[rows[j]], ys, out=out), slots)[0]
+
+        def part(j):
+            return kernel.weighted_grad1(xs[rows[j]], ys, blocks[j], w)
+    else:
+        sums, done = _fold(lambda j, out: fused(xs[rows[j]], ys, out, blocks[j]),
+                           _ring_slots(rows, m))
+
+        def part(j):
+            return plane_rows(blocks[j], w, done[j][2])
+    means = sums / n
+    w = weights(means)
+    return means, np.concatenate(list(map_blocks(part, range(len(rows)))))

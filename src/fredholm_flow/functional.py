@@ -45,7 +45,7 @@ def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
     x = np.atleast_2d(getattr(cloud, "points", cloud))
     y = np.atleast_2d(getattr(observations, "points", observations))
     if k_mean is None:
-        k_mean = column_means(kernel, x, y)[1]
+        k_mean = column_means(kernel, x, y)
     mean_k = k_mean + eta
     floored = bool(np.any(mean_k < denom_floor))
     data_term = float(-np.mean(np.log(np.maximum(mean_k, denom_floor))))

@@ -9,17 +9,23 @@ batch observations at once:
   given that matrix ``k`` and weights ``w`` of shape (m,).
 
 The drift needs only that weighted sum, so no (n, m, d) gradient tensor is
-ever formed.  A kernel on a 1-D x whose gradient would redo the exps of k
-may add a third, optional method:
+ever formed.  A kernel whose gradient would redo the work of k, and whose
+gradient has the form ∇₁k(x_i, y_j) = G_ij · v_j with one (n, m) plane G and
+per-column directions v (m, d), may add a third, optional method:
 
-- ``eval_and_grad1_matrix(xs, ys, out=None, grad_out=None)``: k and the
-  (n, m) matrix ∂ₓk(x_i, y_j) from one evaluation, written into ``out`` and
-  ``grad_out`` when given.  The solver then weights the rows of ∂ₓk itself
-  and calls neither ``weighted_grad1`` nor, in the drift, ``eval_matrix``.
+- ``eval_and_grad1_matrix(xs, ys, out=None, grad_out=None)``: ``(k, G, v)``
+  from one sweep, k and G written into ``out`` and ``grad_out`` when given.
+  The drift then writes G into its (N, m) buffer and k only into a ring of
+  block buffers for the column sums, and forms the weighted rows itself with
+  ``blocks.plane_rows``; it calls neither ``weighted_grad1`` nor, in the
+  drift, ``eval_matrix``.
 
-The delay kernel has it; its three methods share one component sweep.  The
-Gaussian gradient redoes no exp, and a Radon ∂ₓk would need one (n, m) plane
-per coordinate, so those two keep the two-method drift.
+The delay kernel has it with G = ∂ₓk and v = 1, and the Radon kernel with
+G = k·u for the scaled residual u = (x₁cosφ + x₂sinφ − ξ)/σ and
+v = −(cosφ, sinφ)/σ.  In each, all three methods share one sweep, and
+``weighted_grad1`` is the same ``plane_rows`` of the same G, so the fused
+drift is the two-method drift bit for bit.  The Gaussian gradient redoes no
+exp, so it keeps the two-method drift.
 
 Row i of every result is computed from particle i alone, with elementwise
 ufuncs and row sums (no BLAS call), so it is the same bits whichever rows
@@ -37,7 +43,7 @@ import abc
 
 import numpy as np
 
-from .blocks import scratch
+from .blocks import plane_rows, scratch
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -143,15 +149,18 @@ class GaussianMixtureDelayKernel(KernelModel):
     def _sweep(self, xs, ys, out, grad):
         """Σ_c w_c N(y − x; m_c, s_c²) into ``out`` and its x-derivative
         Σ_c w_c N(y − x; m_c, s_c²)(y − x − m_c)/s_c² into ``grad``, both (n, m),
-        in one pass over the components; either may be None to skip it."""
-        diff = np.subtract(ys[:, 0], xs[:, 0, None], out=scratch("a", xs.shape[0], ys.shape[0]))
-        dens = scratch("b", *diff.shape)
-        z = dens if grad is None else scratch("c", *diff.shape)   # k alone needs no z
+        in one pass over the components; either may be None to skip it.  y − x
+        is formed anew for each component, the same bits each time, so a block
+        needs two workspaces, not three."""
+        shape = (xs.shape[0], ys.shape[0])
+        dens = scratch("b", *shape)
+        z = dens if grad is None else scratch("c", *shape)   # k alone needs no z
         for acc in (out, grad):
             if acc is not None:
                 acc.fill(0.0)
         for w, m, s in zip(self.weights, self.means, self.sds):
-            np.subtract(diff, m, out=z)
+            np.subtract(ys[:, 0], xs[:, 0, None], out=z)
+            z -= m
             z /= s
             np.square(z, out=dens)
             dens *= -0.5
@@ -166,15 +175,15 @@ class GaussianMixtureDelayKernel(KernelModel):
                 grad += z
 
     def eval_and_grad1_matrix(self, xs, ys, out=None, grad_out=None):
-        """(k, ∂ₓk) for xs (n, 1) and ys (m, 1), each (n, m), in ``out`` and
-        ``grad_out`` if given: both from one evaluation of each component."""
+        """(k, ∂ₓk, v = 1) for xs (n, 1) and ys (m, 1): k and ∂ₓk (n, m), in
+        ``out`` and ``grad_out`` if given, from one evaluation of each component."""
         xs = _as_points(xs, 1, "x")
         ys = _as_points(ys, 1, "y")
         shape = (xs.shape[0], ys.shape[0])
         out = np.empty(shape) if out is None else out
         grad_out = np.empty(shape) if grad_out is None else grad_out
         self._sweep(xs, ys, out, grad_out)
-        return out, grad_out
+        return out, grad_out, np.ones((ys.shape[0], 1))
 
     def eval_matrix(self, xs, ys, out=None):
         xs = _as_points(xs, 1, "x")
@@ -186,8 +195,7 @@ class GaussianMixtureDelayKernel(KernelModel):
     def weighted_grad1(self, xs, ys, k, w):
         grad = scratch("d", *k.shape)
         self._sweep(xs, ys, None, grad)
-        grad *= w
-        return np.sum(grad, axis=1)[:, None]
+        return plane_rows(grad, w, np.ones((ys.shape[0], 1)))
 
 
 class RadonAlignmentKernel(KernelModel):
@@ -219,30 +227,44 @@ class RadonAlignmentKernel(KernelModel):
         inner = np.trapezoid(vals, xi)          # independent of phi and of the line offset
         return float(2.0 * np.pi * inner)
 
-    def _residual(self, xs, ys, out):
-        """x₁cosφ + x₂sinφ − ξ into ``out``, by broadcasting; returns (cosφ, sinφ)."""
+    def _sweep(self, xs, ys, out, grad):
+        """k into ``out`` and, unless ``grad`` is None, G = k·u into ``grad``, for
+        the scaled residual u = (x₁cosφ + x₂sinφ − ξ)/σ formed once; returns
+        (cosφ, sinφ)."""
+        u = out if grad is None else grad
         cos, sin = np.cos(ys[:, 0]), np.sin(ys[:, 0])
-        np.multiply(xs[:, 0, None], cos, out=out)
-        out += np.multiply(xs[:, 1, None], sin, out=scratch("b", *out.shape))
-        out -= ys[:, 1]
+        np.multiply(xs[:, 0, None], cos, out=u)
+        u += np.multiply(xs[:, 1, None], sin, out=scratch("b", *u.shape))
+        u -= ys[:, 1]
+        u /= self.sigma
+        np.square(u, out=out)
+        out *= -0.5
+        np.exp(out, out=out)
+        out /= self.norm_const
+        if grad is not None:
+            grad *= out
         return cos, sin
+
+    def eval_and_grad1_matrix(self, xs, ys, out=None, grad_out=None):
+        """(k, G, v) for xs (n, 2) and ys (m, 2): k and G = k·u (n, m), in ``out``
+        and ``grad_out`` if given, and v = −(cosφ, sinφ)/σ (m, 2), so that
+        ∇₁k(x_i, y_j) = G_ij · v_j."""
+        xs = _as_points(xs, 2, "x")
+        ys = _as_points(ys, 2, "y")
+        shape = (xs.shape[0], ys.shape[0])
+        out = np.empty(shape) if out is None else out
+        grad_out = np.empty(shape) if grad_out is None else grad_out
+        cos, sin = self._sweep(xs, ys, out, grad_out)
+        return out, grad_out, np.column_stack([cos, sin]) / -self.sigma
 
     def eval_matrix(self, xs, ys, out=None):
         xs = _as_points(xs, 2, "x")
         ys = _as_points(ys, 2, "y")
-        res = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
-        self._residual(xs, ys, res)
-        res /= self.sigma
-        np.square(res, out=res)
-        res *= -0.5
-        np.exp(res, out=res)
-        res /= self.norm_const
-        return res
+        out = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
+        self._sweep(xs, ys, out, None)
+        return out
 
     def weighted_grad1(self, xs, ys, k, w):
-        res = scratch("a", *k.shape)
-        cos, sin = self._residual(xs, ys, res)
-        kwr = np.multiply(k, w, out=scratch("b", *k.shape))
-        kwr *= res
-        rows = [np.sum(np.multiply(kwr, c, out=res), axis=1) for c in (cos, sin)]
-        return -np.column_stack(rows) / self.sigma**2
+        _, plane, v = self.eval_and_grad1_matrix(xs, ys, scratch("a", *k.shape),
+                                                 scratch("c", *k.shape))
+        return plane_rows(plane, w, v)

@@ -87,5 +87,5 @@ def reconvolve(source, kernel: KernelModel, y_grid: EvaluationGrid) -> DensityOn
         values = weights @ kernel.eval_matrix(x_nodes, y_nodes)
     else:
         pts = np.atleast_2d(getattr(source, "points", source))
-        values = column_means(kernel, pts, y_nodes)[1]
+        values = column_means(kernel, pts, y_nodes)
     return DensityOnGrid(y_grid, values)

@@ -8,17 +8,16 @@ The deterministic part of every step is tamed, γb/(1 + γ‖b‖), so its lengt
 never exceeds min(1, γ‖b‖) regardless of how large the drift gets when the
 denominator is small.
 
-The drift runs in fixed row blocks on the shared pool of ``blocks``: pass 1
-writes k = eval_matrix(X, Y) block by block into one (N, m) buffer per run
-while the calling thread folds its column sums in block order; pass 2 forms
-each block's ``weighted_grad1`` rows.  A kernel with ``eval_and_grad1_matrix``
-(the delay kernel) writes k and ∂ₓk in pass 1, the latter into a second
-(N, m) buffer per run, and pass 2 only weights and sums each block's ∂ₓk
-rows, so each mixture component is evaluated once per step.  The monitor
-reads only the column means, so k is dead once pass 2 is done.  Every result
-is the same bits for any thread count and any ``--workers``, and a step holds
-about one N×m matrix (two for a fused kernel) plus a few block workspaces per
-thread.
+The drift runs in fixed row blocks on the shared pool of ``blocks``
+(``blocks.drift_rows``): pass 1 folds the column sums of k block by block on
+the calling thread, in block order, and pass 2 forms each block's weighted
+gradient rows.  One (N, m) buffer per run holds either k, for the Gaussian
+kernel, whose ``weighted_grad1`` reads it back, or the gradient plane of a
+kernel with ``eval_and_grad1_matrix`` (the delay and Radon kernels), whose k
+goes only through a ring of block buffers, so k and ∇₁k come from one sweep
+per step.  The monitor reads only the column means.  Every result is the
+same bits for any thread count and any ``--workers``, and a step holds one
+N×m matrix plus a few block workspaces per thread.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .blocks import column_means, map_blocks, matrix_buffer
+from .blocks import column_means, drift_rows, matrix_buffer
 from .errors import NumericalFailure
 from .functional import FunctionalEstimate, g_hat
 from .kernels import KernelModel
@@ -142,27 +141,13 @@ class SolverTrace:
         return self._n
 
 
-def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step, buf=None,
-           grad=None):
+def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step, buf=None):
     """(column means of the k matrix, drift); the monitor reuses the means.
-    ``buf`` is a ``matrix_buffer`` for k and ``grad`` an (N, m) buffer for ∂ₓk,
-    used when the kernel has ``eval_and_grad1_matrix``; both are reused across
-    steps."""
-    fused = hasattr(kernel, "eval_and_grad1_matrix")
-    if fused and grad is None:
-        grad = np.empty((points.shape[0], batch_points.shape[0]))
-    blocks, k_mean = column_means(kernel, points, batch_points, buf, grad if fused else None)
-    denom = np.maximum(k_mean + eta, denom_floor)                      # (m,)
-    weights = 1.0 / (batch_points.shape[0] * denom)
-
-    def weighted_rows(block):
-        if not fused:
-            return kernel.weighted_grad1(points[block[0]], batch_points, block[1], weights)
-        rows = grad[block[0]]
-        rows *= weights
-        return np.sum(rows, axis=1)[:, None]
-    grads = map_blocks(weighted_rows, blocks)
-    drift = np.concatenate(list(grads)) - alpha * ref.grad_u(points)
+    ``buf`` is a ``matrix_buffer`` that a run reuses across steps."""
+    def weights(k_mean):
+        return 1.0 / (batch_points.shape[0] * np.maximum(k_mean + eta, denom_floor))
+    k_mean, rows = drift_rows(kernel, points, batch_points, weights, buf)
+    drift = rows - alpha * ref.grad_u(points)
     finite_rows = np.all(np.isfinite(drift), axis=1)
     if not np.all(finite_rows):
         raise NumericalFailure("non-finite drift", step=step,
@@ -273,7 +258,6 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
     buf = matrix_buffer(n, m_eff)
-    grad = np.empty((n, m_eff)) if hasattr(kernel, "eval_and_grad1_matrix") else None
     batch = None
     stopped = False
 
@@ -284,7 +268,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
                                    config.resample_policy)
         try:
             k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
-                                   config.eta, config.denom_floor, step, buf, grad)
+                                   config.eta, config.denom_floor, step, buf)
         except NumericalFailure as failure:
             raise NumericalFailure("drift evaluation failed", step=step,
                                    index=failure.index) from failure
@@ -304,7 +288,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
 
     if not stopped:
         final_batch = batch if batch is not None else observations
-        k_mean = column_means(kernel, cloud.points, final_batch.points, buf)[1]
+        k_mean = column_means(kernel, cloud.points, final_batch.points, buf)
         estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config, k_mean)
         trace.append(cloud.step_index, estimate, None, cloud.points)
         if monitor is not None:

@@ -4,13 +4,15 @@ import signal
 import sys
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fredholm_flow import (GaussianConvolutionKernel, GaussianKde, GaussianMixtureDelayKernel,
-                           RadonAlignmentKernel, ReferenceMeasure, blocks, g_hat)
+from fredholm_flow import (EvaluationGrid, GaussianConvolutionKernel, GaussianKde,
+                           GaussianMixtureDelayKernel, RadonAlignmentKernel, ReferenceMeasure,
+                           blocks, g_hat, reconvolve)
 from fredholm_flow.solver import _drift
 
 
@@ -20,13 +22,21 @@ class InlinePool:
     def map(self, fn, items):
         return map(fn, items)
 
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
 
 class NoPool:
     def map(self, fn, items):
         raise AssertionError("a block was submitted to the pool")
 
+    def submit(self, fn, *args):
+        raise AssertionError("a block was submitted to the pool")
 
-def kernel_batch(name, rng, n, m):
+
+def kernel_batch(name, rng, n, m, d=3):
     if name == "radon":
         kernel = RadonAlignmentKernel(sigma=0.2)
         ys = np.column_stack([rng.uniform(0, 2 * np.pi, m), rng.normal(0.0, 0.3, m)])
@@ -34,8 +44,8 @@ def kernel_batch(name, rng, n, m):
     if name == "delay":
         kernel = GaussianMixtureDelayKernel((0.595, 0.405), (8.63, 15.24), (2.56, 5.39))
         return kernel, rng.normal(0.0, 3.0, (n, 1)), rng.normal(11.0, 5.0, (m, 1))
-    kernel = GaussianConvolutionKernel([0.3, 0.5, 0.8])
-    return kernel, rng.normal(0.0, 0.5, (n, 3)), rng.normal(0.0, 0.5, (m, 3))
+    kernel = GaussianConvolutionKernel([0.3, 0.5, 0.8][:d])
+    return kernel, rng.normal(0.0, 0.5, (n, d)), rng.normal(0.0, 0.5, (m, d))
 
 
 @pytest.mark.parametrize("name", ["gauss-d3", "delay", "radon"])
@@ -46,8 +56,9 @@ def test_kernel_rows_do_not_depend_on_the_block(name, rng):
     grad = kernel.weighted_grad1(xs, ys, full, w)
     fused = getattr(kernel, "eval_and_grad1_matrix", None)
     if fused is not None:
-        k_full, dk_full = fused(xs, ys)
+        k_full, plane_full, v = fused(xs, ys)
         assert np.array_equal(k_full, full)
+        assert plane_full.shape == full.shape and v.shape == (ys.shape[0], xs.shape[1])
     for rows in (slice(0, 1), slice(5, 17), slice(36, 37), slice(0, 37)):
         part = kernel.eval_matrix(xs[rows], ys)
         assert np.array_equal(part, full[rows])
@@ -60,9 +71,45 @@ def test_kernel_rows_do_not_depend_on_the_block(name, rng):
             got = fused(xs[rows], ys, out, grad_out)
             assert got[0] is out and got[1] is grad_out
             assert np.array_equal(out, full[rows])
-            assert np.array_equal(grad_out, dk_full[rows])
-            # weighted once, the ∂ₓk rows are the weighted_grad1 rows
-            assert np.array_equal(np.sum(grad_out * w, axis=1)[:, None], grad[rows])
+            assert np.array_equal(grad_out, plane_full[rows])
+            assert np.array_equal(got[2], v)
+            # weighted once, the plane's rows are the weighted_grad1 rows
+            assert np.array_equal(blocks.plane_rows(grad_out, w, v), grad[rows])
+
+
+@pytest.fixture(scope="module")
+def pools():
+    pools = [ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
+    yield [InlinePool(), *pools]
+    for pool in pools:
+        pool.shutdown()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["gauss", "delay", "radon"]), n=st.integers(1, 60),
+       m=st.integers(1, 40), d=st.integers(1, 3), block_pairs=st.integers(1, 300),
+       depth=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+def test_block_contract(pools, name, n, m, d, block_pairs, depth, seed):
+    # any block cut, ring depth and pool: the column means are k.mean(axis=0)
+    # and the drift rows are the single-block weighted_grad1 rows, bit for bit
+    kernel, xs, ys = kernel_batch(name, np.random.default_rng(seed), n, m, d)
+    k = kernel.eval_matrix(xs, ys)
+    want_mean = k.mean(axis=0)
+
+    def weights(k_mean):
+        return 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
+    want = kernel.weighted_grad1(xs, ys, k, weights(want_mean))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blocks, "BLOCK_PAIRS", block_pairs)
+        patch.setattr(blocks, "ring_depth", lambda: depth)
+        for pool in pools:
+            patch.setattr(blocks, "_pool", pool)
+            buf = blocks.matrix_buffer(n, m)
+            assert np.array_equal(blocks.column_means(kernel, xs, ys), want_mean)
+            assert np.array_equal(blocks.column_means(kernel, xs, ys, buf), want_mean)
+            got_mean, got = blocks.drift_rows(kernel, xs, ys, weights, buf)
+            assert np.array_equal(got_mean, want_mean)
+            assert np.array_equal(got, want)
 
 
 def gaussian_step(rng, n, m):
@@ -91,30 +138,33 @@ def test_blocked_step_is_the_same_bits_for_any_thread_count(rng, monkeypatch):
             assert np.array_equal(GaussianKde(xs).at_particles(), want_kde)
 
 
-def delay_step(rng, n, m):
-    kernel, xs, ys = kernel_batch("delay", rng, n, m)
-    return kernel, xs, ys, ReferenceMeasure.gaussian([1.0], [4.0])
+def fused_step(name, rng, n, m):
+    kernel, xs, ys = kernel_batch(name, rng, n, m)
+    if name == "delay":
+        return kernel, xs, ys, ReferenceMeasure.gaussian([1.0], [4.0])
+    return kernel, xs, ys, ReferenceMeasure.gaussian([0.1, -0.2], [0.7, 1.3])
 
 
-def test_fused_delay_drift_is_the_two_method_drift(rng, monkeypatch):
+@pytest.mark.parametrize("name", ["delay", "radon"])
+def test_fused_drift_is_the_two_method_drift(name, rng, monkeypatch):
     n, m = 1001, 700
-    kernel, xs, ys, ref = delay_step(rng, n, m)
+    kernel, xs, ys, ref = fused_step(name, rng, n, m)
     k = kernel.eval_matrix(xs, ys)
     k_mean = k.mean(axis=0)
     weights = 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
     want = kernel.weighted_grad1(xs, ys, k, weights) - 0.3 * ref.grad_u(xs)
 
     def two_pass(*args, **kwargs):
-        raise AssertionError("the drift evaluated a component sweep twice")
+        raise AssertionError("the drift evaluated a kernel sweep twice")
 
     monkeypatch.setattr(kernel, "eval_matrix", two_pass)
     monkeypatch.setattr(kernel, "weighted_grad1", two_pass)
-    buf, grad = blocks.matrix_buffer(n, m), np.empty((n, m))
+    buf = blocks.matrix_buffer(n, m)
     pools = [InlinePool(), ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
     try:
         for pool in pools:
             monkeypatch.setattr(blocks, "_pool", pool)
-            for buffers in ((), (buf, grad), (buf, grad)):   # fresh, then reused as by run
+            for buffers in ((), (buf,), (buf,)):   # fresh, then reused as by run
                 got_mean, got = _drift(kernel, xs, ys, ref, 0.3, 0.01, 1e-30, 0, *buffers)
                 assert np.array_equal(got_mean, k_mean)
                 assert np.array_equal(got, want)
@@ -129,9 +179,12 @@ def test_concurrent_callers_share_the_pool(rng, monkeypatch):
     kernel, xs, ys, ref = gaussian_step(rng, 1001, 700)
     clouds = [xs + 0.01 * i for i in range(8)]
 
+    radon = RadonAlignmentKernel(sigma=0.2)
+
     def step(points):
         k_mean, drift = _drift(kernel, points, ys, ref, 0.3, 0.0, 1e-30, step=0)
-        return k_mean, drift, GaussianKde(points).at_particles()
+        ring_mean, ring_drift = _drift(radon, points, ys, ref, 0.3, 0.0, 1e-30, step=0)
+        return k_mean, drift, ring_mean, ring_drift, GaussianKde(points).at_particles()
 
     monkeypatch.setattr(blocks, "_pool", InlinePool())
     want = [step(points) for points in clouds]
@@ -163,17 +216,36 @@ def test_drift_holds_one_kernel_matrix(rng, monkeypatch):
     assert peak <= 1.5 * 8 * n * m
 
 
-def test_delay_drift_holds_two_kernel_matrices(rng, monkeypatch):
+@pytest.mark.parametrize("name", ["delay", "radon"])
+def test_fused_drift_holds_one_plane(name, rng, monkeypatch):
     n = m = 2000
-    kernel, xs, ys, ref = delay_step(rng, n, m)
+    kernel, xs, ys, ref = fused_step(name, rng, n, m)
+    monkeypatch.setattr(blocks, "ring_depth", lambda: 3)
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(blocks, "_pool", pool)
         tracemalloc.start()
         _drift(kernel, xs, ys, ref, 0.3, 0.0, 1e-30, step=0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    # the k and ∂ₓk buffers plus a few block workspaces per thread
-    assert peak <= 2.5 * 8 * n * m
+    # the gradient plane, a ring of three blocks for k and a few block
+    # workspaces per thread, not a k buffer as well
+    assert peak <= 1.5 * 8 * n * m
+
+
+def test_particle_reconvolution_memory_does_not_grow_with_the_cloud(rng, monkeypatch):
+    kernel = RadonAlignmentKernel(sigma=0.2)
+    grid = EvaluationGrid(((0.0, 2 * np.pi, 51), (-1.5, 1.5, 51)))
+    monkeypatch.setattr(blocks, "ring_depth", lambda: 3)
+    for n in (2000, 8000):
+        pts = rng.normal(0.0, 0.3, (n, 2))
+        with ThreadPoolExecutor(2) as pool, ThreadPoolExecutor(1) as caller:
+            monkeypatch.setattr(blocks, "_pool", pool)
+            tracemalloc.start()
+            caller.submit(reconvolve, pts, kernel, grid).result(timeout=120)  # a fresh ring
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # a ring of three blocks and a block workspace per pool thread, whatever N
+        assert peak <= 8 * 8 * blocks.BLOCK_PAIRS
 
 
 def test_one_block_runs_inline(rng, monkeypatch):
