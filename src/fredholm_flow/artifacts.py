@@ -65,12 +65,6 @@ def write_trace_csv(path, trace: SolverTrace) -> None:
     _write_table(path, trace.columns, trace.rows)
 
 
-def read_trace_csv(path) -> SolverTrace:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        return SolverTrace.from_table(header, np.loadtxt(fh, delimiter=",", ndmin=2))
-
-
 # -- densities on grids ------------------------------------------------------
 
 def write_density_csv(path, density: DensityOnGrid) -> None:

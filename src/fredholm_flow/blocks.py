@@ -19,10 +19,10 @@ Pass 1 folds the column sums of k block by block, in block order, on the
 calling thread.  A kernel's k goes either into an (n, m) ``matrix_buffer``
 that pass 2 reads back, or into a ring of ``ring_depth()`` block buffers of
 the calling thread, when nothing reads k again: the column sums of
-``column_means`` without a buffer, and the drift of a kernel with
-``eval_and_grad1_matrix``, whose buffer holds its gradient plane instead.
-Block j + R is submitted only after block j is folded, so the ring is never
-overwritten early, and the fold is the same either way.
+``column_means`` without a buffer, and the drift of a kernel whose gradient
+plane is not k, whose buffer holds that plane instead.  Block j + R is
+submitted only after block j is folded, so the ring is never overwritten
+early, and the fold is the same either way.
 
 ``scratch`` gives each thread reusable block-sized workspaces: a block costs
 the same whatever the allocator's state (a fresh 2 MB array sits at glibc's
@@ -141,8 +141,8 @@ def _run_inline(fn, *args) -> Future:
     return future
 
 
-def _fold(fill, slots) -> tuple[np.ndarray, list]:
-    """(column sums, results) of the blocks that ``fill(j, out)`` writes into
+def _fold(fill, slots) -> np.ndarray:
+    """The column sums of the blocks that ``fill(j, out)`` writes into
     ``out = slots[j][1:]``.
 
     The calling thread folds each block into the running sums as it arrives,
@@ -153,10 +153,10 @@ def _fold(fill, slots) -> tuple[np.ndarray, list]:
     submit = _run_inline if len(slots) == 1 else _shared_pool().submit
     depth = ring_depth()
     futures = [submit(fill, j, slots[j][1:]) for j in range(min(depth, len(slots)))]
-    results, column = [], []
+    column = []
     try:
         for j, slot in enumerate(slots):
-            results.append(futures[j].result())
+            futures[j].result()
             if slot.shape[1] == 1:
                 # numpy sums a single column pairwise, not row after row
                 column.append(slot[1:, 0].copy())
@@ -174,7 +174,7 @@ def _fold(fill, slots) -> tuple[np.ndarray, list]:
         wait(futures)
     if column:
         sums = np.add.reduce(np.concatenate(column))[None]
-    return sums, results
+    return sums
 
 
 def column_means(kernel, xs: np.ndarray, ys: np.ndarray,
@@ -185,15 +185,7 @@ def column_means(kernel, xs: np.ndarray, ys: np.ndarray,
     n, m = xs.shape[0], ys.shape[0]
     rows = row_blocks(n, m)
     slots = _ring_slots(rows, m) if buf is None else _buffer_slots(buf, n, m, rows)
-    return _fold(lambda j, out: kernel.eval_matrix(xs[rows[j]], ys, out=out), slots)[0] / n
-
-
-def plane_rows(plane: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The (n, d) rows Σ_j w_j G_ij v_j of a gradient plane G (n, m) with
-    per-column directions v (m, d): one no-BLAS row reduction per coordinate,
-    so row i depends on G's row i alone."""
-    return np.column_stack([np.einsum("ij,j->i", plane, w * v[:, i])
-                            for i in range(v.shape[1])])
+    return _fold(lambda j, out: kernel.eval_matrix(xs[rows[j]], ys, out=out), slots) / n
 
 
 def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights,
@@ -203,27 +195,17 @@ def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights,
     ``w = weights(means)``.
 
     ``buf`` is a ``matrix_buffer`` of this shape that a caller may reuse
-    across calls.  Pass 1 writes k into it, and pass 2 hands each block of k
-    to ``kernel.weighted_grad1``.  A kernel with ``eval_and_grad1_matrix``
-    writes its gradient plane G into ``buf`` and k into the ring instead, and
-    pass 2 is ``plane_rows`` of each block of G, so k and ∇₁k come from one
-    sweep per block."""
+    across calls.  Pass 1 writes each block's gradient plane into ``buf`` and
+    k into the ring, from one ``eval_matrix`` sweep per block; a kernel whose
+    plane is k (``plane_is_k``) writes k into ``buf`` alone.  Pass 2 hands
+    each block of the plane to ``kernel.weighted_grad1``."""
     n, m = xs.shape[0], ys.shape[0]
     rows = row_blocks(n, m)
     slots = _buffer_slots(buf, n, m, rows)
-    blocks = [slot[1:] for slot in slots]
-    fused = getattr(kernel, "eval_and_grad1_matrix", None)
-    if fused is None:
-        sums = _fold(lambda j, out: kernel.eval_matrix(xs[rows[j]], ys, out=out), slots)[0]
-
-        def part(j):
-            return kernel.weighted_grad1(xs[rows[j]], ys, blocks[j], w)
-    else:
-        sums, done = _fold(lambda j, out: fused(xs[rows[j]], ys, out, blocks[j]),
-                           _ring_slots(rows, m))
-
-        def part(j):
-            return plane_rows(blocks[j], w, done[j][2])
+    planes = [slot[1:] for slot in slots]
+    sums = _fold(lambda j, out: kernel.eval_matrix(xs[rows[j]], ys, out=out, plane=planes[j]),
+                 slots if kernel.plane_is_k else _ring_slots(rows, m))
     means = sums / n
     w = weights(means)
-    return means, np.concatenate(list(map_blocks(part, range(len(rows)))))
+    return means, np.concatenate(list(map_blocks(
+        lambda j: kernel.weighted_grad1(xs[rows[j]], ys, planes[j], w), range(len(rows)))))

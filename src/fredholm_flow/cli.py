@@ -263,7 +263,8 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
 
     def replicate(seed):
         observations, obs_seed = draw(seed)
-        rep_ref = ref if ref is not None else preset.make_reference(observations)
+        with _at("observations"):   # a preset's reference may be the sample's moments
+            rep_ref = ref if ref is not None else preset.make_reference(observations)
         config = dataclasses.replace(solver, seed=seed)
         with _at_init(init):
             start = build_initial_cloud(preset, config, observations, rep_ref, **init)

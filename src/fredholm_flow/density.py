@@ -22,6 +22,7 @@ definition; the three paths differ only in summation order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class BandwidthMatrix:
 
     def __post_init__(self):
         diag = np.atleast_1d(np.asarray(self.diag, dtype=float))
+        if not np.all(np.isfinite(diag)):
+            raise ValueError("bandwidth diagonal must be finite")
         if np.any(diag <= 0):
             raise ValueError("bandwidth diagonal must be strictly positive")
         object.__setattr__(self, "diag", diag)
@@ -61,6 +64,8 @@ class EvaluationGrid:
     def __post_init__(self):
         spans = tuple((float(lo), float(hi), int(n)) for lo, hi, n in self.spans)
         for lo, hi, n in spans:
+            if not math.isfinite(hi - lo):
+                raise ValueError("grid bounds and their span must be finite")
             if not lo < hi:
                 raise ValueError("grid requires lo < hi")
             if n < 2:

@@ -33,9 +33,14 @@ class ReferenceMeasure:
         if kind == "gaussian":
             self.mean = np.broadcast_to(np.asarray(mean, dtype=float), (self.dim,)).copy()
             self.variances = np.broadcast_to(np.asarray(variances, dtype=float), (self.dim,)).copy()
+            if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.variances))):
+                raise ValueError("mean and variances must be finite")
             if np.any(self.variances <= 0):
                 raise ValueError("variances must be positive")
-            self.lipschitz = float(np.max(1.0 / self.variances))
+            with np.errstate(over="ignore"):
+                self.lipschitz = float(np.max(1.0 / self.variances))
+            if not np.isfinite(self.lipschitz):
+                raise ValueError("variances must not be so small that 1/variance overflows")
             self.dissipativity_m = float(np.min(1.0 / self.variances))
             self.dissipativity_c = 0.0
         else:
@@ -58,8 +63,11 @@ class ReferenceMeasure:
     def from_sample(cls, points, mean_shift=0.0) -> "ReferenceMeasure":
         """Gaussian reference with the sample's moments, optionally mean-shifted."""
         pts = np.atleast_2d(np.asarray(getattr(points, "points", points), dtype=float))
-        mean = pts.mean(axis=0) + np.asarray(mean_shift, dtype=float)
-        var = pts.var(axis=0, ddof=1)
+        if pts.shape[0] < 2:
+            raise ValueError("a reference from a sample needs at least 2 points")
+        with np.errstate(all="ignore"):   # an overflow is a non-finite moment, rejected below
+            mean = pts.mean(axis=0) + np.asarray(mean_shift, dtype=float)
+            var = pts.var(axis=0, ddof=1)
         return cls.gaussian(mean, var)
 
     def _check(self, xs) -> np.ndarray:

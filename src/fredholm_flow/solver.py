@@ -11,13 +11,13 @@ denominator is small.
 The drift runs in fixed row blocks on the shared pool of ``blocks``
 (``blocks.drift_rows``): pass 1 folds the column sums of k block by block on
 the calling thread, in block order, and pass 2 forms each block's weighted
-gradient rows.  One (N, m) buffer per run holds either k, for the Gaussian
-kernel, whose ``weighted_grad1`` reads it back, or the gradient plane of a
-kernel with ``eval_and_grad1_matrix`` (the delay and Radon kernels), whose k
-goes only through a ring of block buffers, so k and ∇₁k come from one sweep
-per step.  The monitor reads only the column means.  Every result is the
-same bits for any thread count and any ``--workers``, and a step holds one
-N×m matrix plus a few block workspaces per thread.
+gradient rows.  One ``eval_matrix`` sweep per block gives k and the kernel's
+gradient plane, and one (N, m) buffer per run holds that plane for pass 2:
+k itself for the Gaussian kernel, while the delay and Radon kernels send k
+only through a ring of block buffers.  The monitor reads only the column
+means.  Every result is the same bits for any thread count and any
+``--workers``, and a step holds one N×m matrix plus a few block workspaces
+per thread.
 """
 from __future__ import annotations
 
@@ -104,16 +104,6 @@ class SolverTrace:
                         *(f"var_{i + 1}" for i in range(dim)))
         self._table = np.empty((8, len(self.columns)))   # capacity doubles as rows arrive
         self._n = 0
-
-    @classmethod
-    def from_table(cls, columns, rows) -> "SolverTrace":
-        """The trace whose table has these column names and rows."""
-        trace = cls(sum(name.startswith("mean_") for name in columns))
-        if trace.columns != tuple(columns):
-            raise ValueError(f"not a trace header: {','.join(columns)}")
-        trace._table = np.array(rows, dtype=float, ndmin=2)
-        trace._n = len(trace._table)
-        return trace
 
     def append(self, step, estimate, drift_norms, points):
         if self._n == len(self._table):

@@ -48,33 +48,31 @@ def kernel_batch(name, rng, n, m, d=3):
     return kernel, rng.normal(0.0, 0.5, (n, d)), rng.normal(0.0, 0.5, (m, d))
 
 
+def sweep(kernel, xs, ys):
+    """(k, gradient plane) from one eval_matrix sweep; the plane is k when the kernel says so."""
+    plane = np.full((xs.shape[0], ys.shape[0]), np.nan)
+    k = kernel.eval_matrix(xs, ys, plane=plane)
+    return k, k if kernel.plane_is_k else plane
+
+
 @pytest.mark.parametrize("name", ["gauss-d3", "delay", "radon"])
 def test_kernel_rows_do_not_depend_on_the_block(name, rng):
     kernel, xs, ys = kernel_batch(name, rng, 37, 53)
     w = rng.uniform(0.1, 2.0, ys.shape[0])
-    full = kernel.eval_matrix(xs, ys)
-    grad = kernel.weighted_grad1(xs, ys, full, w)
-    fused = getattr(kernel, "eval_and_grad1_matrix", None)
-    if fused is not None:
-        k_full, plane_full, v = fused(xs, ys)
-        assert np.array_equal(k_full, full)
-        assert plane_full.shape == full.shape and v.shape == (ys.shape[0], xs.shape[1])
+    full, plane = sweep(kernel, xs, ys)
+    # writing the plane changes no bit of k
+    assert np.array_equal(kernel.eval_matrix(xs, ys), full)
+    grad = kernel.weighted_grad1(xs, ys, plane, w)
     for rows in (slice(0, 1), slice(5, 17), slice(36, 37), slice(0, 37)):
         part = kernel.eval_matrix(xs[rows], ys)
         assert np.array_equal(part, full[rows])
-        out = np.full_like(part, np.nan)
-        assert kernel.eval_matrix(xs[rows], ys, out=out) is out
+        out, part_plane = np.full_like(part, np.nan), np.full_like(part, np.nan)
+        assert kernel.eval_matrix(xs[rows], ys, out=out, plane=part_plane) is out
         assert np.array_equal(out, full[rows])
-        assert np.array_equal(kernel.weighted_grad1(xs[rows], ys, part, w), grad[rows])
-        if fused is not None:
-            out, grad_out = np.full_like(part, np.nan), np.full_like(part, np.nan)
-            got = fused(xs[rows], ys, out, grad_out)
-            assert got[0] is out and got[1] is grad_out
-            assert np.array_equal(out, full[rows])
-            assert np.array_equal(grad_out, plane_full[rows])
-            assert np.array_equal(got[2], v)
-            # weighted once, the plane's rows are the weighted_grad1 rows
-            assert np.array_equal(blocks.plane_rows(grad_out, w, v), grad[rows])
+        if kernel.plane_is_k:
+            part_plane = out
+        assert np.array_equal(part_plane, plane[rows])
+        assert np.array_equal(kernel.weighted_grad1(xs[rows], ys, part_plane, w), grad[rows])
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +88,18 @@ def pools():
        m=st.integers(1, 40), d=st.integers(1, 3), block_pairs=st.integers(1, 300),
        depth=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
 def test_block_contract(pools, name, n, m, d, block_pairs, depth, seed):
-    # any block cut, ring depth and pool: the column means are k.mean(axis=0)
-    # and the drift rows are the single-block weighted_grad1 rows, bit for bit
+    # any block cut, ring depth and pool: the column means are k.mean(axis=0),
+    # the drift rows are the single-block weighted_grad1 rows, and the KDE at
+    # the particles is one set of bits, all bit for bit
     kernel, xs, ys = kernel_batch(name, np.random.default_rng(seed), n, m, d)
-    k = kernel.eval_matrix(xs, ys)
+    k, plane = sweep(kernel, xs, ys)
     want_mean = k.mean(axis=0)
 
     def weights(k_mean):
         return 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
-    want = kernel.weighted_grad1(xs, ys, k, weights(want_mean))
+    want = kernel.weighted_grad1(xs, ys, plane, weights(want_mean))
+    kde = GaussianKde(xs) if name == "gauss" and n >= 2 else None
+    want_kde = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blocks, "BLOCK_PAIRS", block_pairs)
         patch.setattr(blocks, "ring_depth", lambda: depth)
@@ -110,6 +111,12 @@ def test_block_contract(pools, name, n, m, d, block_pairs, depth, seed):
             got_mean, got = blocks.drift_rows(kernel, xs, ys, weights, buf)
             assert np.array_equal(got_mean, want_mean)
             assert np.array_equal(got, want)
+            if kde is not None:
+                got_kde = kde.at_particles()
+                if want_kde is None:   # the first pool runs every block inline
+                    want_kde = got_kde
+                    np.testing.assert_allclose(want_kde, kde.evaluate(xs), rtol=1e-12, atol=0)
+                assert np.array_equal(got_kde, want_kde)
 
 
 def gaussian_step(rng, n, m):
@@ -149,25 +156,33 @@ def fused_step(name, rng, n, m):
 def test_fused_drift_is_the_two_method_drift(name, rng, monkeypatch):
     n, m = 1001, 700
     kernel, xs, ys, ref = fused_step(name, rng, n, m)
-    k = kernel.eval_matrix(xs, ys)
+    k, plane = sweep(kernel, xs, ys)
     k_mean = k.mean(axis=0)
     weights = 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
-    want = kernel.weighted_grad1(xs, ys, k, weights) - 0.3 * ref.grad_u(xs)
+    want = kernel.weighted_grad1(xs, ys, plane, weights) - 0.3 * ref.grad_u(xs)
+    block_rows = sorted(r.stop - r.start for r in blocks.row_blocks(n, m))
+    assert len(block_rows) > 1
+    sweeps = []
+    eval_matrix = kernel.eval_matrix
 
-    def two_pass(*args, **kwargs):
-        raise AssertionError("the drift evaluated a kernel sweep twice")
+    def counted(xs, ys, out=None, plane=None):
+        assert plane is not None, "the drift swept k without its gradient plane"
+        sweeps.append(xs.shape[0])
+        return eval_matrix(xs, ys, out=out, plane=plane)
 
-    monkeypatch.setattr(kernel, "eval_matrix", two_pass)
-    monkeypatch.setattr(kernel, "weighted_grad1", two_pass)
+    monkeypatch.setattr(kernel, "eval_matrix", counted)
     buf = blocks.matrix_buffer(n, m)
     pools = [InlinePool(), ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
     try:
         for pool in pools:
             monkeypatch.setattr(blocks, "_pool", pool)
             for buffers in ((), (buf,), (buf,)):   # fresh, then reused as by run
+                sweeps.clear()
                 got_mean, got = _drift(kernel, xs, ys, ref, 0.3, 0.01, 1e-30, 0, *buffers)
                 assert np.array_equal(got_mean, k_mean)
                 assert np.array_equal(got, want)
+                # one sweep per block gives both k and the plane
+                assert sorted(sweeps) == block_rows
     finally:
         for pool in pools[1:]:
             pool.shutdown()

@@ -396,6 +396,12 @@ def _probe(command, config, key, case):
                                         "reference": {"kind": "from_sample"}}),
            "problem.kernel.noise_sd", "noise-sd-string"),
     _probe("run", dict(INLINE, problem={"kernel": {"type": "gaussian_convolution",
+                                                   "noise_sd": [1e-200]},
+                                        "reference": {"kind": "from_sample"}}),
+           "problem.kernel", "noise-sd-whose-bound-overflows"),
+    _probe("run", {"preset": "toy_gaussian", "observations": {"n_samples": 1},
+                   "solver": {"minibatch": 1}}, "observations", "reference-from-one-observation"),
+    _probe("run", dict(INLINE, problem={"kernel": {"type": "gaussian_convolution",
                                                    "noise_sd": [0.3]},
                                         "reference": {"kind": "flat", "dim": 1}},
                        solver={"alpha": 0.0, "n_particles": 10, "n_steps": 2}),

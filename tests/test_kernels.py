@@ -192,8 +192,9 @@ def test_batch_matches_pointwise(kernel, shift, rng):
     # batch is an exact translate of the pointwise oracle's inputs
     xs, ys = (xs + shift) - shift, (ys + shift) - shift
     w = rng.uniform(0.1, 2.0, ys.shape[0])
-    mat = kernel.eval_matrix(xs + shift, ys + shift)
-    got = kernel.weighted_grad1(xs + shift, ys + shift, mat, w)
+    plane = np.empty((xs.shape[0], ys.shape[0]))
+    mat = kernel.eval_matrix(xs + shift, ys + shift, plane=plane)
+    got = kernel.weighted_grad1(xs + shift, ys + shift, mat if kernel.plane_is_k else plane, w)
     assert mat.shape == (xs.shape[0], ys.shape[0])
     assert got.shape == xs.shape
     for i in range(xs.shape[0]):

@@ -20,14 +20,14 @@ class ConstantInXKernel(KernelModel):
         self.dim_y = dim
         self.bound_M = (2 * np.pi) ** (-dim / 2)
 
-    def eval_matrix(self, xs, ys, out=None):
+    def eval_matrix(self, xs, ys, out=None, plane=None):
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
         dens = np.exp(-0.5 * np.sum(ys**2, axis=1)) * (2 * np.pi) ** (-self.dim_y / 2)
         out = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
         out[:] = dens
         return out
 
-    def weighted_grad1(self, xs, ys, k, w):
+    def weighted_grad1(self, xs, ys, plane, w):
         return np.zeros((np.atleast_2d(xs).shape[0], self.dim_x))
 
 
@@ -252,8 +252,8 @@ def test_minibatch_iid_policy(rng):
 
 def test_drift_failure_carries_particle_index():
     class BrokenKernel(ConstantInXKernel):
-        def weighted_grad1(self, xs, ys, k, w):
-            out = super().weighted_grad1(xs, ys, k, w)
+        def weighted_grad1(self, xs, ys, plane, w):
+            out = super().weighted_grad1(xs, ys, plane, w)
             out[2] = np.nan
             return out
 
