@@ -10,9 +10,9 @@ them in that order gets the same bits for any number of threads.  A single
 block runs inline, with no pool call.
 
 The pool has one thread per core this process may run on.  It is shared by
-every caller, the replicate threads of ``--workers`` included, so no thread
-count is passed down.  A task never submits to the pool, so no task waits on
-another.
+every caller, the ``--workers`` threads of ``map_jobs`` (replicates, cv
+cells) included, so no thread count is passed down.  A task never submits
+to the pool, so no task waits on another.
 
 ``column_means`` and ``drift_rows`` hold the two-pass shape of the drift.
 Pass 1 folds the column sums of k block by block, in block order, on the
@@ -85,6 +85,15 @@ def map_blocks(fn, blocks):
     if len(blocks) == 1:
         return [fn(blocks[0])]
     return _shared_pool().map(fn, blocks)
+
+
+def map_jobs(fn, jobs, workers: int) -> list:
+    """``[fn(job) for job in jobs]`` on ``workers`` threads of their own, or on the
+    calling thread when one worker or one job is left to run."""
+    if min(workers, len(jobs)) <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def scratch(key: str, n: int, m: int) -> np.ndarray:

@@ -5,9 +5,11 @@ penalty weight), ``baseline`` (grid EM / analytic toy tables) and ``metrics``
 (recompute metrics from stored cloud CSVs).  A config is one JSON object,
 read whole before any compute: ``_section`` checks each section against its
 key table, and the library type built from it checks the ranges.  Errors
-name the dotted key.  ``config_resolved.json`` echoes the config and what it
-resolved to.  Numeric outputs are CSV with 17-significant-digit floats,
-byte-identical for any ``--workers``.
+name the dotted key.  An inline ``problem`` is a preset with no truth and no
+sampler.  Each replicate writes its ``repNNN/`` when it finishes, and
+``metrics.csv`` and ``config_resolved.json`` (the config and what it
+resolved to) follow once all have.  Numeric outputs are CSV with
+17-significant-digit floats, byte-identical for any ``--workers``.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ import json
 import math
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, artifacts, rng as _rng
+from .blocks import map_jobs
 from .baselines import (ToyGaussianSpec, discrete_objective,
                         grid_problem_from_continuous, oslem_solve,
                         resolve_toy_sigma0_sq, toy_sweep)
@@ -31,8 +33,8 @@ from .errors import ConfigError, NumericalFailure
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       RadonAlignmentKernel)
 from .metrics import DensityOnGrid, ise, reconvolve, wasserstein1_1d
-from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, build_initial_cloud,
-                       get_preset, load_observations_csv)
+from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, ExperimentPreset,
+                       build_initial_cloud, get_preset, load_observations_csv)
 from .reference import ReferenceMeasure
 from .solver import SolverConfig, run as run_solver
 
@@ -150,12 +152,12 @@ def _preset(cfg: dict):
 
 def _metric_names(cfg: dict, preset) -> list:
     """The requested metrics, checked against the preset before any solve."""
-    names = cfg.get("metrics", list(preset.default_metrics) if preset is not None else [])
+    names = cfg.get("metrics", list(preset.default_metrics))
     unknown = [name for name in names if name not in _METRIC_NAMES]
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}; choose from {_METRIC_NAMES}",
                           path="metrics")
-    if names and preset is None:
+    if names and preset.truth_pdf is None:
         raise ConfigError("inline problems have no truth density to score against",
                           path="metrics")
     if "ise" in names and preset.metric_grid is None:
@@ -165,7 +167,7 @@ def _metric_names(cfg: dict, preset) -> list:
     return names
 
 
-def _observations(cfg: dict, preset, kernel, solver=None):
+def _observations(cfg: dict, preset, solver=None):
     """``draw(replicate_seed) -> (observations, seed)``, checked once: the file's sample
     (seed None) or a preset draw seeded by ``observations.seed`` or the replicate's seed."""
     obs = cfg.get("observations", {})
@@ -175,11 +177,11 @@ def _observations(cfg: dict, preset, kernel, solver=None):
             raise ConfigError(f"file not found: {path}", path="observations.file")
         with _at("observations.file"):
             sample = load_observations_csv(path)
-        if sample.dim != kernel.dim_y:
+        if sample.dim != preset.kernel.dim_y:
             raise ConfigError(f"observations have dimension {sample.dim}, kernel "
-                              f"expects {kernel.dim_y}", path="observations")
+                              f"expects {preset.kernel.dim_y}", path="observations")
         n, draw = sample.n_observations, lambda _: (sample, None)
-    elif preset is None:
+    elif preset.sample_observations is None:
         raise ConfigError("inline problems need observations from a file",
                           path="observations.file")
     else:
@@ -198,25 +200,24 @@ def _observations(cfg: dict, preset, kernel, solver=None):
     return draw
 
 
-def _inline_problem(cfg: dict, solver) -> tuple:
-    """(kernel, draw, reference) of an inline ``problem`` and its observation file."""
+def _inline_problem(cfg: dict) -> ExperimentPreset:
+    """The inline ``problem`` as a preset with no truth and no sampler: its
+    reference is fixed, or the ``from_sample`` rule applied to the observations."""
     problem = cfg["problem"]
     fields = _section(problem.get("kernel"), "problem.kernel", ("type", _KERNELS))
     with _at("problem.kernel"):
         kernel = _KERNEL_TYPES[fields.pop("type")](**fields)
-    draw = _observations(cfg, None, kernel, solver)
     fields = _section(problem.get("reference"), "problem.reference", ("kind", _REFERENCES))
-    if fields["kind"] == "from_sample":
-        fields["points"] = draw(None)[0].points
+    kind = fields.pop("kind")
     with _at("problem.reference"):
-        ref = getattr(ReferenceMeasure, fields.pop("kind"))(**fields)
-    if ref.dim != kernel.dim_x:
+        ref = None if kind == "from_sample" else getattr(ReferenceMeasure, kind)(**fields)
+    if ref is not None and ref.dim != kernel.dim_x:
         raise ConfigError(f"reference has dimension {ref.dim}, kernel expects {kernel.dim_x}",
                           path="problem.reference")
-    if ref.kind == "flat" and solver.alpha > 0:
-        raise ConfigError("a flat reference cannot carry a positive penalty weight",
-                          path="solver.alpha")
-    return kernel, draw, ref
+    rule = (lambda obs: ReferenceMeasure.from_sample(obs, **fields)) if ref is None else \
+        (lambda _obs: ref)
+    return ExperimentPreset("inline", kernel, _INLINE_SOLVER, rule, init_shift=None,
+                            default_metrics=())
 
 
 def _grid_kde(preset, cloud) -> DensityOnGrid:
@@ -247,10 +248,9 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
     if "problem" in cfg and "preset" in cfg:
         raise ConfigError("give either a preset or an inline problem, not both",
                           path="preset")
-    preset = None if "problem" in cfg else _preset(cfg)
+    preset = _inline_problem(cfg) if "problem" in cfg else _preset(cfg)
     with _at("solver"):
-        solver = dataclasses.replace(preset.solver if preset is not None else _INLINE_SOLVER,
-                                     **cfg.get("solver", {}))
+        solver = dataclasses.replace(preset.solver, **cfg.get("solver", {}))
     replicates = cfg.get("replicates", 1)
     if replicates < 1:
         raise ConfigError("replicates must be positive", path="replicates")
@@ -258,46 +258,41 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
                       else cfg.get("seed_base", solver.seed), "seed_base", replicates)
     metric_names = _metric_names(cfg, preset)
     init = cfg.get("init", {})
-    kernel, draw, ref = _inline_problem(cfg, solver) if preset is None else \
-        (preset.kernel, _observations(cfg, preset, preset.kernel, solver), None)
+    draw = _observations(cfg, preset, solver)
 
-    def replicate(seed):
+    def replicate(r):   # every config error comes before the solve and any output
+        seed = seed_base + r
         observations, obs_seed = draw(seed)
-        with _at("observations"):   # a preset's reference may be the sample's moments
-            rep_ref = ref if ref is not None else preset.make_reference(observations)
+        with _at("observations"):   # a reference may be the sample's moments
+            ref = preset.make_reference(observations)
+        if ref.kind == "flat" and solver.alpha > 0:
+            raise ConfigError("a flat reference cannot carry a positive penalty weight",
+                              path="solver.alpha")
         config = dataclasses.replace(solver, seed=seed)
         with _at_init(init):
-            start = build_initial_cloud(preset, config, observations, rep_ref, **init)
-        cloud, trace = run_solver(config, kernel, rep_ref, start, observations)
-        write_kde = cfg.get("kde_grid", True) and preset is not None \
-            and preset.metric_grid is not None and cloud.dim <= 2
+            start = build_initial_cloud(preset, config, observations, ref, **init)
+        cloud, trace = run_solver(config, preset.kernel, ref, start, observations)
+        write_kde = cfg.get("kde_grid", True) and preset.metric_grid is not None and cloud.dim <= 2
         grid_kde = _grid_kde(preset, cloud) if write_kde or "ise" in metric_names else None
-        rows = [(preset.name, "particle_flow", solver.n_particles, observations.n_observations,
-                 seed, metric, value) for metric, value in
-                compute_metrics(preset, cloud, observations, metric_names, seed, grid_kde)]
-        return cloud, trace, grid_kde if write_kde else None, rows, observations, obs_seed
-
-    seeds = [seed_base + r for r in range(replicates)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(replicate, seeds))
-    else:
-        results = [replicate(seed) for seed in seeds]
-    out.mkdir(parents=True, exist_ok=True)
-    for r, (cloud, trace, grid_kde, *_) in enumerate(results):
         rep_dir = out / f"rep{r:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         artifacts.write_trace_csv(rep_dir / "trace.csv", trace)
         artifacts.write_cloud_csv(rep_dir / "cloud_final.csv", cloud)
-        if grid_kde is not None:
+        if write_kde:
             artifacts.write_density_csv(rep_dir / "kde_grid.csv", grid_kde)
-    artifacts.write_metrics_csv(out / "metrics.csv", [row for res in results for row in res[3]])
-    n_samples = results[0][4].n_observations
+        rows = [(preset.name, "particle_flow", solver.n_particles, observations.n_observations,
+                 seed, metric, value) for metric, value in
+                compute_metrics(preset, cloud, observations, metric_names, seed, grid_kde)]
+        return rows, observations.n_observations, obs_seed
+
+    rows, n_samples, obs_seeds = zip(*map_jobs(replicate, range(replicates), workers))
+    artifacts.write_metrics_csv(out / "metrics.csv", [row for rep in rows for row in rep])
     return {"seed_base": seed_base, "resolved": {
         "solver": dataclasses.asdict(dataclasses.replace(solver, seed=seed_base)),
-        "minibatch": solver.batch_size(n_samples),
-        "init": {"mode": "auto", **init}, "metrics": metric_names, "seeds": seeds,
-        "observations": {"n_samples": n_samples, "seeds": [res[5] for res in results]}}}
+        "minibatch": solver.batch_size(n_samples[0]),
+        "init": dict(init, mode=preset.init_mode(init.get("mode", "auto"))),
+        "metrics": metric_names, "seeds": [seed_base + r for r in range(replicates)],
+        "observations": {"n_samples": n_samples[0], "seeds": list(obs_seeds)}}}
 
 
 def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
@@ -310,7 +305,7 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
         plan = CvPlan(**{"n_folds" if key == "folds" else key: value
                          for key, value in cv.items()} | {"seed": seed})
     init = cfg.get("init", {})
-    observations, _ = _observations(cfg, preset, preset.kernel, solver)(plan.seed)
+    observations, _ = _observations(cfg, preset, solver)(plan.seed)
     if plan.n_folds > observations.n_observations:
         raise ConfigError(f"{plan.n_folds} folds need at least as many observations, "
                           f"got {observations.n_observations}", path="cv.folds")
@@ -349,7 +344,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
         raise ConfigError("grid EM baseline needs a 1-D preset with a closed-form "
                           "observed density", path="preset")
     alpha = cfg.get("alpha", preset.solver.alpha)
-    observations, _ = _observations(cfg, preset, preset.kernel)(
+    observations, _ = _observations(cfg, preset)(
         seed_override if seed_override is not None else 0)
     with _at(""):   # the messages name the key
         problem = grid_problem_from_continuous(
@@ -379,7 +374,7 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
                               f"{preset.dim}", path="clouds")
     names = _metric_names(cfg, preset)
     seed = seed_override if seed_override is not None else _seed(cfg.get("seed", 0), "seed")
-    observations = _observations(cfg, preset, preset.kernel)(seed)[0] \
+    observations = _observations(cfg, preset)(seed)[0] \
         if "reconvolution_ise" in names or "observations" in cfg else None
     n_observations = observations.n_observations if observations else 0
     rows = [(preset.name, "stored_cloud", cloud.n_particles, n_observations, seed, metric, value)

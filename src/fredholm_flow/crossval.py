@@ -9,12 +9,12 @@ identically.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng as _rng
+from .blocks import map_jobs
 from .errors import NumericalFailure
 from .functional import g_hat
 from .problems import ExperimentPreset, build_initial_cloud
@@ -93,8 +93,7 @@ def _run_cell(plan, preset, observations, base_config, folds, alpha_index, fold_
                      seed=_rng.derive_seed(plan.seed, alpha_index))
     try:
         ref = preset.make_reference(train)
-        start = build_initial_cloud(preset, config, train, ref, mode=init.get("mode", "auto"),
-                                    point=init.get("point"), box=init.get("box"))
+        start = build_initial_cloud(preset, config, train, ref, **init)
         cloud, _ = run(config, preset.kernel, ref, start, train)
         est = g_hat(cloud, heldout, preset.kernel, ref, alpha, config.eta,
                     denom_floor=config.denom_floor)
@@ -112,8 +111,8 @@ def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: ObservationSa
     ``folds`` may be given explicitly (index arrays forming a partition);
     otherwise a seeded near-equal partition is drawn.  ``init`` holds the
     initialization keys ``mode`` (default "auto"), ``point`` and ``box``, as
-    ``build_initial_cloud`` takes them.  Cells run on a thread pool of
-    ``workers``; results are identical for any worker count.
+    ``build_initial_cloud`` takes them.  Cells run on ``workers`` threads
+    (``blocks.map_jobs``); results are identical for any worker count.
     """
     base_config = preset.solver if base_config is None else base_config
     init = init or {}
@@ -122,12 +121,6 @@ def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: ObservationSa
     if len(folds) != plan.n_folds:
         raise ValueError("number of folds does not match the plan")
     jobs = [(ai, fi) for ai in range(len(plan.alpha_grid)) for fi in range(plan.n_folds)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(
-                lambda job: _run_cell(plan, preset, observations, base_config, folds,
-                                      job[0], job[1], init), jobs))
-    else:
-        cells = [_run_cell(plan, preset, observations, base_config, folds, ai, fi, init)
-                 for ai, fi in jobs]
+    cells = map_jobs(lambda job: _run_cell(plan, preset, observations, base_config, folds,
+                                           *job, init), jobs, workers)
     return CvResult(plan, tuple(cells))

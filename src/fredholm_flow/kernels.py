@@ -124,13 +124,14 @@ class GaussianConvolutionKernel(KernelModel):
         xs = _as_points(xs, self.dim_x, "x")
         ys = _as_points(ys, self.dim_y, "y")
         sq = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
-        for i in range(self.dim_x):
-            term = sq if i == 0 else scratch("a", *sq.shape)
-            np.subtract(ys[:, i], xs[:, i, None], out=term)
-            np.square(term, out=term)
-            term /= self._var[i]
-            if i:
-                sq += term
+        with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
+            for i in range(self.dim_x):
+                term = sq if i == 0 else scratch("a", *sq.shape)
+                np.subtract(ys[:, i], xs[:, i, None], out=term)
+                np.square(term, out=term)
+                term /= self._var[i]
+                if i:
+                    sq += term
         sq *= -0.5
         np.exp(sq, out=sq)
         sq *= self._norm
@@ -186,8 +187,9 @@ class GaussianMixtureDelayKernel(KernelModel):
         for w, m, s in zip(self.weights, self.means, self.sds):
             np.subtract(ys[:, 0], xs[:, 0, None], out=z)
             z -= m
-            z /= s
-            np.square(z, out=dens)
+            with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
+                z /= s
+                np.square(z, out=dens)
             dens *= -0.5
             np.exp(dens, out=dens)
             dens /= s * _SQRT_2PI
@@ -247,8 +249,9 @@ class RadonAlignmentKernel(KernelModel):
         np.multiply(xs[:, 0, None], np.cos(ys[:, 0]), out=u)
         u += np.multiply(xs[:, 1, None], np.sin(ys[:, 0]), out=scratch("b", *u.shape))
         u -= ys[:, 1]
-        u /= self.sigma
-        np.square(u, out=out)
+        with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
+            u /= self.sigma
+            np.square(u, out=out)
         out *= -0.5
         np.exp(out, out=out)
         out /= self.norm_const

@@ -1,11 +1,11 @@
 """Experiment presets: closed-form targets, samplers and solver defaults.
 
-Each preset bundles the kernel, a closed-form truth density (for metrics), an
-observation sampler, the rule that builds the reference measure from the
-observed sample, and default solver settings.  Samplers are deterministic
-given their seed; all randomness flows through the keyed streams.  The normal
-CDF and its inverse come from the standard library (``math.erfc`` and
-``statistics.NormalDist``), so the module needs numpy alone.
+A preset bundles the kernel, the rule that builds the reference measure from
+the observed sample and default solver settings; a shipped one adds a truth
+density (for metrics) and an observation sampler, which the CLI's inline
+problem lacks.  Samplers are deterministic given their seed; all randomness
+flows through the keyed streams.  The normal CDF and its inverse come from
+``math.erfc`` and ``statistics.NormalDist``, so the module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -78,12 +78,12 @@ class ExperimentPreset:
     name: str
     kernel: KernelModel
     solver: SolverConfig
-    n_observations: int
-    truth_pdf: Callable
-    sample_observations: Callable
-    sample_truth: Callable
     make_reference: Callable
-    metric_grid: EvaluationGrid | None
+    n_observations: int | None = None
+    truth_pdf: Callable | None = None
+    sample_observations: Callable | None = None
+    sample_truth: Callable | None = None
+    metric_grid: EvaluationGrid | None = None
     observed_pdf: Callable | None = None
     init_shift: float | None = 0.0
     default_metrics: tuple = ("ise",)
@@ -93,27 +93,26 @@ class ExperimentPreset:
     def dim(self) -> int:
         return self.kernel.dim_x
 
+    def init_mode(self, mode: str = "auto") -> str:
+        """``mode``, with ``auto`` resolved: "observations" (resampled through the
+        deconvolution shift) when the preset has a shift, else "reference"."""
+        auto = "observations" if self.init_shift is not None else "reference"
+        return auto if mode == "auto" else mode
 
-def build_initial_cloud(preset: ExperimentPreset | None, config: SolverConfig,
+
+def build_initial_cloud(preset: ExperimentPreset, config: SolverConfig,
                         observations: ObservationSample, ref: ReferenceMeasure,
                         mode: str = "auto", point=None, box=None) -> ParticleCloud:
-    """Initial particle positions.
-
-    ``auto`` resamples the observations through the deconvolution shift when
-    the preset defines one, else draws from the reference measure.  Explicit
-    modes: "observations", "reference", "point", "uniform".  ``preset=None``
-    marks an inline problem: no shift, so ``auto`` draws from the reference.
-    """
+    """Initial particle positions in ``preset.init_mode(mode)``: "observations",
+    "reference", "point" or "uniform"."""
     gen = _rng.stream(config.seed, _rng.ROLE_INIT)
     n = config.n_particles
-    shift = preset.init_shift if preset is not None else None
-    if mode == "auto":
-        mode = "observations" if shift is not None else "reference"
+    mode = preset.init_mode(mode)
     if mode == "observations":
         if observations.dim != ref.dim:
             raise ValueError("cannot initialize from observations when p differs from d")
         idx = gen.integers(0, observations.n_observations, size=n)
-        return ParticleCloud(observations.points[idx] + (shift or 0.0))
+        return ParticleCloud(observations.points[idx] + (preset.init_shift or 0.0))
     if mode == "reference":
         return ParticleCloud(ref.sample(n, gen))
     if mode == "point":

@@ -502,7 +502,7 @@ def test_resolved_config_records_what_the_run_used(tmp_path):
     resolved = echo["resolved"]
     preset = preset_gaussian_mixture_1d()
     assert resolved["solver"] == dict(vars(preset.solver), n_particles=50, n_steps=10, seed=5)
-    assert resolved["init"] == {"mode": "auto"}
+    assert resolved["init"] == {"mode": "observations"}   # what "auto" picked
     assert resolved["metrics"] == ["ise", "w1_marginal1"]
     assert resolved["seeds"] == [5, 6]
     assert resolved["observations"] == {"n_samples": 200, "seeds": [21, 21]}
@@ -541,3 +541,46 @@ def test_cli_import_loads_numpy_random_and_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True, timeout=120).stdout.splitlines()
     assert out == ["[]", "True"]
+
+
+def test_inline_problem_equals_its_preset(tmp_path, rng):
+    # gaussian_mixture_1d is the inline gaussian_convolution kernel with a from_sample
+    # reference; on the same observation file both runs must write the same bytes
+    np.savetxt(tmp_path / "obs.csv", rng.normal(0.4, 0.1, size=(120, 1)), delimiter=",")
+    common = {"observations": {"file": str(tmp_path / "obs.csv")},
+              "solver": {"n_particles": 40, "n_steps": 8}, "init": {"mode": "observations"},
+              "replicates": 2, "seed_base": 4}
+    preset = dict(common, preset="gaussian_mixture_1d", metrics=[], kde_grid=False)
+    inline = dict(common, problem={
+        "kernel": {"type": "gaussian_convolution", "noise_sd": [0.045]},
+        "reference": {"kind": "from_sample"}})
+    outs = tmp_path / "preset", tmp_path / "inline"
+    for name, payload, out in zip(("p.json", "i.json"), (preset, inline), outs):
+        assert main(["run", "--config", write_config(tmp_path, name, payload),
+                     "--out", str(out)]) == 0
+    for rep in ("rep000", "rep001"):
+        assert tree_bytes(outs[0] / rep) == tree_bytes(outs[1] / rep)
+        assert sorted(tree_bytes(outs[0] / rep)) == ["cloud_final.csv", "trace.csv"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_replicate_leaves_the_finished_ones(tmp_path, monkeypatch, capsys, workers):
+    from fredholm_flow import cli
+    from fredholm_flow.errors import NumericalFailure
+    cfg = write_config(tmp_path, "c.json", SMALL_RUN)
+    clean = tmp_path / "clean"
+    assert main(["run", "--config", cfg, "--out", str(clean)]) == 0
+    solve = cli.run_solver
+
+    def fail_replicate_1(config, *args, **kwargs):
+        if config.seed == SMALL_RUN["seed_base"] + 1:
+            raise NumericalFailure("non-finite drift", step=3)
+        return solve(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_solver", fail_replicate_1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--workers", workers]) == 3
+    assert "step=3" in capsys.readouterr().err
+    # rep000 as a clean run writes it, and no rep001, metrics.csv or config_resolved.json
+    assert tree_bytes(out) == {f"rep000/{name}": data
+                               for name, data in tree_bytes(clean / "rep000").items()}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,3 +213,18 @@ def test_invalid_construction():
         GaussianMixtureDelayKernel([0.5, 0.4], [1.0, 2.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         RadonAlignmentKernel(sigma=-1.0)
+
+
+@pytest.mark.parametrize("kernel, x, y", [
+    (GaussianConvolutionKernel([1e-154]), [0.0], [10.0]),
+    (GaussianMixtureDelayKernel([1.0], [0.0], [1e-154]), [0.0], [100.0]),
+    (RadonAlignmentKernel(sigma=1e-150, xi_max=1e-150), [1e5, 0.0], [0.0, 0.0]),
+], ids=["gaussian", "delay", "radon"])
+def test_narrow_kernel_far_away_is_zero_without_warning(kernel, x, y):
+    # the exponent overflows to -inf, and exp(-inf) = 0 is the right value
+    plane = np.empty((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert kernel.eval_matrix([x], [y])[0, 0] == 0.0
+        assert kernel.eval_matrix([x], [y], plane=plane)[0, 0] == 0.0
+    assert kernel.plane_is_k or plane[0, 0] == 0.0
