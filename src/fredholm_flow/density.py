@@ -123,8 +123,9 @@ class GaussianKde:
         self._kernel = GaussianConvolutionKernel(np.sqrt(self.bandwidth.diag))
 
     def _block(self, xs, ys) -> np.ndarray:
-        """k(xs, ys) for one block, in this thread's workspace."""
-        return self._kernel.eval_matrix(xs, ys, out=scratch("kde", xs.shape[0], ys.shape[0]))
+        """k(xs, ys) for one block, in this thread's workspace "k", which the
+        drift's k blocks share."""
+        return self._kernel.eval_matrix(xs, ys, out=scratch("k", xs.shape[0], ys.shape[0]))
 
     def evaluate(self, xs) -> np.ndarray:
         """(1/N) Σ_k det(H)^{-1/2} φ(H^{-1/2}(x − X_k)) at each row x of ``xs``."""

@@ -20,8 +20,11 @@ its plane is k itself, which it says with ``plane_is_k = True``, so its
 
 Row i of every result is computed from particle i alone, with elementwise
 ufuncs and row sums (no BLAS call), so it is the same bits whichever rows
-are evaluated with it: the solver and the KDE run the methods in row blocks
-on several threads (see ``blocks``).  Temporaries go to the calling thread's
+are evaluated with it: the KDE runs the methods in row blocks on several
+threads (see ``blocks``).  Likewise, column j of k and of the plane is
+computed from observation j alone, so it is the same bits whichever columns
+are evaluated with it: the drift runs ``eval_matrix`` in column blocks, and
+``weighted_grad1`` once per block.  Temporaries go to the calling thread's
 reusable ``blocks.scratch`` workspaces "a" to "c", so neither ``out`` nor
 ``plane`` may be one of those.  Pointwise ``eval`` and ``grad1`` are derived
 from the two (one pair, unit weight).  Every kernel is immutable after

@@ -8,16 +8,14 @@ The deterministic part of every step is tamed, γb/(1 + γ‖b‖), so its lengt
 never exceeds min(1, γ‖b‖) regardless of how large the drift gets when the
 denominator is small.
 
-The drift runs in fixed row blocks on the shared pool of ``blocks``
-(``blocks.drift_rows``): pass 1 folds the column sums of k block by block on
-the calling thread, in block order, and pass 2 forms each block's weighted
-gradient rows.  One ``eval_matrix`` sweep per block gives k and the kernel's
-gradient plane, and one (N, m) buffer per run holds that plane for pass 2:
-k itself for the Gaussian kernel, while the delay and Radon kernels send k
-only through a ring of block buffers.  The monitor reads only the column
-means.  Every result is the same bits for any thread count and any
-``--workers``, and a step holds one N×m matrix plus a few block workspaces
-per thread.
+The drift runs in fixed column blocks on the shared pool of ``blocks``
+(``blocks.drift_rows``).  A block holds all N particles and a slice of the
+batch, so one ``eval_matrix`` sweep gives its k, its column means and its
+gradient plane, and the weights of those means give its share of the drift
+rows; the calling thread adds the shares in block order.  The monitor reads
+only the column means.  Every result is the same bits for any thread count
+and any ``--workers``, and a step holds no N×m matrix, only a few block
+workspaces per thread.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .blocks import column_means, drift_rows, matrix_buffer
+from .blocks import column_means, drift_rows
 from .errors import NumericalFailure
 from .functional import FunctionalEstimate, g_hat
 from .kernels import KernelModel
@@ -131,12 +129,11 @@ class SolverTrace:
         return self._n
 
 
-def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step, buf=None):
-    """(column means of the k matrix, drift); the monitor reuses the means.
-    ``buf`` is a ``matrix_buffer`` that a run reuses across steps."""
+def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step):
+    """(column means of the k matrix, drift); the monitor reuses the means."""
     def weights(k_mean):
         return 1.0 / (batch_points.shape[0] * np.maximum(k_mean + eta, denom_floor))
-    k_mean, rows = drift_rows(kernel, points, batch_points, weights, buf)
+    k_mean, rows = drift_rows(kernel, points, batch_points, weights)
     drift = rows - alpha * ref.grad_u(points)
     finite_rows = np.all(np.isfinite(drift), axis=1)
     if not np.all(finite_rows):
@@ -247,7 +244,6 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     m_eff = config.batch_size(observations.n_observations)
     cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
-    buf = matrix_buffer(n, m_eff)
     batch = None
     stopped = False
 
@@ -258,7 +254,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
                                    config.resample_policy)
         try:
             k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
-                                   config.eta, config.denom_floor, step, buf)
+                                   config.eta, config.denom_floor, step)
         except NumericalFailure as failure:
             raise NumericalFailure("drift evaluation failed", step=step,
                                    index=failure.index) from failure
@@ -278,7 +274,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
 
     if not stopped:
         final_batch = batch if batch is not None else observations
-        k_mean = column_means(kernel, cloud.points, final_batch.points, buf)
+        k_mean = column_means(kernel, cloud.points, final_batch.points)
         estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config, k_mean)
         trace.append(cloud.step_index, estimate, None, cloud.points)
         if monitor is not None:

@@ -567,20 +567,28 @@ def test_inline_problem_equals_its_preset(tmp_path, rng):
 def test_failed_replicate_leaves_the_finished_ones(tmp_path, monkeypatch, capsys, workers):
     from fredholm_flow import cli
     from fredholm_flow.errors import NumericalFailure
-    cfg = write_config(tmp_path, "c.json", SMALL_RUN)
-    clean = tmp_path / "clean"
-    assert main(["run", "--config", cfg, "--out", str(clean)]) == 0
     solve = cli.run_solver
+    # (replicates, the failing one): every other replicate runs to its end and
+    # writes its directory, whatever --workers is
+    for replicates, failing in ((2, 1), (3, 0)):
+        run = dict(SMALL_RUN, replicates=replicates)
+        cfg = write_config(tmp_path, f"c{replicates}.json", run)
+        clean = tmp_path / f"clean{replicates}"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_solver", solve)
+            assert main(["run", "--config", cfg, "--out", str(clean)]) == 0
 
-    def fail_replicate_1(config, *args, **kwargs):
-        if config.seed == SMALL_RUN["seed_base"] + 1:
-            raise NumericalFailure("non-finite drift", step=3)
-        return solve(config, *args, **kwargs)
+        def fail_one(config, *args, **kwargs):
+            if config.seed == run["seed_base"] + failing:
+                raise NumericalFailure("non-finite drift", step=3)
+            return solve(config, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_solver", fail_replicate_1)
-    out = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out), "--workers", workers]) == 3
-    assert "step=3" in capsys.readouterr().err
-    # rep000 as a clean run writes it, and no rep001, metrics.csv or config_resolved.json
-    assert tree_bytes(out) == {f"rep000/{name}": data
-                               for name, data in tree_bytes(clean / "rep000").items()}
+        monkeypatch.setattr(cli, "run_solver", fail_one)
+        out = tmp_path / f"out{replicates}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--workers", workers]) == 3
+        assert "step=3" in capsys.readouterr().err
+        # the others' directories as a clean run writes them, and no directory
+        # for the failed replicate, no metrics.csv and no config_resolved.json
+        assert tree_bytes(out) == {name: data for name, data in tree_bytes(clean).items()
+                                   if name.startswith("rep")
+                                   and not name.startswith(f"rep{failing:03d}/")}

@@ -154,7 +154,7 @@ def test_particle_reconvolution_is_the_column_mean_in_blocks(name, rng, monkeypa
         grid = EvaluationGrid(((-2.0, 2.0, 14),) * 3)
         pts = rng.normal(0.0, 0.5, (2000, 3))
     n_nodes = int(np.prod(grid.shape))
-    assert len(blocks.row_blocks(len(pts), n_nodes)) > 1
+    assert len(blocks.column_blocks(len(pts), n_nodes)) > 1
     want = kernel.eval_matrix(pts, grid.nodes()).mean(axis=0)
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(blocks, "_pool", pool)
