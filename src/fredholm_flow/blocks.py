@@ -36,7 +36,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# pairs per block: 2 MB of float64, one core's L2 cache
+# pairs per block: 2 MB of float64.  A step keeps three or four such
+# workspaces per thread (k, the plane, the kernel's temporaries), so a
+# block's working set is beyond a 2 MB L2; row tiles of 2**15 pairs inside
+# each block were the same bits but slower end to end (ROADMAP, "Tried")
 BLOCK_PAIRS = 2**18
 
 _pool = None

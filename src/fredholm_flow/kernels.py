@@ -18,6 +18,17 @@ directions v (m, d), v = 1 and v = −(cosφ, sinφ)/σ, and ``weighted_grad1`` 
 its plane is k itself, which it says with ``plane_is_k = True``, so its
 ``eval_matrix`` ignores ``plane`` and its ``weighted_grad1`` reads k.
 
+Every constant of a sweep is fixed at construction, so no (n, m) pass
+divides and none applies a constant in a second pass: the Gaussian kernel
+multiplies each axis's squared difference by −1/(2σᵢ²); the delay kernel
+does the same per component with −1/(2s_c²), then w_c/(s_c√2π) and 1/s_c²,
+and its first component writes ``out`` and ``plane`` directly, with no zero
+fill; the Radon kernel scales each column's cosφ, sinφ and ξ by 1/σ (O(m)
+per call) and multiplies by 1/Z.  Differences are formed before any scaling,
+y − x first: coordinates scaled first would cancel far from the origin.  A
+constructor rejects a width whose folded reciprocal overflows, so no 0·inf
+reaches a sweep at the mode.
+
 Row i of every result is computed from particle i alone, with elementwise
 ufuncs and row sums (no BLAS call), so it is the same bits whichever rows
 are evaluated with it: the KDE runs the methods in row blocks on several
@@ -117,11 +128,12 @@ class GaussianConvolutionKernel(KernelModel):
         self.dim_x = self.dim_y = sd.size
         with np.errstate(all="ignore"):
             self._var = sd**2
+            self._exponent_scale = -0.5 / self._var   # −1/(2σᵢ²)
             self._norm = float(np.prod(1.0 / (sd * _SQRT_2PI)))
             # sup k at y = x; sup ‖∇₁k‖ at a unit displacement of the narrowest axis
             self.bound_M = max(self._norm, self._norm * np.exp(-0.5) / sd.min())
-        _finite([self._norm, self.bound_M, *self._var], "noise_sd's normaliser, bound_M and "
-                "variances", positive=True)
+        _finite([self._norm, self.bound_M, *self._var, *-self._exponent_scale],
+                "noise_sd's normaliser, bound_M, variances and their reciprocals", positive=True)
 
     def eval_matrix(self, xs, ys, out=None, plane=None):
         xs = _as_points(xs, self.dim_x, "x")
@@ -132,10 +144,9 @@ class GaussianConvolutionKernel(KernelModel):
                 term = sq if i == 0 else scratch("a", *sq.shape)
                 np.subtract(ys[:, i], xs[:, i, None], out=term)
                 np.square(term, out=term)
-                term /= self._var[i]
+                term *= self._exponent_scale[i]
                 if i:
                     sq += term
-        sq *= -0.5
         np.exp(sq, out=sq)
         sq *= self._norm
         return sq
@@ -148,8 +159,7 @@ class GaussianConvolutionKernel(KernelModel):
         out = np.empty((xs.shape[0], self.dim_x))
         for i in range(self.dim_x):
             np.subtract(ys[:, i], xs[:, i, None], out=term)
-            term *= kw
-            out[:, i] = np.sum(term, axis=1) / self._var[i]
+            out[:, i] = np.einsum("ij,ij->i", term, kw) / self._var[i]
         return out
 
 
@@ -169,39 +179,45 @@ class GaussianMixtureDelayKernel(KernelModel):
         with np.errstate(all="ignore"):
             peak = float(np.sum(w / (s * _SQRT_2PI)))
             grad_peak = float(np.sum(w * np.exp(-0.5) / (s**2 * _SQRT_2PI)))
+            # component c's term of k is peak·exp(scale·d²) for d = y − x − m_c, and
+            # its x-derivative is that term times precision·d
+            self._precision = 1.0 / s**2
+            self._exponent_scale = -0.5 * self._precision
+            self._peak = w / (s * _SQRT_2PI)
         self.bound_M = float(np.max([peak, grad_peak]))   # NaN, as from 0/0, propagates
-        _finite([peak, self.bound_M], "sds' normaliser and bound_M", positive=True)
+        _finite([peak, self.bound_M, *self._precision], "sds' normaliser, bound_M and "
+                "precisions", positive=True)
 
     def eval_matrix(self, xs, ys, out=None, plane=None):
         """Σ_c w_c N(y − x; m_c, s_c²) into ``out`` and, when ``plane`` is given, its
         x-derivative Σ_c w_c N(y − x; m_c, s_c²)(y − x − m_c)/s_c² into ``plane``,
-        both (n, m), in one pass over the components.  y − x is formed anew for
-        each component, the same bits each time, so a block needs two
-        workspaces, not three."""
+        both (n, m), in one pass over the components.  The first component
+        writes ``out`` and ``plane`` directly, and each later one is added in.
+        y − x is formed anew for each component, the same bits each time, so a
+        block needs two workspaces, not three."""
         xs = _as_points(xs, 1, "x")
         ys = _as_points(ys, 1, "y")
         shape = (xs.shape[0], ys.shape[0])
         out = np.empty(shape) if out is None else out
-        dens = scratch("b", *shape)
-        z = dens if plane is None else scratch("c", *shape)   # k alone needs no z
-        out.fill(0.0)
-        if plane is not None:
-            plane.fill(0.0)
-        for w, m, s in zip(self.weights, self.means, self.sds):
+        components = zip(self.means, self._exponent_scale, self._peak, self._precision)
+        for c, (m, scale, peak, precision) in enumerate(components):
+            dens = out if c == 0 else scratch("b", *shape)
+            # k alone needs no z
+            z = dens if plane is None else plane if c == 0 else scratch("c", *shape)
             np.subtract(ys[:, 0], xs[:, 0, None], out=z)
             z -= m
             with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
-                z /= s
                 np.square(z, out=dens)
-            dens *= -0.5
+                dens *= scale
             np.exp(dens, out=dens)
-            dens /= s * _SQRT_2PI
-            dens *= w
-            out += dens
+            dens *= peak
+            if c:
+                out += dens
             if plane is not None:
                 z *= dens
-                z /= s
-                plane += z
+                z *= precision
+                if c:
+                    plane += z
         return out
 
     def weighted_grad1(self, xs, ys, plane, w):
@@ -226,10 +242,13 @@ class RadonAlignmentKernel(KernelModel):
         self.dim_y = 2
         self.norm_const = self._quadrature_norm()
         with np.errstate(all="ignore"):
+            self._inv_sigma = 1.0 / self.sigma
+            self._inv_norm = 1.0 / self.norm_const
             self.bound_M = max(1.0 / self.norm_const,
                                np.exp(-0.5) / (self.sigma * self.norm_const))
-        _finite([self.norm_const, self.bound_M], "the normaliser and bound_M of sigma and "
-                "xi_max", positive=True)
+        _finite([self.norm_const, self.bound_M, self._inv_sigma, self._inv_norm],
+                "the normaliser and bound_M of sigma and xi_max, and their reciprocals",
+                positive=True)
 
     def _quadrature_norm(self) -> float:
         with np.errstate(all="ignore"):
@@ -244,24 +263,28 @@ class RadonAlignmentKernel(KernelModel):
 
     def eval_matrix(self, xs, ys, out=None, plane=None):
         """k into ``out`` and, when ``plane`` is given, G = k·u into ``plane``, for
-        the scaled residual u = (x₁cosφ + x₂sinφ − ξ)/σ formed once."""
+        the scaled residual u = x₁(cosφ/σ) + x₂(sinφ/σ) − ξ/σ formed once from
+        columns scaled by 1/σ."""
         xs = _as_points(xs, 2, "x")
         ys = _as_points(ys, 2, "y")
         out = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
         u = out if plane is None else plane
-        np.multiply(xs[:, 0, None], np.cos(ys[:, 0]), out=u)
-        u += np.multiply(xs[:, 1, None], np.sin(ys[:, 0]), out=scratch("b", *u.shape))
-        u -= ys[:, 1]
+        cos, sin = self._direction(ys)
         with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
-            u /= self.sigma
+            np.multiply(xs[:, 0, None], cos, out=u)
+            u += np.multiply(xs[:, 1, None], sin, out=scratch("b", *u.shape))
+            u -= ys[:, 1] * self._inv_sigma
             np.square(u, out=out)
         out *= -0.5
         np.exp(out, out=out)
-        out /= self.norm_const
+        out *= self._inv_norm
         if plane is not None:
             plane *= out
         return out
 
+    def _direction(self, ys):
+        """cosφ/σ and sinφ/σ, each (m,)."""
+        return np.cos(ys[:, 0]) * self._inv_sigma, np.sin(ys[:, 0]) * self._inv_sigma
+
     def weighted_grad1(self, xs, ys, plane, w):
-        return plane_rows(plane, w, np.column_stack([np.cos(ys[:, 0]), np.sin(ys[:, 0])])
-                          / -self.sigma)
+        return plane_rows(plane, w, -np.column_stack(self._direction(ys)))

@@ -247,11 +247,14 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     batch = None
     stopped = False
 
+    def draw(step):
+        return draw_minibatch(observations, m_eff,
+                              _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step),
+                              config.resample_policy)
+
     for step in range(config.n_steps):
         if batch is None or config.resample_each_step:
-            batch = draw_minibatch(observations, m_eff,
-                                   _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step),
-                                   config.resample_policy)
+            batch = draw(step)
         try:
             k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
                                    config.eta, config.denom_floor, step)
@@ -273,7 +276,8 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
         cloud = tamed_step(cloud, drift, config.gamma, config.alpha, noise)
 
     if not stopped:
-        final_batch = batch if batch is not None else observations
+        # a run of no steps scores its only row on the batch that step 0 would draw
+        final_batch = batch if batch is not None else draw(0)
         k_mean = column_means(kernel, cloud.points, final_batch.points)
         estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config, k_mean)
         trace.append(cloud.step_index, estimate, None, cloud.points)

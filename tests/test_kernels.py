@@ -228,3 +228,94 @@ def test_narrow_kernel_far_away_is_zero_without_warning(kernel, x, y):
         assert kernel.eval_matrix([x], [y])[0, 0] == 0.0
         assert kernel.eval_matrix([x], [y], plane=plane)[0, 0] == 0.0
     assert kernel.plane_is_k or plane[0, 0] == 0.0
+
+
+def narrowest_accepted(build):
+    """The smallest positive float w for which ``build(w)`` raises no ValueError,
+    by bisection on the bit patterns of the positive floats, which sort as
+    the floats do (``build`` must accept every w above that one, and 1.0)."""
+    def as_float(bits):
+        return float(np.array([bits], dtype=np.int64).view(np.float64)[0])
+
+    rejected, accepted = 0, int(np.array([1.0]).view(np.int64)[0])
+    while accepted - rejected > 1:
+        mid = (rejected + accepted) // 2
+        try:
+            build(as_float(mid))
+            accepted = mid
+        except ValueError:
+            rejected = mid
+    return as_float(accepted)
+
+
+SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+@pytest.mark.parametrize("build, x, y, mode_value", [
+    (lambda w: GaussianConvolutionKernel([w]), [0.5], [0.5],
+     lambda k: 1 / (k.noise_sd[0] * SQRT_2PI)),
+    # a wide second axis keeps the normaliser finite below the width at
+    # which the narrow axis's 1/(2σ²) overflows
+    (lambda w: GaussianConvolutionKernel([w, 1e100]), [0.5, 0.0], [0.5, 0.0],
+     lambda k: 1 / (k.noise_sd[0] * SQRT_2PI) / (1e100 * SQRT_2PI)),
+    (lambda w: GaussianMixtureDelayKernel([1.0], [3.0], [w]), [0.5], [3.5],
+     lambda k: 1 / (k.sds[0] * SQRT_2PI)),
+    (lambda w: GaussianMixtureDelayKernel([0.0, 1.0], [3.0, 3.0], [w, 1.0]), [0.5], [3.5],
+     lambda k: 1 / SQRT_2PI),
+    (lambda w: RadonAlignmentKernel(sigma=w, xi_max=16 * w), [0.0, 0.0], [0.7, 0.0],
+     lambda k: 1 / k.norm_const),
+], ids=["gaussian", "gaussian-one-narrow-axis", "delay", "delay-zero-weight", "radon"])
+def test_narrowest_kernel_is_finite_at_its_mode(build, x, y, mode_value):
+    # no constant folded at construction may be 0 or inf there: at the mode
+    # a difference of 0 meets it, and 0·inf is NaN
+    kernel = build(narrowest_accepted(build))
+    plane = np.empty((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        k = kernel.eval_matrix([x], [y], plane=plane)[0, 0]
+        grad = kernel.grad1(x, y)
+    assert np.isfinite(k) and k == pytest.approx(mode_value(kernel), rel=1e-12)
+    assert kernel.eval(x, y) == k
+    assert np.array_equal(grad, np.zeros(kernel.dim_x))
+    assert kernel.plane_is_k or plane[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("kernel", [
+    GaussianConvolutionKernel([0.3, 0.7, 1.1]),
+    GaussianMixtureDelayKernel(**DELAY),
+], ids=["gauss-d3", "delay"])
+def test_far_from_origin_matches_the_difference_first_formula(kernel, rng):
+    # 10³ of the widest width from the origin a coordinate carries about
+    # 1e-13 of a width of rounding: scaling coordinates before differencing
+    # them moves k by 3e-12 here, where y − x first stays within 4e-14
+    n, m = 40, 50
+    if isinstance(kernel, GaussianConvolutionKernel):
+        sd = kernel.noise_sd
+        xs = 1e3 * sd.max() + rng.normal(0.0, sd, (n, 3))
+        ys = 1e3 * sd.max() + rng.normal(0.0, 3 * sd, (m, 3))
+        diff = ys[None, :, :] - xs[:, None, :]
+        k = np.prod(np.exp(-0.5 * (diff / sd) ** 2) / (sd * SQRT_2PI), axis=2)
+        grad_terms = k[:, :, None] * diff / sd**2
+    else:
+        shift = 1e3 * max(DELAY["sds"])
+        xs = shift + rng.normal(0.0, 3.0, (n, 1))
+        ys = shift + rng.normal(11.0, 5.0, (m, 1))
+        diff = ys[None, :, 0] - xs[:, None, 0]
+        terms = [w * np.exp(-0.5 * ((diff - mu) / s) ** 2) / (s * SQRT_2PI)
+                 for w, mu, s in zip(*DELAY.values())]
+        k = sum(terms)
+        plane_terms = np.stack([t * (diff - mu) / s**2
+                                for t, mu, s in zip(terms, DELAY["means"], DELAY["sds"])])
+        np.testing.assert_array_less(0.0, k)
+        grad_terms = plane_terms.sum(axis=0)[:, :, None]
+    w = rng.uniform(0.1, 2.0, m)
+    plane = np.empty((n, m))
+    got = kernel.eval_matrix(xs, ys, plane=plane)
+    np.testing.assert_allclose(got, k, rtol=1e-12, atol=0)
+    if not kernel.plane_is_k:
+        # signed terms: each entry to 1e-12 of the sum of its terms' magnitudes
+        err = np.abs(plane - plane_terms.sum(axis=0))
+        assert np.all(err <= 1e-12 * np.abs(plane_terms).sum(axis=0))
+    rows = kernel.weighted_grad1(xs, ys, got if kernel.plane_is_k else plane, w)
+    weighted = grad_terms * w[None, :, None]
+    assert np.all(np.abs(rows - weighted.sum(axis=1)) <= 1e-12 * np.abs(weighted).sum(axis=1))

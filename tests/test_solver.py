@@ -156,6 +156,30 @@ def test_run_zero_steps_returns_init():
     assert len(trace) == 1
 
 
+class ColumnCountingKernel(GaussianConvolutionKernel):
+    """The Gaussian kernel, recording the batch size of every ``eval_matrix`` call."""
+
+    def __init__(self, noise_sd):
+        super().__init__(noise_sd)
+        self.columns = []
+
+    def eval_matrix(self, xs, ys, out=None, plane=None):
+        self.columns.append(np.atleast_2d(ys).shape[0])
+        return super().eval_matrix(xs, ys, out, plane)
+
+
+def test_run_zero_steps_scores_the_step_zero_batch():
+    # m = 30 of M = 60: the only row reads the batch that row 0 of a longer run reads
+    config, kernel, ref, init, obs = _small_setup(steps=0)
+    counting = ColumnCountingKernel(kernel.noise_sd)
+    _, trace_0 = run(config, counting, ref, init, obs)
+    assert counting.columns == [config.batch_size(obs.n_observations)] == [30]
+    _, trace_1 = run(dataclasses.replace(config, n_steps=1), kernel, ref, init, obs)
+    for name in ("g_hat", "g_hat_data", "g_hat_kl"):
+        assert np.isfinite(trace_0.column(name)[0])
+        assert np.array_equal(trace_0.column(name), trace_1.column(name)[:1])
+
+
 def test_run_deterministic_bitwise():
     config, kernel, ref, init, obs = _small_setup()
     cloud_a, trace_a = run(config, kernel, ref, init, obs)
