@@ -14,7 +14,7 @@ import numpy as np
 from .density import EvaluationGrid
 from .metrics import DensityOnGrid
 from .solver import SolverTrace
-from .state import ObservationSample, ParticleCloud
+from .state import ParticleCloud
 
 
 def fmt(x: float) -> str:
@@ -53,10 +53,6 @@ def read_cloud_csv(path) -> ParticleCloud:
         raise ValueError(f"{path}: non-finite entry in row "
                          f"{np.argwhere(~np.isfinite(data))[0, 0] + 1}")
     return ParticleCloud(data)
-
-
-def write_observations_csv(path, sample: ObservationSample) -> None:
-    _write_table(path, _names("y", sample.dim), sample.points)
 
 
 # -- solver traces -----------------------------------------------------------

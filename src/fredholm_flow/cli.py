@@ -128,6 +128,15 @@ def _at(path: str):
         raise ConfigError(str(err), path=path) from err
 
 
+@contextlib.contextmanager
+def _allocated(path: str):
+    """Report a size too large to allocate as a config error at ``path``."""
+    try:
+        yield
+    except MemoryError as err:
+        raise ConfigError(f"too large to allocate: {err}", path=path) from err
+
+
 def _at_init(init: dict):
     """Report an initialization error at the ``init`` key it concerns."""
     return _at(_INIT_ERROR_KEYS.get(init.get("mode"), "init.mode"))
@@ -192,7 +201,8 @@ def _observations(cfg: dict, preset, solver=None):
 
         def draw(replicate_seed):
             seed = _rng.derive_seed(replicate_seed, 11) if fixed is None else fixed
-            return preset.sample_observations(n, seed), seed
+            with _allocated("observations.n_samples"):
+                return preset.sample_observations(n, seed), seed
     if solver is not None and solver.minibatch is not None and solver.minibatch > n \
             and solver.resample_policy == "without_replacement":
         raise ConfigError("minibatch exceeds the observation count under "
@@ -269,7 +279,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
             raise ConfigError("a flat reference cannot carry a positive penalty weight",
                               path="solver.alpha")
         config = dataclasses.replace(solver, seed=seed)
-        with _at_init(init):
+        with _allocated("solver.n_particles"), _at_init(init):
             start = build_initial_cloud(preset, config, observations, ref, **init)
         cloud, trace = run_solver(config, preset.kernel, ref, start, observations)
         write_kde = cfg.get("kde_grid", True) and preset.metric_grid is not None and cloud.dim <= 2
@@ -309,7 +319,7 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     if plan.n_folds > observations.n_observations:
         raise ConfigError(f"{plan.n_folds} folds need at least as many observations, "
                           f"got {observations.n_observations}", path="cv.folds")
-    with _at_init(init):   # every cell builds its cloud the same way
+    with _allocated("solver.n_particles"), _at_init(init):   # as every cell builds it
         build_initial_cloud(preset, solver, observations, preset.make_reference(observations),
                             **init)
     folds = make_folds(observations.n_observations, plan.n_folds, plan.seed)
@@ -346,7 +356,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
     alpha = cfg.get("alpha", preset.solver.alpha)
     observations, _ = _observations(cfg, preset)(
         seed_override if seed_override is not None else 0)
-    with _at(""):   # the messages name the key
+    with _allocated("n_bins"), _at(""):   # the range messages name the key
         problem = grid_problem_from_continuous(
             preset.kernel, preset.observed_pdf, preset.make_reference(observations),
             cfg.get("n_bins", 100), cfg.get("lo", 0.0), cfg.get("hi", 1.0))

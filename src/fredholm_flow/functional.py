@@ -19,6 +19,10 @@ from .density import GaussianKde
 from .kernels import KernelModel
 from .reference import ReferenceMeasure
 
+# smallest value of a denominator λ[k(·, y)] + η, in the drift weights and the
+# data term: at η = 0 an underflowed column mean divides by it, not by zero
+DENOM_FLOOR = 1e-30
+
 
 @dataclass(frozen=True)
 class FunctionalEstimate:
@@ -32,13 +36,12 @@ class FunctionalEstimate:
 
 
 def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
-          alpha: float, eta: float = 0.0, denom_floor: float = 1e-30,
-          k_mean: np.ndarray | None = None) -> FunctionalEstimate:
+          alpha: float, eta: float = 0.0, k_mean: np.ndarray | None = None) -> FunctionalEstimate:
     """Objective estimate for a cloud against an observation sample.
 
     For ``alpha > 0`` the penalty needs a gaussian reference; the KDE is
     fitted on ``cloud`` with the default bandwidth rule.  A zero mean-kernel
-    at η = 0 is clamped at ``denom_floor`` and the estimate is flagged as
+    at η = 0 is clamped at ``DENOM_FLOOR`` and the estimate is flagged as
     floored.  ``k_mean`` may carry the precomputed column means
     (1/N) Σ_i k(X_i, y_j) for these exact inputs.
     """
@@ -47,8 +50,8 @@ def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
     if k_mean is None:
         k_mean = column_means(kernel, x, y)
     mean_k = k_mean + eta
-    floored = bool(np.any(mean_k < denom_floor))
-    data_term = float(-np.mean(np.log(np.maximum(mean_k, denom_floor))))
+    floored = bool(np.any(mean_k < DENOM_FLOOR))
+    data_term = float(-np.mean(np.log(np.maximum(mean_k, DENOM_FLOOR))))
 
     if alpha == 0.0:
         return FunctionalEstimate(data_term, 0.0, floored)

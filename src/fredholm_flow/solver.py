@@ -26,14 +26,12 @@ import numpy as np
 from . import rng as _rng
 from .blocks import column_means, drift_rows
 from .errors import NumericalFailure
-from .functional import FunctionalEstimate, g_hat
+from .functional import DENOM_FLOOR, FunctionalEstimate, g_hat
 from .kernels import KernelModel
 from .reference import ReferenceMeasure
 from .state import ObservationSample, ParticleCloud
 
 RESAMPLE_POLICIES = ("without_replacement", "iid")
-# smallest denominator floor for which the drift weights 1/(m·floor) stay finite
-_MIN_DENOM_FLOOR = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -41,9 +39,12 @@ class SolverConfig:
     """All knobs of one solver run.
 
     ``minibatch=None`` applies the default batch rule m = min(N, M), which
-    ``batch_size`` computes.  The stopping rule is active only when
-    ``stop_tol`` is set: the run stops once the relative decrease of the
-    window-averaged objective estimate falls below ``stop_tol``.
+    ``batch_size`` computes.  Every step draws a fresh batch, with or without
+    replacement as ``resample_policy`` says, which sets the observations it
+    sees.  The stopping rule, the only way to end before ``n_steps``, is
+    active only when ``stop_tol`` is set: the run stops once the relative
+    decrease of the ``stop_window``-averaged objective estimate falls below
+    ``stop_tol``.
     """
 
     alpha: float
@@ -53,11 +54,9 @@ class SolverConfig:
     seed: int = 0
     eta: float = 0.0
     minibatch: int | None = None
-    resample_each_step: bool = True
     resample_policy: str = "without_replacement"
     stop_tol: float | None = None
     stop_window: int = 10
-    denom_floor: float = 1e-30
 
     def __post_init__(self):
         if not 0 <= self.alpha < np.inf:
@@ -78,8 +77,6 @@ class SolverConfig:
             raise ValueError("stop_tol must be positive and finite")
         if self.stop_window < 1:
             raise ValueError("stop_window must be at least 1")
-        if not _MIN_DENOM_FLOOR <= self.denom_floor < np.inf:
-            raise ValueError(f"denom_floor must be finite and at least {_MIN_DENOM_FLOOR}")
 
     def batch_size(self, n_observations: int) -> int:
         """Observations per step: ``minibatch``, or N by default, and at most M."""
@@ -129,10 +126,10 @@ class SolverTrace:
         return self._n
 
 
-def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step):
+def _drift(kernel, points, batch_points, ref, alpha, eta, step):
     """(column means of the k matrix, drift); the monitor reuses the means."""
     def weights(k_mean):
-        return 1.0 / (batch_points.shape[0] * np.maximum(k_mean + eta, denom_floor))
+        return 1.0 / (batch_points.shape[0] * np.maximum(k_mean + eta, DENOM_FLOOR))
     k_mean, rows = drift_rows(kernel, points, batch_points, weights)
     drift = rows - alpha * ref.grad_u(points)
     finite_rows = np.all(np.isfinite(drift), axis=1)
@@ -144,23 +141,19 @@ def _drift(kernel, points, batch_points, ref, alpha, eta, denom_floor, step):
 
 def drift_empirical(cloud: ParticleCloud, batch: ObservationSample,
                     kernel: KernelModel, ref: ReferenceMeasure,
-                    alpha: float, eta: float,
-                    denom_floor: float = 1e-30) -> np.ndarray:
+                    alpha: float, eta: float) -> np.ndarray:
     """Empirical drift matrix, one row per particle.
 
     Row k is (1/m) Σ_j ∇₁k(X_k, y_j) / (λ[k(·, y_j)] + η) − α ∇U(X_k) with
     λ[k(·, y_j)] = (1/N) Σ_l k(X_l, y_j).  The denominator is clamped below at
-    ``denom_floor`` so that η = 0 never divides by zero; taming caps whatever
-    magnitude results.
+    ``functional.DENOM_FLOOR`` so that η = 0 never divides by zero; taming caps
+    whatever magnitude results.
     """
     if batch.dim != kernel.dim_y:
         raise ValueError(f"batch dimension {batch.dim} does not match kernel output {kernel.dim_y}")
     if cloud.dim != kernel.dim_x:
         raise ValueError(f"cloud dimension {cloud.dim} does not match kernel input {kernel.dim_x}")
-    if denom_floor < _MIN_DENOM_FLOOR:
-        raise ValueError(f"denom_floor must be at least {_MIN_DENOM_FLOOR}")
-    return _drift(kernel, cloud.points, batch.points, ref, alpha, eta, denom_floor,
-                  cloud.step_index)[1]
+    return _drift(kernel, cloud.points, batch.points, ref, alpha, eta, cloud.step_index)[1]
 
 
 def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: float,
@@ -193,8 +186,7 @@ def draw_minibatch(full: ObservationSample, m: int, rng: np.random.Generator,
 
 def _monitor_estimate(cloud, batch, kernel, ref, config, k_mean) -> FunctionalEstimate | None:
     try:
-        return g_hat(cloud, batch, kernel, ref, config.alpha, config.eta,
-                     denom_floor=config.denom_floor, k_mean=k_mean)
+        return g_hat(cloud, batch, kernel, ref, config.alpha, config.eta, k_mean=k_mean)
     except ValueError:
         # degenerate bandwidth (e.g. point-mass cloud) or improper reference:
         # the monitor is undefined there, the dynamics are not
@@ -221,11 +213,14 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     ----------
     monitor : callable, optional
         Called as ``monitor(step, cloud, estimate)`` after each state is
-        recorded; the estimate may be None when it is undefined.
+        recorded; the estimate may be None when it is undefined.  It is the
+        only per-step hook: the benchmark's tracer reads its step clock from
+        it, and tests read the cloud of every step through it.
     noise_source : callable, optional
         ``noise_source(step) -> (N, d)`` standard-normal matrix, replacing the
         default keyed stream.  The default depends only on (seed, step), so
-        runs sharing a seed share their noise.
+        runs sharing a seed share their noise.  Tests permute the noise rows
+        through it to check that the dynamics treat particles alike.
 
     Returns
     -------
@@ -253,14 +248,9 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
                               config.resample_policy)
 
     for step in range(config.n_steps):
-        if batch is None or config.resample_each_step:
-            batch = draw(step)
-        try:
-            k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
-                                   config.eta, config.denom_floor, step)
-        except NumericalFailure as failure:
-            raise NumericalFailure("drift evaluation failed", step=step,
-                                   index=failure.index) from failure
+        batch = draw(step)
+        k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
+                               config.eta, step)
         estimate = _monitor_estimate(cloud, batch, kernel, ref, config, k_mean)
         trace.append(cloud.step_index, estimate, np.hypot.reduce(drift, axis=1), cloud.points)
         if monitor is not None:

@@ -2,8 +2,7 @@ import json
 
 import numpy as np
 
-from fredholm_flow import (DensityOnGrid, EvaluationGrid, ObservationSample,
-                           ParticleCloud)
+from fredholm_flow import DensityOnGrid, EvaluationGrid, ParticleCloud
 from fredholm_flow import artifacts
 from fredholm_flow.functional import FunctionalEstimate
 from fredholm_flow.solver import SolverTrace
@@ -49,14 +48,6 @@ def test_metrics_roundtrip(tmp_path):
     path = tmp_path / "metrics.csv"
     artifacts.write_metrics_csv(path, rows)
     assert artifacts.read_metrics_csv(path) == rows
-
-
-def test_observations_roundtrip(tmp_path, rng):
-    sample = ObservationSample(rng.normal(size=(9, 2)))
-    path = tmp_path / "obs.csv"
-    artifacts.write_observations_csv(path, sample)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert np.array_equal(data, sample.points)
 
 
 def test_resolved_config_is_sorted_json(tmp_path):

@@ -168,7 +168,7 @@ def test_blocked_step_is_the_same_bits_for_any_thread_count(rng, monkeypatch):
     for threads in (1, 3):
         with ThreadPoolExecutor(threads) as pool:
             monkeypatch.setattr(blocks, "_pool", pool)
-            got_mean, got = _drift(kernel, xs, ys, ref, 0.3, 0.01, 1e-30, step=0)
+            got_mean, got = _drift(kernel, xs, ys, ref, 0.3, 0.01, step=0)
             assert np.array_equal(got_mean, k_mean)
             assert np.array_equal(got, want)
             assert np.array_equal(GaussianKde(xs).at_particles(), want_kde)
@@ -208,7 +208,7 @@ def test_fused_drift_is_the_two_method_drift(name, rng, monkeypatch):
             monkeypatch.setattr(blocks, "_pool", pool)
             for _ in range(2):   # fresh workspaces, then reused as by run
                 sweeps.clear()
-                got_mean, got = _drift(kernel, xs, ys, ref, 0.3, 0.01, 1e-30, 0)
+                got_mean, got = _drift(kernel, xs, ys, ref, 0.3, 0.01, 0)
                 assert np.array_equal(got_mean, k_mean)
                 assert np.array_equal(got, want)
                 # one sweep per block gives both k and the plane
@@ -227,8 +227,8 @@ def test_concurrent_callers_share_the_pool(rng, monkeypatch):
     radon = RadonAlignmentKernel(sigma=0.2)
 
     def step(points):
-        k_mean, drift = _drift(kernel, points, ys, ref, 0.3, 0.0, 1e-30, step=0)
-        radon_mean, radon_drift = _drift(radon, points, ys, ref, 0.3, 0.0, 1e-30, step=0)
+        k_mean, drift = _drift(kernel, points, ys, ref, 0.3, 0.0, step=0)
+        radon_mean, radon_drift = _drift(radon, points, ys, ref, 0.3, 0.0, step=0)
         return k_mean, drift, radon_mean, radon_drift, GaussianKde(points).at_particles()
 
     monkeypatch.setattr(blocks, "_pool", InlinePool())
@@ -255,7 +255,7 @@ def test_drift_holds_a_few_blocks_per_thread(name, rng, monkeypatch):
         with ThreadPoolExecutor(2) as pool:   # fresh workspaces
             monkeypatch.setattr(blocks, "_pool", pool)
             tracemalloc.start()
-            _drift(kernel, xs, ys, ref, 0.3, 0.0, 1e-30, step=0)
+            _drift(kernel, xs, ys, ref, 0.3, 0.0, step=0)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         # k, the gradient plane and the kernel's temporaries, one block each per
@@ -283,7 +283,7 @@ def test_one_block_runs_inline(rng, monkeypatch):
     assert len(blocks.column_blocks(n, m)) == len(blocks.row_blocks(n, n)) == 1
     kernel, xs, ys, ref = gaussian_step(rng, n, m)
     monkeypatch.setattr(blocks, "_pool", NoPool())
-    k_mean, _ = _drift(kernel, xs, ys, ref, 0.3, 0.0, 1e-30, step=0)
+    k_mean, _ = _drift(kernel, xs, ys, ref, 0.3, 0.0, step=0)
     assert np.array_equal(k_mean, kernel.eval_matrix(xs, ys).mean(axis=0))
     g_hat(xs, ys, kernel, ref, 0.3, k_mean=k_mean)
     GaussianKde(xs).evaluate(ys)

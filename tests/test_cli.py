@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 import fredholm_flow
-from fredholm_flow import artifacts
+from fredholm_flow import artifacts, cli
 from fredholm_flow.cli import main
-from fredholm_flow.problems import preset_gaussian_mixture_1d
+from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
 
 
 def write_config(tmp_path, name, payload):
@@ -380,6 +381,10 @@ def _probe(command, config, key, case):
     _probe("run", dict(SMALL_RUN, solver={"gamma": INF}), "solver.gamma", "gamma-inf"),
     _probe("run", dict(SMALL_RUN, solver={"stop_tol": NAN}), "solver.stop_tol", "stop-tol-nan"),
     _probe("run", dict(SMALL_RUN, solver={"n_particles": 1}), "solver", "one-particle"),
+    _probe("run", dict(SMALL_RUN, solver={"denom_floor": 1e-30}), "solver",
+           "denom-floor-is-no-solver-key"),
+    _probe("run", dict(SMALL_RUN, solver={"resample_each_step": False}), "solver",
+           "resample-each-step-is-no-solver-key"),
     _probe("run", dict(SMALL_RUN, observations=[1]), "observations", "observations-not-object"),
     _probe("run", dict(SMALL_RUN, seed_base=-1), "seed_base", "negative-seed-base"),
     _probe("run", dict(SMALL_RUN, seed_base=2**63 - 1), "seed_base", "seed-base-plus-replicates"),
@@ -454,6 +459,34 @@ def test_invalid_config_exits_2_at_its_key(tmp_path, capsys, monkeypatch, rng, c
     assert re.match(rf"config error: {re.escape(key)}(: | |\[)", capsys.readouterr().err)
 
 
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+
+def _sampler_without_memory(name, **options):
+    return dataclasses.replace(get_preset(name, **options), sample_observations=_no_memory)
+
+
+# a real request of this size may not fail fast under overcommit, so the
+# sampler, the cloud builder or the grid builder raises in its place
+@pytest.mark.parametrize("command, config, target, key", [
+    ("run", {"preset": "toy_gaussian", "observations": {"n_samples": 10**13}},
+     ("get_preset", _sampler_without_memory), "observations.n_samples"),
+    ("run", {"preset": "toy_gaussian", "solver": {"n_particles": 10**13}},
+     ("build_initial_cloud", _no_memory), "solver.n_particles"),
+    ("cv", dict(CV, solver={"n_particles": 10**13, "minibatch": 20, "n_steps": 2}),
+     ("build_initial_cloud", _no_memory), "solver.n_particles"),
+    ("baseline", {"baseline": "oslem", "preset": "gaussian_mixture_1d", "n_bins": 10**13},
+     ("grid_problem_from_continuous", _no_memory), "n_bins"),
+], ids=["observations", "run-cloud", "cv-cloud", "oslem-bins"])
+def test_size_too_large_to_allocate_exits_2_at_its_key(tmp_path, capsys, monkeypatch,
+                                                       command, config, target, key):
+    monkeypatch.setattr(cli, *target)
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: too large to allocate")
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**63)])
 def test_seed_flag_outside_the_key_range_exits_2(tmp_path, capsys, seed):
     cfg = write_config(tmp_path, "c.json", SMALL_RUN)
@@ -482,7 +515,6 @@ def test_bad_observation_file_exits_2(tmp_path, capsys, content):
 
 
 def test_observation_file_is_read_once_per_run(tmp_path, monkeypatch, rng):
-    from fredholm_flow import cli
     np.savetxt(tmp_path / "obs.csv", rng.normal(0.4, 0.1, size=(60, 1)), delimiter=",")
     reads = []
     load = cli.load_observations_csv
@@ -565,7 +597,6 @@ def test_inline_problem_equals_its_preset(tmp_path, rng):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_failed_replicate_leaves_the_finished_ones(tmp_path, monkeypatch, capsys, workers):
-    from fredholm_flow import cli
     from fredholm_flow.errors import NumericalFailure
     solve = cli.run_solver
     # (replicates, the failing one): every other replicate runs to its end and

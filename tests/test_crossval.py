@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fredholm_flow import CvPlan, ObservationSample, cv_score, make_folds
+from fredholm_flow import CvPlan, ObservationSample, crossval, cv_score, make_folds
+from fredholm_flow.functional import g_hat
 from fredholm_flow.problems import preset_toy_gaussian
 
 
@@ -43,6 +44,22 @@ def test_symmetric_folds_give_equal_scores():
     values = [c.value for c in result.cells]
     assert values[0] == values[1]
     assert all(c.status == "ok" for c in result.cells)
+
+
+def test_data_only_score_is_the_data_term(monkeypatch):
+    preset = _desk_preset()
+    obs = preset.sample_observations(240, seed=2)
+    estimates = []
+
+    def recorded(*args, **kwargs):
+        estimates.append(g_hat(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(crossval, "g_hat", recorded)
+    plan = CvPlan(alpha_grid=(0.05,), n_folds=2, seed=0, score="data_only")
+    result = cv_score(plan, preset, obs, preset.solver)
+    assert [c.value for c in result.cells] == [est.data_term for est in estimates]
+    assert all(est.kl_term != 0.0 for est in estimates)
 
 
 def test_single_alpha_grid_selects_it():

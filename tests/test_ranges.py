@@ -27,7 +27,6 @@ def _grid(n_bins=10, lo=0.0, hi=1.0):
     lambda: SolverConfig(**dict(SOLVER, alpha=NAN)),
     lambda: SolverConfig(**dict(SOLVER, gamma=INF)),
     lambda: SolverConfig(**dict(SOLVER, eta=NAN)),
-    lambda: SolverConfig(**dict(SOLVER, denom_floor=INF)),
     lambda: SolverConfig(**dict(SOLVER, stop_tol=NAN)),
     lambda: SolverConfig(**dict(SOLVER, n_particles=1)),
     lambda: CvPlan(alpha_grid=(0.1, NAN)),
@@ -59,7 +58,7 @@ def _grid(n_bins=10, lo=0.0, hi=1.0):
     lambda: BandwidthMatrix([NAN]),
     lambda: EvaluationGrid(((0.0, INF, 5),)),
     lambda: EvaluationGrid(((-1e308, 1e308, 5),)),
-], ids=["alpha-nan", "gamma-inf", "eta-nan", "denom-floor-inf", "stop-tol-nan",
+], ids=["alpha-nan", "gamma-inf", "eta-nan", "stop-tol-nan",
         "one-particle", "cv-alpha-nan", "cv-alpha-inf", "toy-alpha-nan", "toy-sigma-inf",
         "no-bins", "lo-inf", "hi-nan", "empty-span", "negative-iterations",
         "noise-sd-nan", "noise-sd-inf", "noise-sd-bound-overflows",

@@ -52,6 +52,18 @@ def test_single_particle_score_identity(rng):
     assert drift[0, 0] == pytest.approx((y - x) / sigma**2, rel=1e-12)
 
 
+def test_drift_at_zero_eta_where_every_k_underflows_is_the_reference_pull():
+    # k(0, 100) underflows to 0 at σ = 0.01: the floor keeps the weights finite,
+    # and the zero gradients leave only −α∇U
+    kernel = GaussianConvolutionKernel([0.01])
+    ref = ReferenceMeasure.gaussian([0.2], [1.0])
+    cloud = ParticleCloud(np.zeros((4, 1)))
+    batch = ObservationSample(np.full((3, 1), 100.0))
+    drift = drift_empirical(cloud, batch, kernel, ref, alpha=0.3, eta=0.0)
+    assert np.all(np.isfinite(drift))
+    assert np.array_equal(drift, -0.3 * ref.grad_u(cloud.points))
+
+
 def test_drift_matches_triple_loop_oracle(rng):
     kernel = GaussianConvolutionKernel([0.4, 0.8])
     ref = ReferenceMeasure.gaussian([0.1, -0.2], [0.7, 1.3])
@@ -256,13 +268,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.1, gamma=0.1, n_particles=10, n_steps=1,
                      resample_policy="sometimes")
-    # a subnormal floor would overflow the drift weights 1/(m·floor)
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=0.1, gamma=0.1, n_particles=10, n_steps=1, denom_floor=1e-320)
-    with pytest.raises(ValueError):
-        drift_empirical(ParticleCloud([[0.0]]), ObservationSample([[1.0]]),
-                        GaussianConvolutionKernel([0.1]), ReferenceMeasure.flat(1),
-                        alpha=0.0, eta=0.0, denom_floor=1e-320)
 
 
 def test_minibatch_iid_policy(rng):
