@@ -1,27 +1,37 @@
 """Blocks of pairwise work on one process-wide thread pool.
 
-Every O(N·m) pass of a solver step is cut into blocks of about
-``BLOCK_PAIRS`` pairs, and the cut depends on (n, m) only, never on the
-thread count.  ``map_blocks`` runs one task per block and yields the results
-in block order, so a caller that adds them in that order gets the same bits
-for any number of threads.  A single block runs inline, with no pool call.
+Every O(N·m) pass of a solver step is cut by ``row_blocks`` into the
+fewest blocks of at most ``BLOCK_PAIRS`` pairs, cut evenly, or
+``BLOCK_PAIRS // planes`` for a sweep that also writes a kernel's gradient
+plane of ``planes`` arrays shaped like k (d for the Gaussian kernel, 1 for
+the others), so that the plane of a block fits one workspace.  The cut
+depends on the shape and the kernel only, never on the thread count.
+``map_blocks`` runs one task per block and yields the results in block
+order, so a caller that adds them in that order gets the same bits for any
+number of threads.  A single task runs inline, with no pool call.
 
 The KDE at the particles and at arbitrary queries is row-separable: row i
-reads all of the other point set, but particle i alone, so ``row_blocks``
-cuts it into rows.  The drift needs the mean of each column of k over all N
-particles, so ``column_blocks`` cuts it into columns instead: a block holds
-every particle and a slice of the batch.  One task of ``drift_rows`` sweeps
-its block's k and gradient plane, reduces its column sums, weights its own
-means and returns them with its (n, d) share of the drift rows; the calling
-thread adds the shares in block order.  So no (n, m) matrix is ever held,
-and the drift is one sweep with no second pass.  ``column_means`` is the
-same cut without the gradient.
+reads all of the other point set, but query i alone, so ``row_blocks``
+cuts it into rows of queries.  The drift needs the mean over all N
+particles of k(·, y_j) for each observation, so ``drift_rows`` cuts it into
+observation-major blocks: a block holds w observations against every
+particle, stored (w, N).  ``drift_blocks`` gives the cut: one task per
+``BLOCK_PAIRS`` pairs of observations, like the KDE's, and within a task
+the blocks whose plane fits a workspace.  A task sweeps each of its blocks'
+k and gradient plane, reduces each observation's mean along one contiguous
+row, weights the block's own means and adds the block's (N, d) share of
+the drift rows to its own in block order; the calling thread adds the
+tasks' shares in task order.  So no (N, m) matrix is ever held, the drift
+is one sweep with no second pass, and the calling thread adds one (N, d)
+share per ``BLOCK_PAIRS`` pairs whatever d is.  ``column_means`` is the
+same sweep without the gradient; a mean reads one whole row, so it is the
+same bits for any cut.
 
 ``scratch`` gives each thread reusable block-sized workspaces: a block costs
 the same whatever the allocator's state (a fresh 2 MB array sits at glibc's
 dynamic mmap threshold and may be mapped and unmapped on every call).  One
 step holds, per thread, the k block (the KDE's workspace), the gradient
-plane of a kernel whose plane is not k, and the kernel's temporaries.
+plane and the kernel's temporaries.
 
 The pool has one thread per core this process may run on.  It is shared by
 every caller, the ``--workers`` threads of ``map_jobs`` (replicates, cv
@@ -30,6 +40,7 @@ to the pool, so no task waits on another.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -38,8 +49,8 @@ import numpy as np
 
 # pairs per block: 2 MB of float64.  A step keeps three or four such
 # workspaces per thread (k, the plane, the kernel's temporaries), so a
-# block's working set is beyond a 2 MB L2; row tiles of 2**15 pairs inside
-# each block were the same bits but slower end to end (ROADMAP, "Tried")
+# block's working set is beyond a 2 MB L2; blocks of 2**15 pairs or fewer
+# were the same bits but slower end to end (ROADMAP, "Tried")
 BLOCK_PAIRS = 2**18
 
 _pool = None
@@ -47,21 +58,21 @@ _pool_lock = threading.Lock()
 _local = threading.local()
 
 
-def row_blocks(n: int, m: int) -> list[slice]:
-    """Row slices of an (n, m) pairwise pass, each at most ``BLOCK_PAIRS`` pairs."""
-    rows = max(1, BLOCK_PAIRS // m)
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+def row_blocks(n: int, m: int, planes: int = 1) -> list[slice]:
+    """Row slices of an (n, m) pairwise pass: the fewest blocks of at most
+    ``BLOCK_PAIRS // planes`` pairs (at least one row), cut evenly, so their
+    row counts differ by one at most."""
+    count = -(-n // max(1, BLOCK_PAIRS // (planes * m)))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
-def column_blocks(n: int, m: int) -> list[slice]:
-    """Column slices of an (n, m) pairwise pass, as even as can be, each at most
-    ``BLOCK_PAIRS`` pairs (at least three columns wide).
-
-    With blocks of three columns or more, an even cut of m ≥ 2 columns leaves
-    no block one column wide: numpy sums a lone column pairwise, and the
-    other blocks' columns row after row, as ``k.sum(axis=0)`` does."""
-    count = -(-m // max(3, BLOCK_PAIRS // n))
-    return [slice(m * j // count, m * (j + 1) // count) for j in range(count)]
+def drift_blocks(m: int, n: int, planes: int = 1) -> list[list[slice]]:
+    """The drift's cut of m observations against n particles: one task per
+    ``row_blocks(m, n)`` block, each cut by ``row_blocks`` again into
+    observation blocks whose ``planes`` gradient planes fit one workspace."""
+    return [[slice(task.start + c.start, task.start + c.stop)
+             for c in row_blocks(task.stop - task.start, n, planes)]
+            for task in row_blocks(m, n)]
 
 
 def _cores() -> int:
@@ -119,53 +130,71 @@ def map_jobs(fn, jobs, workers: int) -> list:
     return [result for result, _ in outcomes]
 
 
-def scratch(key: str, n: int, m: int) -> np.ndarray:
-    """This thread's reusable (n, m) float workspace ``key``, contents undefined.
+def scratch(key: str, *shape: int) -> np.ndarray:
+    """This thread's reusable float workspace ``key`` of ``shape``, contents undefined.
 
     Workspaces of more than ``BLOCK_PAIRS`` entries are not kept."""
-    if n * m > BLOCK_PAIRS:
-        return np.empty((n, m))
+    size = math.prod(shape)
+    if size > BLOCK_PAIRS:
+        return np.empty(shape)
     buf = getattr(_local, key, None)
-    if buf is None or buf.size < n * m:
+    if buf is None or buf.size < size:
         buf = np.empty(BLOCK_PAIRS)
         setattr(_local, key, buf)
-    return buf[:n * m].reshape(n, m)
+    return buf[:size].reshape(shape)
+
+
+def by_observation(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views (1, n, d) and (m, 1, p) of particles xs (n, d) and observations
+    ys (m, p) that make a kernel's sweep observation-major, (m, n); slicing
+    the second slices the observations.  The particles are copied once,
+    coordinate by coordinate, so each coordinate is one contiguous row."""
+    return np.asfortranarray(xs)[None], np.asarray(ys)[:, None]
 
 
 def column_means(kernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Column means of k = kernel.eval_matrix(xs, ys), bit for bit
-    ``k.mean(axis=0)``, from the column blocks of ``column_blocks``."""
+    """The means (1/n) Σ_i k(x_i, y_j) over the particles xs (n, d), one per
+    observation of ys (m, p), as ``drift_rows`` gives them."""
+    return drift_rows(kernel, xs, ys)[0]
+
+
+def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights=None):
+    """``(means, rows)``: the means (1/n) Σ_i k(x_i, y_j) over the particles, one
+    per observation, and the (n, d) rows Σ_j w_j ∇₁k(x_i, y_j) for
+    ``w = weights(means)``, or None without ``weights``.
+
+    Each block of observations is one observation-major ``eval_matrix``
+    sweep, (w, n), which gives its k and, with ``weights``, the kernel's
+    gradient plane.  A mean is ``np.add.reduce`` of one contiguous row of k,
+    bit for bit ``k.mean(axis=1)`` of the whole (m, n) sweep, and
+    ``kernel.weighted_grad1`` turns the plane and the weights of the block's
+    own means into its rows.  ``weights`` is called once per block, so it
+    must be elementwise.  The rows are the sum, in task order, of each
+    ``drift_blocks`` task's rows, its blocks' rows added in block order."""
     n = xs.shape[0]
-
-    def block(c):
-        k = kernel.eval_matrix(xs, ys[c], out=scratch("k", n, c.stop - c.start))
-        return np.add.reduce(k, axis=0) / n
-
-    return np.concatenate(list(map_blocks(block, column_blocks(n, ys.shape[0]))))
-
-
-def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """``(means, rows)``: the column means of k = kernel.eval_matrix(xs, ys), as
-    ``column_means`` gives them, and the (n, d) rows Σ_j w_j ∇₁k(x_i, y_j) for
-    ``w = weights(means)``.
-
-    Each column block is one ``eval_matrix`` sweep, which gives k and the
-    kernel's gradient plane, and hands the plane (k itself when
-    ``plane_is_k``) to ``kernel.weighted_grad1`` with the weights of its own
-    means.  ``weights`` is called once per block, so it must be elementwise.
-    The rows are the blocks' rows added in block order."""
-    n = xs.shape[0]
+    planes = 1 if weights is None else kernel.planes
+    xv, yv = by_observation(xs, ys)
 
     def block(c):
         width = c.stop - c.start
-        plane = None if kernel.plane_is_k else scratch("plane", n, width)
-        k = kernel.eval_matrix(xs, ys[c], out=scratch("k", n, width), plane=plane)
-        means = np.add.reduce(k, axis=0) / n
-        return means, kernel.weighted_grad1(xs, ys[c], k if plane is None else plane,
-                                            weights(means))
+        plane = None if weights is None else scratch("plane", planes, width, n)
+        k = kernel.eval_matrix(xv, yv[c], scratch("k", width, n), plane)
+        means = np.add.reduce(k, axis=1) / n
+        if plane is None:
+            return means, None
+        return means, kernel.weighted_grad1(xv, yv[c], k, plane, weights(means))
 
+    def task(cut):
+        return _add_in_order(block(c) for c in cut)
+
+    return _add_in_order(map_blocks(task, drift_blocks(ys.shape[0], n, planes)))
+
+
+def _add_in_order(parts):
+    """The concatenated means and the in-order sum of the rows of (means, rows) parts."""
     means, rows = [], None
-    for block_means, block_rows in map_blocks(block, column_blocks(n, ys.shape[0])):
-        means.append(block_means)
-        rows = block_rows if rows is None else np.add(rows, block_rows, out=rows)
+    for part_means, part_rows in parts:
+        means.append(part_means)
+        if part_rows is not None:
+            rows = part_rows if rows is None else np.add(rows, part_rows, out=rows)
     return np.concatenate(means), rows

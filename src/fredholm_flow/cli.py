@@ -121,19 +121,35 @@ def _section(cfg, path: str, keys) -> dict:
 
 @contextlib.contextmanager
 def _at(path: str):
-    """Report a library range error or missing argument as a config error at ``path``."""
+    """Report a library range error or missing argument as a config error at
+    ``path``; a config error raised inside keeps its own key."""
     try:
         yield
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err), path=path) from err
 
 
+# numpy's messages for a shape beyond its int64 index range, raised before it
+# allocates; np.arange(2**63) is empty instead, so such sizes never reach it
+_NUMPY_TOO_LARGE = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded",
+                    "array is too big")
+
+
 @contextlib.contextmanager
-def _allocated(path: str):
-    """Report a size too large to allocate as a config error at ``path``."""
+def _allocated(path: str, size: int):
+    """Report ``size``, or an array built from it, as too large to allocate at ``path``."""
+    if size >= 1 << 63:
+        raise ConfigError(f"too large to allocate: {size} is beyond the index range",
+                          path=path)
     try:
         yield
     except MemoryError as err:
+        raise ConfigError(f"too large to allocate: {err}", path=path) from err
+    except ValueError as err:
+        if isinstance(err, ConfigError) or not str(err).startswith(_NUMPY_TOO_LARGE):
+            raise
         raise ConfigError(f"too large to allocate: {err}", path=path) from err
 
 
@@ -201,7 +217,7 @@ def _observations(cfg: dict, preset, solver=None):
 
         def draw(replicate_seed):
             seed = _rng.derive_seed(replicate_seed, 11) if fixed is None else fixed
-            with _allocated("observations.n_samples"):
+            with _allocated("observations.n_samples", n):
                 return preset.sample_observations(n, seed), seed
     if solver is not None and solver.minibatch is not None and solver.minibatch > n \
             and solver.resample_policy == "without_replacement":
@@ -279,7 +295,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
             raise ConfigError("a flat reference cannot carry a positive penalty weight",
                               path="solver.alpha")
         config = dataclasses.replace(solver, seed=seed)
-        with _allocated("solver.n_particles"), _at_init(init):
+        with _at_init(init), _allocated("solver.n_particles", config.n_particles):
             start = build_initial_cloud(preset, config, observations, ref, **init)
         cloud, trace = run_solver(config, preset.kernel, ref, start, observations)
         write_kde = cfg.get("kde_grid", True) and preset.metric_grid is not None and cloud.dim <= 2
@@ -319,7 +335,8 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     if plan.n_folds > observations.n_observations:
         raise ConfigError(f"{plan.n_folds} folds need at least as many observations, "
                           f"got {observations.n_observations}", path="cv.folds")
-    with _allocated("solver.n_particles"), _at_init(init):   # as every cell builds it
+    # as every cell builds it
+    with _at_init(init), _allocated("solver.n_particles", solver.n_particles):
         build_initial_cloud(preset, solver, observations, preset.make_reference(observations),
                             **init)
     folds = make_folds(observations.n_observations, plan.n_folds, plan.seed)
@@ -356,10 +373,11 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
     alpha = cfg.get("alpha", preset.solver.alpha)
     observations, _ = _observations(cfg, preset)(
         seed_override if seed_override is not None else 0)
-    with _allocated("n_bins"), _at(""):   # the range messages name the key
+    n_bins = cfg.get("n_bins", 100)
+    with _at(""), _allocated("n_bins", n_bins):   # the range messages name the key
         problem = grid_problem_from_continuous(
             preset.kernel, preset.observed_pdf, preset.make_reference(observations),
-            cfg.get("n_bins", 100), cfg.get("lo", 0.0), cfg.get("hi", 1.0))
+            n_bins, cfg.get("lo", 0.0), cfg.get("hi", 1.0))
     with _at("iterations"):
         state = oslem_solve(problem, alpha, cfg.get("iterations", 500))
     artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)

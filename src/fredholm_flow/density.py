@@ -2,9 +2,11 @@
 
 Diagonal bandwidths only; the rule of thumb is Silverman's.  The KDE with
 bandwidth H is the particle mean of the Gaussian convolution kernel with
-variances diag(H), so all evaluation goes through its ``eval_matrix``, and no
-pairwise block holds more than ``BLOCK_PAIRS`` entries.  Each evaluation uses
-its structure:
+variances diag(H), so all evaluation goes through its ``eval_matrix``,
+particle-major with the queries as rows, and no pairwise block holds more
+than ``BLOCK_PAIRS`` entries.  It asks for no gradient plane, so the kernel
+forms one coordinate difference at a time and a block needs no d-plane
+workspace.  Each evaluation uses its structure:
 
 - ``evaluate(xs)``: arbitrary queries, in row blocks on the shared pool of
   ``blocks``;

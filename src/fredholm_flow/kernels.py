@@ -1,47 +1,61 @@
 """Markov-kernel densities k(x, y) and their x-gradients.
 
-A kernel implements two batched methods, both on all particles against all
-batch observations at once:
+A kernel implements two batched methods over every pair of particles and
+observations:
 
-- ``eval_matrix(xs, ys, out=None, plane=None)``: the (n, m) matrix k(x_i, y_j),
+- ``eval_matrix(xs, ys, out=None, plane=None)``: k(x, y) for each pair,
   written into ``out`` when one is given; when ``plane`` is given, the same
-  sweep also writes the kernel's (n, m) gradient plane G into it;
-- ``weighted_grad1(xs, ys, plane, w)``: the (n, d) rows Σ_j w_j ∇₁k(x_i, y_j)
-  from that plane and weights ``w`` of shape (m,).
+  sweep also writes the kernel's gradient plane into it, a stack of
+  ``planes`` arrays shaped like k;
+- ``weighted_grad1(xs, ys, k, plane, w)``: the (n, d) rows
+  Σ_j w_j ∇₁k(x_i, y_j) from the k and plane of an observation-major sweep
+  and weights ``w`` of shape (m,).
 
-The drift needs only that weighted sum, so no (n, m, d) gradient tensor is
-ever formed.  The delay kernel's plane is G = ∂ₓk and the Radon kernel's is
-G = k·u for the scaled residual u = (x₁cosφ + x₂sinφ − ξ)/σ, so k and G come
-from one sweep; their gradients are ∇₁k(x_i, y_j) = G_ij · v_j with per-column
-directions v (m, d), v = 1 and v = −(cosφ, sinφ)/σ, and ``weighted_grad1`` is
-``plane_rows(plane, w, v)``.  The Gaussian kernel's gradient redoes no exp:
-its plane is k itself, which it says with ``plane_is_k = True``, so its
-``eval_matrix`` ignores ``plane`` and its ``weighted_grad1`` reads k.
+The caller sets the orientation of the pairs by the arrays it passes, and
+each kernel has one sweep body for both: it forms every pair by
+broadcasting a coordinate of ``ys`` against the same coordinate of ``xs``.
+Particles xs (n, d) and observations ys (m, p) pair particle-major, as the
+(n, m) matrix k(x_i, y_j); the views ``blocks.by_observation(xs, ys)``,
+(1, n, d) and (m, 1, p), pair observation-major, as (m, n), row j holding
+observation j against every particle, and each particle coordinate is one
+contiguous row.  The drift sweeps observation-major blocks (see
+``blocks``); the KDE sweeps its queries as rows.
 
-Every constant of a sweep is fixed at construction, so no (n, m) pass
+The drift needs only the weighted sum, so no (n, m, d) gradient tensor is
+ever formed from k.  The Gaussian kernel's plane is its d coordinate
+differences D_i = y_i − x_i, formed once per sweep and read by both the
+exponent and the gradient, ∇₁k = k·(D_i/σᵢ²)_i, so it redoes no exp and no
+difference.  The delay kernel's plane is G = ∂ₓk and the Radon kernel's is
+G = k·u for the scaled residual u = (x₁cosφ + x₂sinφ − ξ)/σ, one plane
+each; their gradients are ∇₁k(x_i, y_j) = G_ji · v_j with per-observation
+directions v (m, d), v = 1 and v = −(cosφ, sinφ)/σ, and ``weighted_grad1``
+is ``plane_rows(plane[0], w, v)``.
+
+Every constant of a sweep is fixed at construction, so no pairwise pass
 divides and none applies a constant in a second pass: the Gaussian kernel
 multiplies each axis's squared difference by −1/(2σᵢ²); the delay kernel
 does the same per component with −1/(2s_c²), then w_c/(s_c√2π) and 1/s_c²,
 and its first component writes ``out`` and ``plane`` directly, with no zero
-fill; the Radon kernel scales each column's cosφ, sinφ and ξ by 1/σ (O(m)
-per call) and multiplies by 1/Z.  Differences are formed before any scaling,
-y − x first: coordinates scaled first would cancel far from the origin.  A
-constructor rejects a width whose folded reciprocal overflows, so no 0·inf
-reaches a sweep at the mode.
+fill; the Radon kernel scales each observation's cosφ, sinφ and ξ by 1/σ
+(O(m) per call) and multiplies by 1/Z.  Differences are formed before any
+scaling, y − x first: coordinates scaled first would cancel far from the
+origin.  A constructor rejects a width whose folded reciprocal overflows,
+so no 0·inf reaches a sweep at the mode.
 
-Row i of every result is computed from particle i alone, with elementwise
-ufuncs and row sums (no BLAS call), so it is the same bits whichever rows
-are evaluated with it: the KDE runs the methods in row blocks on several
-threads (see ``blocks``).  Likewise, column j of k and of the plane is
-computed from observation j alone, so it is the same bits whichever columns
-are evaluated with it: the drift runs ``eval_matrix`` in column blocks, and
-``weighted_grad1`` once per block.  Temporaries go to the calling thread's
-reusable ``blocks.scratch`` workspaces "a" to "c", so neither ``out`` nor
-``plane`` may be one of those.  Pointwise ``eval`` and ``grad1`` are derived
-from the two (one pair, unit weight).  Every kernel is immutable after
-construction, and every constructor rejects a parameter that is not finite,
-or whose normaliser or ``bound_M`` is not, with a ValueError.  ``bound_M`` is
-an analytic uniform bound on both k and ``‖∇₁k‖`` (second derivatives are
+Each pair's k and plane entries are computed from that pair alone, with
+elementwise ufuncs (no BLAS call), so they are the same bits in either
+orientation and whichever other pairs are evaluated with them: the KDE
+runs ``eval_matrix`` in row blocks, the drift in blocks of observations.
+``weighted_grad1`` adds each particle's terms over the observations in
+order, so its rows are the same bits whichever other particles (at least
+one) come with them; the drift passes all of them to every block.
+Temporaries go to the calling thread's reusable ``blocks.scratch``
+workspaces "a" to "c", so neither ``out`` nor ``plane`` may be one of
+those.  Pointwise ``eval`` and ``grad1`` are derived from the two (one
+pair, unit weight).  Every kernel is immutable after construction, and
+every constructor rejects a parameter that is not finite, or whose
+normaliser or ``bound_M`` is not, with a ValueError.  ``bound_M`` is an
+analytic uniform bound on both k and ``‖∇₁k‖`` (second derivatives are
 bounded too but nothing downstream consumes them).
 """
 from __future__ import annotations
@@ -50,7 +64,7 @@ import abc
 
 import numpy as np
 
-from .blocks import scratch
+from .blocks import by_observation, scratch
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # nodes of the Radon normalizing quadrature past which xi_max / sigma is rejected
@@ -58,11 +72,25 @@ _MAX_QUADRATURE_NODES = 2**20
 
 
 def _as_points(arr, dim: int, name: str) -> np.ndarray:
-    """Coerce to an (n, dim) float array, accepting a single point."""
-    out = np.atleast_2d(np.asarray(arr, dtype=float))
-    if out.shape[1] != dim:
-        raise ValueError(f"{name} has dimension {out.shape[1]}, expected {dim}")
+    """Coerce to a float array of points along its last axis, accepting a single
+    point as (1, dim)."""
+    out = np.asarray(arr, dtype=float)
+    out = np.atleast_2d(out) if out.ndim < 2 else out
+    if out.shape[-1] != dim:
+        raise ValueError(f"{name} has dimension {out.shape[-1]}, expected {dim}")
     return out
+
+
+def _pairs(kernel, xs, ys):
+    """Coordinate views X (d, ...) and Y (p, ...) of xs and ys, and the shape of
+    their pairs, to which X[i] and Y[i] broadcast; 2-D xs and ys pair
+    particle-major."""
+    xs = _as_points(xs, kernel.dim_x, "x")
+    ys = _as_points(ys, kernel.dim_y, "y")
+    if xs.ndim == ys.ndim == 2:
+        xs, ys = xs[:, None], ys[None]
+    X, Y = np.moveaxis(xs, -1, 0), np.moveaxis(ys, -1, 0)
+    return X, Y, np.broadcast_shapes(X.shape[1:], Y.shape[1:])
 
 
 def _finite(value, name: str, positive: bool = False) -> np.ndarray:
@@ -77,10 +105,14 @@ def _finite(value, name: str, positive: bool = False) -> np.ndarray:
 
 
 def plane_rows(plane: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The (n, d) rows Σ_j w_j G_ij v_j of a gradient plane G (n, m) with
-    per-column directions v (m, d): one no-BLAS row reduction per coordinate,
-    so row i depends on G's row i alone."""
-    return np.column_stack([np.einsum("ij,j->i", plane, w * v[:, i])
+    """The (n, d) rows Σ_j w_j G_ji v_j of an observation-major gradient plane
+    G (m, n) with per-observation directions v (m, d): one no-BLAS reduction
+    over the observations per coordinate, in order, so row i depends on G's
+    column i alone."""
+    if plane.shape[1] == 1:
+        # einsum would add a lone particle's terms pairwise, not in order
+        return np.add.accumulate(plane * (w[:, None] * v), axis=0)[-1:]
+    return np.column_stack([np.einsum("ji,j->i", plane, w * v[:, i])
                             for i in range(v.shape[1])])
 
 
@@ -90,19 +122,20 @@ class KernelModel(abc.ABC):
     dim_x: int
     dim_y: int
     bound_M: float
-    plane_is_k = False   # True when the gradient plane is k itself
+    planes = 1   # arrays shaped like k in the gradient plane
 
     @abc.abstractmethod
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None,
                     plane: np.ndarray | None = None) -> np.ndarray:
-        """k(x_i, y_j) for xs (n, d) and ys (m, p); returns (n, m), ``out`` if given,
-        and writes the (n, m) gradient plane into ``plane`` if given."""
+        """k(x, y) over the pairs of xs (…, d) and ys (…, p), (n, m) for 2-D xs and
+        ys; returns ``out`` if given, and writes the (planes, …) gradient plane
+        into ``plane`` if given."""
 
     @abc.abstractmethod
-    def weighted_grad1(self, xs: np.ndarray, ys: np.ndarray, plane: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
-        """Σ_j w_j ∇₁k(x_i, y_j) for the gradient plane of eval_matrix(xs, ys) and
-        w (m,); returns (n, d)."""
+    def weighted_grad1(self, xs: np.ndarray, ys: np.ndarray, k: np.ndarray,
+                       plane: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Σ_j w_j ∇₁k(x_i, y_j) for the (m, n) k and gradient plane of
+        eval_matrix(*by_observation(xs, ys)) and w (m,); returns (n, d)."""
 
     def eval(self, x, y) -> float:
         xs = _as_points(x, self.dim_x, "x")
@@ -110,22 +143,19 @@ class KernelModel(abc.ABC):
         return float(self.eval_matrix(xs, ys)[0, 0])
 
     def grad1(self, x, y) -> np.ndarray:
-        xs = _as_points(x, self.dim_x, "x")
-        ys = _as_points(y, self.dim_y, "y")
-        plane = np.empty((1, 1))
+        xs, ys = by_observation(_as_points(x, self.dim_x, "x"), _as_points(y, self.dim_y, "y"))
+        plane = np.empty((self.planes, 1, 1))
         k = self.eval_matrix(xs, ys, plane=plane)
-        return self.weighted_grad1(xs, ys, k if self.plane_is_k else plane, np.ones(1))[0]
+        return self.weighted_grad1(xs, ys, k, plane, np.ones(1))[0]
 
 
 class GaussianConvolutionKernel(KernelModel):
     """k(x, y) = ∏_i N(y_i; x_i, σ_i²), the additive-noise deconvolution kernel."""
 
-    plane_is_k = True
-
     def __init__(self, noise_sd):
         sd = _finite(noise_sd, "noise_sd", positive=True)
         self.noise_sd = sd
-        self.dim_x = self.dim_y = sd.size
+        self.dim_x = self.dim_y = self.planes = sd.size
         with np.errstate(all="ignore"):
             self._var = sd**2
             self._exponent_scale = -0.5 / self._var   # −1/(2σᵢ²)
@@ -136,31 +166,45 @@ class GaussianConvolutionKernel(KernelModel):
                 "noise_sd's normaliser, bound_M, variances and their reciprocals", positive=True)
 
     def eval_matrix(self, xs, ys, out=None, plane=None):
-        xs = _as_points(xs, self.dim_x, "x")
-        ys = _as_points(ys, self.dim_y, "y")
-        sq = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
+        """k into ``out`` and, when ``plane`` is given, the differences
+        D_i = y_i − x_i into its d planes, formed as one broadcast copy of y
+        less x (the same bits as one broadcast subtract, and cheaper); the
+        exponent Σ_i D_i²·(−1/(2σᵢ²)) is then one einsum over the planes, the
+        same bits as squaring, scaling and adding them in order.  Without a
+        plane, k is formed one difference at a time in one workspace, so a
+        KDE block needs no d-plane workspace (and at d = 1 the einsum would be
+        slower than a square and a scale)."""
+        X, Y, shape = _pairs(self, xs, ys)
+        sq = np.empty(shape) if out is None else out
         with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
-            for i in range(self.dim_x):
-                term = sq if i == 0 else scratch("a", *sq.shape)
-                np.subtract(ys[:, i], xs[:, i, None], out=term)
-                np.square(term, out=term)
-                term *= self._exponent_scale[i]
-                if i:
-                    sq += term
+            if plane is None:
+                for i in range(self.dim_x):
+                    diff = sq if i == 0 else scratch("a", *shape)
+                    np.copyto(diff, Y[i])
+                    diff -= X[i]
+                    np.square(diff, out=diff)
+                    diff *= self._exponent_scale[i]
+                    if i:
+                        sq += diff
+            else:
+                np.copyto(plane, Y)
+                plane -= X
+                np.einsum("aji,aji,a->ji", plane, plane, self._exponent_scale, out=sq)
         np.exp(sq, out=sq)
         sq *= self._norm
         return sq
 
-    def weighted_grad1(self, xs, ys, plane, w):
-        # per-coordinate differences, not (k∘w)@Y − x∘rowsum, which cancels
+    def weighted_grad1(self, xs, ys, k, plane, w):
+        # per-coordinate differences, not Yᵀ(k∘w) − x∘colsum, which cancels
         # when the cloud sits far from the origin
-        kw = np.multiply(plane, w, out=scratch("b", *plane.shape))
-        term = scratch("a", *plane.shape)
-        out = np.empty((xs.shape[0], self.dim_x))
-        for i in range(self.dim_x):
-            np.subtract(ys[:, i], xs[:, i, None], out=term)
-            out[:, i] = np.einsum("ij,ij->i", term, kw) / self._var[i]
-        return out
+        kw = np.multiply(k, w[:, None], out=scratch("a", *k.shape))
+        if k.shape[1] == 1:
+            # einsum would add a lone particle's terms pairwise, not in order
+            sums = np.add.accumulate(plane[:, :, 0] * kw[:, 0], axis=1)[:, -1:].T
+        else:
+            sums = np.einsum("aji,ji->ia", plane, kw)
+        sums /= self._var
+        return sums
 
 
 class GaussianMixtureDelayKernel(KernelModel):
@@ -190,21 +234,22 @@ class GaussianMixtureDelayKernel(KernelModel):
 
     def eval_matrix(self, xs, ys, out=None, plane=None):
         """Σ_c w_c N(y − x; m_c, s_c²) into ``out`` and, when ``plane`` is given, its
-        x-derivative Σ_c w_c N(y − x; m_c, s_c²)(y − x − m_c)/s_c² into ``plane``,
-        both (n, m), in one pass over the components.  The first component
-        writes ``out`` and ``plane`` directly, and each later one is added in.
-        y − x is formed anew for each component, the same bits each time, so a
-        block needs two workspaces, not three."""
-        xs = _as_points(xs, 1, "x")
-        ys = _as_points(ys, 1, "y")
-        shape = (xs.shape[0], ys.shape[0])
+        x-derivative Σ_c w_c N(y − x; m_c, s_c²)(y − x − m_c)/s_c² into its one
+        plane, in one pass over the components.  The first component writes
+        ``out`` and the plane directly, and each later one is added in.  y − x
+        is formed anew for each component, the same bits each time, so a block
+        needs two workspaces, not three; like the Gaussian kernel's, it is a
+        broadcast copy of y less x."""
+        X, Y, shape = _pairs(self, xs, ys)
         out = np.empty(shape) if out is None else out
+        grad = None if plane is None else plane[0]
         components = zip(self.means, self._exponent_scale, self._peak, self._precision)
         for c, (m, scale, peak, precision) in enumerate(components):
             dens = out if c == 0 else scratch("b", *shape)
             # k alone needs no z
-            z = dens if plane is None else plane if c == 0 else scratch("c", *shape)
-            np.subtract(ys[:, 0], xs[:, 0, None], out=z)
+            z = dens if grad is None else grad if c == 0 else scratch("c", *shape)
+            np.copyto(z, Y[0])
+            z -= X[0]
             z -= m
             with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
                 np.square(z, out=dens)
@@ -213,15 +258,15 @@ class GaussianMixtureDelayKernel(KernelModel):
             dens *= peak
             if c:
                 out += dens
-            if plane is not None:
+            if grad is not None:
                 z *= dens
                 z *= precision
                 if c:
-                    plane += z
+                    grad += z
         return out
 
-    def weighted_grad1(self, xs, ys, plane, w):
-        return plane_rows(plane, w, np.ones((plane.shape[1], 1)))
+    def weighted_grad1(self, xs, ys, k, plane, w):
+        return plane_rows(plane[0], w, np.ones((w.size, 1)))
 
 
 class RadonAlignmentKernel(KernelModel):
@@ -262,29 +307,34 @@ class RadonAlignmentKernel(KernelModel):
         return float(2.0 * np.pi * inner)
 
     def eval_matrix(self, xs, ys, out=None, plane=None):
-        """k into ``out`` and, when ``plane`` is given, G = k·u into ``plane``, for
-        the scaled residual u = x₁(cosφ/σ) + x₂(sinφ/σ) − ξ/σ formed once from
-        columns scaled by 1/σ."""
-        xs = _as_points(xs, 2, "x")
-        ys = _as_points(ys, 2, "y")
-        out = np.empty((xs.shape[0], ys.shape[0])) if out is None else out
-        u = out if plane is None else plane
-        cos, sin = self._direction(ys)
+        """k into ``out`` and, when ``plane`` is given, G = k·u into its one plane,
+        for the scaled residual u = x₁(cosφ/σ) + x₂(sinφ/σ) − ξ/σ formed once
+        from observations scaled by 1/σ."""
+        X, Y, shape = _pairs(self, xs, ys)
+        out = np.empty(shape) if out is None else out
+        u = out if plane is None else plane[0]
+        cos, sin = self._direction(Y[0])
         with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
-            np.multiply(xs[:, 0, None], cos, out=u)
-            u += np.multiply(xs[:, 1, None], sin, out=scratch("b", *u.shape))
-            u -= ys[:, 1] * self._inv_sigma
+            # broadcast copies scaled in place: the same bits as broadcast products
+            np.copyto(u, cos)
+            u *= X[0]
+            term = scratch("b", *shape)
+            np.copyto(term, sin)
+            term *= X[1]
+            u += term
+            u -= Y[1] * self._inv_sigma
             np.square(u, out=out)
         out *= -0.5
         np.exp(out, out=out)
         out *= self._inv_norm
         if plane is not None:
-            plane *= out
+            u *= out
         return out
 
-    def _direction(self, ys):
-        """cosφ/σ and sinφ/σ, each (m,)."""
-        return np.cos(ys[:, 0]) * self._inv_sigma, np.sin(ys[:, 0]) * self._inv_sigma
+    def _direction(self, phi):
+        """cosφ/σ and sinφ/σ, each shaped like φ."""
+        return np.cos(phi) * self._inv_sigma, np.sin(phi) * self._inv_sigma
 
-    def weighted_grad1(self, xs, ys, plane, w):
-        return plane_rows(plane, w, -np.column_stack(self._direction(ys)))
+    def weighted_grad1(self, xs, ys, k, plane, w):
+        phi = np.asarray(ys)[..., 0].ravel()
+        return plane_rows(plane[0], w, -np.column_stack(self._direction(phi)))

@@ -8,14 +8,16 @@ The deterministic part of every step is tamed, γb/(1 + γ‖b‖), so its lengt
 never exceeds min(1, γ‖b‖) regardless of how large the drift gets when the
 denominator is small.
 
-The drift runs in fixed column blocks on the shared pool of ``blocks``
-(``blocks.drift_rows``).  A block holds all N particles and a slice of the
-batch, so one ``eval_matrix`` sweep gives its k, its column means and its
-gradient plane, and the weights of those means give its share of the drift
-rows; the calling thread adds the shares in block order.  The monitor reads
-only the column means.  Every result is the same bits for any thread count
-and any ``--workers``, and a step holds no N×m matrix, only a few block
-workspaces per thread.
+The drift runs in fixed observation-major blocks on the shared pool of
+``blocks`` (``blocks.drift_rows``).  A block holds a slice of the batch
+against all N particles, stored (w, N), so one ``eval_matrix`` sweep gives
+its k, the mean of each observation's contiguous row and its gradient
+plane (for the Gaussian kernel, its d planes of coordinate differences),
+and the weights of those means give its share of the drift rows; the
+calling thread adds the shares in block order.  The monitor reads only the
+means.  Every result is the same bits for any thread count and any
+``--workers``, and a step holds no N×m matrix, only a few block workspaces
+per thread.
 """
 from __future__ import annotations
 
@@ -127,7 +129,8 @@ class SolverTrace:
 
 
 def _drift(kernel, points, batch_points, ref, alpha, eta, step):
-    """(column means of the k matrix, drift); the monitor reuses the means."""
+    """(means of k over the particles, one per observation, drift); the monitor
+    reuses the means."""
     def weights(k_mean):
         return 1.0 / (batch_points.shape[0] * np.maximum(k_mean + eta, DENOM_FLOOR))
     k_mean, rows = drift_rows(kernel, points, batch_points, weights)

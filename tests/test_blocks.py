@@ -44,28 +44,43 @@ def kernel_batch(name, rng, n, m, d=3):
     if name == "delay":
         kernel = GaussianMixtureDelayKernel((0.595, 0.405), (8.63, 15.24), (2.56, 5.39))
         return kernel, rng.normal(0.0, 3.0, (n, 1)), rng.normal(11.0, 5.0, (m, 1))
-    kernel = GaussianConvolutionKernel([0.3, 0.5, 0.8][:d])
+    kernel = GaussianConvolutionKernel(np.resize([0.3, 0.5, 0.8], d))
     return kernel, rng.normal(0.0, 0.5, (n, d)), rng.normal(0.0, 0.5, (m, d))
 
 
 def sweep(kernel, xs, ys):
-    """(k, gradient plane) from one eval_matrix sweep; the plane is k when the kernel says so."""
-    plane = np.full((xs.shape[0], ys.shape[0]), np.nan)
-    k = kernel.eval_matrix(xs, ys, plane=plane)
-    return k, k if kernel.plane_is_k else plane
+    """(k, gradient plane) of one observation-major sweep, (m, n) and (planes, m, n)."""
+    plane = np.full((kernel.planes, ys.shape[0], xs.shape[0]), np.nan)
+    return kernel.eval_matrix(*blocks.by_observation(xs, ys), plane=plane), plane
 
 
-def blocked_rows(kernel, xs, ys, plane, w):
-    """The in-order sum, over the column blocks, of each block's weighted_grad1 rows."""
+def blocked_rows(kernel, xs, ys, k, plane, w, cut=None):
+    """The in-order sum, over the tasks of ``cut`` (by default the drift's), of
+    each task's rows: the in-order sum of its observation blocks'
+    weighted_grad1 rows."""
+    xv, yv = blocks.by_observation(xs, ys)
+
+    def block_rows(c):
+        return kernel.weighted_grad1(xv, yv[c], k[c], np.ascontiguousarray(plane[:, c]), w[c])
+
     rows = None
-    for c in blocks.column_blocks(xs.shape[0], ys.shape[0]):
-        part = kernel.weighted_grad1(xs, ys[c], np.ascontiguousarray(plane[:, c]), w[c])
+    for task in cut or blocks.drift_blocks(ys.shape[0], xs.shape[0], kernel.planes):
+        part = block_rows(task[0])
+        for c in task[1:]:
+            part = part + block_rows(c)
         rows = part if rows is None else rows + part
     return rows
 
 
+def even_cut(start, stop, most):
+    """[start, stop) cut evenly into the fewest slices of at most ``most``."""
+    count = -(-(stop - start) // most)
+    return [slice(start + i * (stop - start) // count, start + (i + 1) * (stop - start) // count)
+            for i in range(count)]
+
+
 def assert_near_single_block(got, single):
-    # the column blocks change only the order in which the rows are summed
+    # the observation blocks change only the order in which the rows are summed
     assert np.max(np.abs(got - single)) <= 1e-13 * np.max(np.abs(single))
 
 
@@ -74,25 +89,26 @@ def test_kernel_rows_do_not_depend_on_the_block(name, rng):
     kernel, xs, ys = kernel_batch(name, rng, 37, 53)
     w = rng.uniform(0.1, 2.0, ys.shape[0])
     full, plane = sweep(kernel, xs, ys)
-    # writing the plane changes no bit of k
-    assert np.array_equal(kernel.eval_matrix(xs, ys), full)
-    grad = kernel.weighted_grad1(xs, ys, plane, w)
+    # writing the plane changes no bit of k, and either orientation is the same bits
+    assert np.array_equal(kernel.eval_matrix(*blocks.by_observation(xs, ys)), full)
+    assert np.array_equal(kernel.eval_matrix(xs, ys), full.T)
+    xv, yv = blocks.by_observation(xs, ys)
+    grad = kernel.weighted_grad1(xv, yv, full, plane, w)
     for rows in (slice(0, 1), slice(5, 17), slice(36, 37), slice(0, 37)):
         part = kernel.eval_matrix(xs[rows], ys)
-        assert np.array_equal(part, full[rows])
-        out, part_plane = np.full_like(part, np.nan), np.full_like(part, np.nan)
-        assert kernel.eval_matrix(xs[rows], ys, out=out, plane=part_plane) is out
-        assert np.array_equal(out, full[rows])
-        if kernel.plane_is_k:
-            part_plane = out
-        assert np.array_equal(part_plane, plane[rows])
-        assert np.array_equal(kernel.weighted_grad1(xs[rows], ys, part_plane, w), grad[rows])
+        assert np.array_equal(part, full[:, rows].T)
+        part, part_plane = sweep(kernel, xs[rows], ys)
+        assert np.array_equal(part, full[:, rows])
+        assert np.array_equal(part_plane, plane[:, :, rows])
+        part_xv, part_yv = blocks.by_observation(xs[rows], ys)
+        part_grad = kernel.weighted_grad1(part_xv, part_yv, part, part_plane, w)
+        assert np.array_equal(part_grad, grad[rows])
     for cols in (slice(0, 1), slice(5, 17), slice(52, 53), slice(0, 53)):
-        out, part_plane = np.full((2, 37, cols.stop - cols.start), np.nan)
-        assert kernel.eval_matrix(xs, ys[cols], out=out, plane=part_plane) is out
-        assert np.array_equal(out, full[:, cols])
-        if kernel.plane_is_k:
-            part_plane = out
+        width = cols.stop - cols.start
+        out = np.full((width, 37), np.nan)
+        part_plane = np.full((kernel.planes, width, 37), np.nan)
+        assert kernel.eval_matrix(xv, yv[cols], out=out, plane=part_plane) is out
+        assert np.array_equal(out, full[cols])
         assert np.array_equal(part_plane, plane[:, cols])
 
 
@@ -109,28 +125,31 @@ def pools():
        m=st.integers(1, 40), d=st.integers(1, 3), block_pairs=st.integers(1, 300),
        seed=st.integers(0, 2**32 - 1))
 def test_block_contract(pools, name, n, m, d, block_pairs, seed):
-    # any block cut and pool: the column means are k.mean(axis=0), the drift
-    # rows are the in-order sum of the column blocks' weighted_grad1 rows, and
-    # the KDE at the particles is one set of bits, all bit for bit
+    # any block cut and pool: the means are the rows' means of the whole
+    # observation-major k, the drift rows are the in-order sum of the blocks'
+    # weighted_grad1 rows, and the KDE at the particles is one set of bits,
+    # all bit for bit
     kernel, xs, ys = kernel_batch(name, np.random.default_rng(seed), n, m, d)
     k, plane = sweep(kernel, xs, ys)
-    want_mean = k.mean(axis=0)
+    want_mean = k.mean(axis=1)
 
     def weights(k_mean):
         return 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
-    single = kernel.weighted_grad1(xs, ys, plane, weights(want_mean))
+    xv, yv = blocks.by_observation(xs, ys)
+    single = kernel.weighted_grad1(xv, yv, k, plane, weights(want_mean))
     kde = GaussianKde(xs) if name == "gauss" and n >= 2 else None
     want_kde = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blocks, "BLOCK_PAIRS", block_pairs)
-        cols = blocks.column_blocks(n, m)
-        assert [c.start for c in cols] == [0] + [c.stop for c in cols[:-1]]
-        assert cols[-1].stop == m
-        widths = [c.stop - c.start for c in cols]
-        assert max(widths) <= max(3, block_pairs // n)
-        # numpy sums a lone column pairwise, not row after row
-        assert m == 1 or min(widths) >= 2
-        want = blocked_rows(kernel, xs, ys, plane, weights(want_mean))
+        # tasks of at most BLOCK_PAIRS pairs, cut evenly, and within each the
+        # blocks whose plane fits one workspace, unless one observation's does not
+        cut = blocks.drift_blocks(m, n, kernel.planes)
+        assert [slice(task[0].start, task[-1].stop) for task in cut] == \
+            even_cut(0, m, max(1, block_pairs // n))
+        for task in cut:
+            assert task == even_cut(task[0].start, task[-1].stop,
+                                    max(1, block_pairs // (kernel.planes * n)))
+        want = blocked_rows(kernel, xs, ys, k, plane, weights(want_mean))
         assert_near_single_block(want, single)
         for pool in pools:
             patch.setattr(blocks, "_pool", pool)
@@ -146,21 +165,31 @@ def test_block_contract(pools, name, n, m, d, block_pairs, seed):
                 assert np.array_equal(got_kde, want_kde)
 
 
-def gaussian_step(rng, n, m):
-    kernel = GaussianConvolutionKernel([0.4, 0.7])
-    ref = ReferenceMeasure.gaussian([0.1, -0.2], [0.7, 1.3])
-    return kernel, rng.normal(size=(n, 2)), rng.normal(size=(m, 2)), ref
+def gaussian_step(rng, n, m, d=2):
+    kernel = GaussianConvolutionKernel(np.linspace(0.4, 0.7, d))
+    ref = ReferenceMeasure.gaussian(np.linspace(0.1, -0.2, d), np.linspace(0.7, 1.3, d))
+    return kernel, rng.normal(size=(n, d)), rng.normal(size=(m, d)), ref
 
 
 def test_blocked_step_is_the_same_bits_for_any_thread_count(rng, monkeypatch):
+    for d in (2, 10):
+        assert_blocked_step_is_the_same_bits_for_any_thread_count(d, rng, monkeypatch)
+
+
+def assert_blocked_step_is_the_same_bits_for_any_thread_count(d, rng, monkeypatch):
     n, m = 1001, 700
-    assert len(blocks.column_blocks(n, m)) > 1 and n % (blocks.BLOCK_PAIRS // n)
-    kernel, xs, ys, ref = gaussian_step(rng, n, m)
-    k = kernel.eval_matrix(xs, ys)
-    k_mean = k.mean(axis=0)
+    kernel, xs, ys, ref = gaussian_step(rng, n, m, d)
+    # a task of BLOCK_PAIRS pairs is cut into blocks of w observations whose d
+    # planes of differences, d·w·n entries, fit one workspace
+    cut = [even_cut(task.start, task.stop, blocks.BLOCK_PAIRS // (d * n))
+           for task in even_cut(0, m, blocks.BLOCK_PAIRS // n)]
+    assert len(cut) > 1 and all(len(task) > 1 for task in cut)
+    k, plane = sweep(kernel, xs, ys)
+    k_mean = k.mean(axis=1)
     weights = 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
-    want = blocked_rows(kernel, xs, ys, k, weights) - 0.3 * ref.grad_u(xs)
-    assert_near_single_block(want, kernel.weighted_grad1(xs, ys, k, weights)
+    want = blocked_rows(kernel, xs, ys, k, plane, weights, cut) - 0.3 * ref.grad_u(xs)
+    xv, yv = blocks.by_observation(xs, ys)
+    assert_near_single_block(want, kernel.weighted_grad1(xv, yv, k, plane, weights)
                              - 0.3 * ref.grad_u(xs))
     monkeypatch.setattr(blocks, "_pool", InlinePool())
     want_kde = GaussianKde(xs).at_particles()
@@ -175,10 +204,12 @@ def test_blocked_step_is_the_same_bits_for_any_thread_count(rng, monkeypatch):
 
 
 def fused_step(name, rng, n, m):
-    kernel, xs, ys = kernel_batch(name, rng, n, m, d=2)
+    kernel, xs, ys = kernel_batch(name, rng, n, m, d=10 if name == "gauss-d10" else 2)
     if name == "delay":
         return kernel, xs, ys, ReferenceMeasure.gaussian([1.0], [4.0])
-    return kernel, xs, ys, ReferenceMeasure.gaussian([0.1, -0.2], [0.7, 1.3])
+    d = xs.shape[1]
+    return kernel, xs, ys, ReferenceMeasure.gaussian(np.resize([0.1, -0.2], d),
+                                                     np.resize([0.7, 1.3], d))
 
 
 @pytest.mark.parametrize("name", ["delay", "radon"])
@@ -186,12 +217,14 @@ def test_fused_drift_is_the_two_method_drift(name, rng, monkeypatch):
     n, m = 1001, 700
     kernel, xs, ys, ref = fused_step(name, rng, n, m)
     k, plane = sweep(kernel, xs, ys)
-    k_mean = k.mean(axis=0)
+    k_mean = k.mean(axis=1)
     weights = 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
-    want = blocked_rows(kernel, xs, ys, plane, weights) - 0.3 * ref.grad_u(xs)
-    assert_near_single_block(want, kernel.weighted_grad1(xs, ys, plane, weights)
+    want = blocked_rows(kernel, xs, ys, k, plane, weights) - 0.3 * ref.grad_u(xs)
+    xv, yv = blocks.by_observation(xs, ys)
+    assert_near_single_block(want, kernel.weighted_grad1(xv, yv, k, plane, weights)
                              - 0.3 * ref.grad_u(xs))
-    block_cols = sorted(c.stop - c.start for c in blocks.column_blocks(n, m))
+    block_cols = sorted(c.stop - c.start for task in blocks.drift_blocks(m, n, kernel.planes)
+                        for c in task)
     assert len(block_cols) > 1
     sweeps = []
     eval_matrix = kernel.eval_matrix
@@ -248,7 +281,7 @@ def test_concurrent_callers_share_the_pool(rng, monkeypatch):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("name", ["gauss", "delay", "radon"])
+@pytest.mark.parametrize("name", ["gauss", "gauss-d10", "delay", "radon"])
 def test_drift_holds_a_few_blocks_per_thread(name, rng, monkeypatch):
     for n in (2000, 4000):
         kernel, xs, ys, ref = fused_step(name, rng, n, n)
@@ -258,8 +291,9 @@ def test_drift_holds_a_few_blocks_per_thread(name, rng, monkeypatch):
             _drift(kernel, xs, ys, ref, 0.3, 0.0, step=0)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        # k, the gradient plane and the kernel's temporaries, one block each per
-        # pool thread, whatever N·m: no N×m matrix
+        # k, the gradient plane (all d planes of the Gaussian kernel's block
+        # together) and the kernel's temporaries, one block each per pool
+        # thread, whatever N·m and d: no N×m matrix
         assert peak <= 12 * 8 * blocks.BLOCK_PAIRS
 
 
@@ -280,11 +314,11 @@ def test_particle_reconvolution_memory_does_not_grow_with_the_cloud(rng, monkeyp
 
 def test_one_block_runs_inline(rng, monkeypatch):
     n, m = 300, 200
-    assert len(blocks.column_blocks(n, m)) == len(blocks.row_blocks(n, n)) == 1
     kernel, xs, ys, ref = gaussian_step(rng, n, m)
+    assert len(blocks.drift_blocks(m, n, kernel.planes)) == len(blocks.row_blocks(n, n)) == 1
     monkeypatch.setattr(blocks, "_pool", NoPool())
     k_mean, _ = _drift(kernel, xs, ys, ref, 0.3, 0.0, step=0)
-    assert np.array_equal(k_mean, kernel.eval_matrix(xs, ys).mean(axis=0))
+    assert np.array_equal(k_mean, sweep(kernel, xs, ys)[0].mean(axis=1))
     g_hat(xs, ys, kernel, ref, 0.3, k_mean=k_mean)
     GaussianKde(xs).evaluate(ys)
 

@@ -478,10 +478,30 @@ def _sampler_without_memory(name, **options):
      ("build_initial_cloud", _no_memory), "solver.n_particles"),
     ("baseline", {"baseline": "oslem", "preset": "gaussian_mixture_1d", "n_bins": 10**13},
      ("grid_problem_from_continuous", _no_memory), "n_bins"),
-], ids=["observations", "run-cloud", "cv-cloud", "oslem-bins"])
+    # real requests past numpy's int64 index range: numpy rejects the shape before
+    # it allocates, and np.arange(2**63) would be empty
+    ("run", {"preset": "toy_gaussian", "observations": {"n_samples": 10**30}}, None,
+     "observations.n_samples"),
+    ("run", {"preset": "toy_gaussian", "observations": {"n_samples": 2**63}}, None,
+     "observations.n_samples"),
+    ("run", {"preset": "toy_gaussian", "solver": {"n_particles": 2**63}}, None,
+     "solver.n_particles"),
+    ("run", {"preset": "toy_gaussian", "solver": {"n_particles": 10**30}}, None,
+     "solver.n_particles"),
+    # 2**62 particles of 8 bytes are past the byte range, which numpy checks too
+    ("cv", dict(CV, solver={"n_particles": 2**62, "minibatch": 20, "n_steps": 2}), None,
+     "solver.n_particles"),
+    ("baseline", {"baseline": "oslem", "preset": "gaussian_mixture_1d", "n_bins": 10**30},
+     None, "n_bins"),
+    ("baseline", {"baseline": "oslem", "preset": "gaussian_mixture_1d", "n_bins": 2**63},
+     None, "n_bins"),
+], ids=["observations", "run-cloud", "cv-cloud", "oslem-bins", "observations-1e30",
+        "observations-2^63", "run-cloud-2^63", "run-cloud-1e30", "cv-cloud-2^62",
+        "oslem-bins-1e30", "oslem-bins-2^63"])
 def test_size_too_large_to_allocate_exits_2_at_its_key(tmp_path, capsys, monkeypatch,
                                                        command, config, target, key):
-    monkeypatch.setattr(cli, *target)
+    if target is not None:
+        monkeypatch.setattr(cli, *target)
     cfg = write_config(tmp_path, "c.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: too large to allocate")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fredholm_flow import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                            RadonAlignmentKernel)
+from fredholm_flow.blocks import by_observation
 
 from conftest import central_difference, gauss_pdf
 
@@ -194,9 +195,13 @@ def test_batch_matches_pointwise(kernel, shift, rng):
     # batch is an exact translate of the pointwise oracle's inputs
     xs, ys = (xs + shift) - shift, (ys + shift) - shift
     w = rng.uniform(0.1, 2.0, ys.shape[0])
-    plane = np.empty((xs.shape[0], ys.shape[0]))
-    mat = kernel.eval_matrix(xs + shift, ys + shift, plane=plane)
-    got = kernel.weighted_grad1(xs + shift, ys + shift, mat if kernel.plane_is_k else plane, w)
+    mat = kernel.eval_matrix(xs + shift, ys + shift)
+    xv, yv = by_observation(xs + shift, ys + shift)
+    plane = np.empty((kernel.planes, ys.shape[0], xs.shape[0]))
+    k = kernel.eval_matrix(xv, yv, plane=plane)
+    # observation-major pairs are the same bits as particle-major ones
+    assert np.array_equal(k, mat.T)
+    got = kernel.weighted_grad1(xv, yv, k, plane, w)
     assert mat.shape == (xs.shape[0], ys.shape[0])
     assert got.shape == xs.shape
     for i in range(xs.shape[0]):
@@ -222,12 +227,12 @@ def test_invalid_construction():
 ], ids=["gaussian", "delay", "radon"])
 def test_narrow_kernel_far_away_is_zero_without_warning(kernel, x, y):
     # the exponent overflows to -inf, and exp(-inf) = 0 is the right value
-    plane = np.empty((1, 1))
+    plane = np.empty((kernel.planes, 1, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert kernel.eval_matrix([x], [y])[0, 0] == 0.0
         assert kernel.eval_matrix([x], [y], plane=plane)[0, 0] == 0.0
-    assert kernel.plane_is_k or plane[0, 0] == 0.0
+        assert np.array_equal(kernel.grad1(x, y), np.zeros(kernel.dim_x))
 
 
 def narrowest_accepted(build):
@@ -269,7 +274,7 @@ def test_narrowest_kernel_is_finite_at_its_mode(build, x, y, mode_value):
     # no constant folded at construction may be 0 or inf there: at the mode
     # a difference of 0 meets it, and 0·inf is NaN
     kernel = build(narrowest_accepted(build))
-    plane = np.empty((1, 1))
+    plane = np.empty((kernel.planes, 1, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         k = kernel.eval_matrix([x], [y], plane=plane)[0, 0]
@@ -277,7 +282,8 @@ def test_narrowest_kernel_is_finite_at_its_mode(build, x, y, mode_value):
     assert np.isfinite(k) and k == pytest.approx(mode_value(kernel), rel=1e-12)
     assert kernel.eval(x, y) == k
     assert np.array_equal(grad, np.zeros(kernel.dim_x))
-    assert kernel.plane_is_k or plane[0, 0] == 0.0
+    # at the mode every plane is 0: the Gaussian's y − x, the others' ∂ₓk
+    assert not plane.any()
 
 
 @pytest.mark.parametrize("kernel", [
@@ -309,13 +315,15 @@ def test_far_from_origin_matches_the_difference_first_formula(kernel, rng):
         np.testing.assert_array_less(0.0, k)
         grad_terms = plane_terms.sum(axis=0)[:, :, None]
     w = rng.uniform(0.1, 2.0, m)
-    plane = np.empty((n, m))
-    got = kernel.eval_matrix(xs, ys, plane=plane)
-    np.testing.assert_allclose(got, k, rtol=1e-12, atol=0)
-    if not kernel.plane_is_k:
+    xv, yv = by_observation(xs, ys)
+    planes = np.empty((kernel.planes, m, n))
+    got = kernel.eval_matrix(xv, yv, plane=planes)
+    plane = planes[0].T
+    np.testing.assert_allclose(got.T, k, rtol=1e-12, atol=0)
+    if isinstance(kernel, GaussianMixtureDelayKernel):
         # signed terms: each entry to 1e-12 of the sum of its terms' magnitudes
         err = np.abs(plane - plane_terms.sum(axis=0))
         assert np.all(err <= 1e-12 * np.abs(plane_terms).sum(axis=0))
-    rows = kernel.weighted_grad1(xs, ys, got if kernel.plane_is_k else plane, w)
+    rows = kernel.weighted_grad1(xv, yv, got, planes, w)
     weighted = grad_terms * w[None, :, None]
     assert np.all(np.abs(rows - weighted.sum(axis=1)) <= 1e-12 * np.abs(weighted).sum(axis=1))

@@ -154,8 +154,11 @@ def test_particle_reconvolution_is_the_column_mean_in_blocks(name, rng, monkeypa
         grid = EvaluationGrid(((-2.0, 2.0, 14),) * 3)
         pts = rng.normal(0.0, 0.5, (2000, 3))
     n_nodes = int(np.prod(grid.shape))
-    assert len(blocks.column_blocks(len(pts), n_nodes)) > 1
-    want = kernel.eval_matrix(pts, grid.nodes()).mean(axis=0)
+    assert len(blocks.row_blocks(n_nodes, len(pts))) > 1
+    # each node's mean is one contiguous row of the observation-major matrix
+    want = kernel.eval_matrix(*blocks.by_observation(pts, grid.nodes())).mean(axis=1)
+    np.testing.assert_allclose(want, kernel.eval_matrix(pts, grid.nodes()).mean(axis=0),
+                               rtol=1e-13, atol=0)
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(blocks, "_pool", pool)
         tracemalloc.start()
