@@ -6,6 +6,7 @@ identical bytes.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -64,10 +65,14 @@ def write_trace_csv(path, trace: SolverTrace) -> None:
 # -- densities on grids ------------------------------------------------------
 
 def write_density_csv(path, density: DensityOnGrid) -> None:
+    """The grid's spans as a comment, then one row per node in row-major order:
+    each axis coordinate is formatted once, and only the density per row."""
     grid = density.grid
     spans = ";".join(f"{fmt(lo)},{fmt(hi)},{n}" for lo, hi, n in grid.spans)
-    _write_table(path, _names("x", grid.dim) + ["density"],
-                 np.column_stack([grid.nodes(), density.values]), [f"# grid: {spans}"])
+    nodes = itertools.product(*(["%.17g" % x for x in axis.tolist()] for axis in grid.axes()))
+    _write_lines(path, [f"# grid: {spans}", ",".join(_names("x", grid.dim) + ["density"]),
+                        *(",".join(node) + ",%.17g" % value
+                          for node, value in zip(nodes, density.values.tolist()))])
 
 
 def read_density_csv(path) -> DensityOnGrid:

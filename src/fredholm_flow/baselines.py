@@ -8,6 +8,7 @@ optimal β is the positive root of a cubic.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -186,8 +187,12 @@ def grid_problem_from_continuous(kernel: KernelModel, observed_pdf, ref: Referen
                                  n_bins: int, lo: float = 0.0, hi: float = 1.0) -> GridProblem:
     """1-D discretization on ``n_bins`` equal bins with centers (b−½)/B scaled
     to [lo, hi]; kernel and densities evaluated at center pairs."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
+    try:
+        n_bins = operator.index(n_bins)
+    except TypeError:
+        raise ValueError(f"n_bins must be an integer, not {n_bins!r}") from None
+    if not 1 <= n_bins < 2**63:   # np.arange(2**63) is empty
+        raise ValueError(f"n_bins must lie in [1, 2**63), not {n_bins}")
     if not -np.inf < lo < hi < np.inf:
         raise ValueError("lo and hi must be finite with lo < hi")
     width = (hi - lo) / n_bins

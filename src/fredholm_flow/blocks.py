@@ -34,9 +34,14 @@ step holds, per thread, the k block (the KDE's workspace), the gradient
 plane and the kernel's temporaries.
 
 The pool has one thread per core this process may run on.  It is shared by
-every caller, the ``--workers`` threads of ``map_jobs`` (replicates, cv
-cells) included, so no thread count is passed down.  A task never submits
-to the pool, so no task waits on another.
+every caller, the jobs of ``map_jobs`` (replicates, cv cells) included, so
+no thread count is passed down and only pool threads hold workspaces.  A
+job marks its thread while it runs.  On a marked thread ``map_blocks``
+submits the blocks and then takes them in block order: it runs every block
+that no thread has started (``Future.cancel()`` succeeds) itself, and waits
+only for a block that another thread has started.  A block never waits on
+anything, so no job waits on a queued task, and no deadlock can occur
+whatever ``--workers`` and the core count are.
 """
 from __future__ import annotations
 
@@ -100,10 +105,25 @@ if hasattr(os, "register_at_fork"):
 
 
 def map_blocks(fn, blocks):
-    """``fn(block)`` for every block, in block order; inline for a single block."""
+    """``fn(block)`` for every block, in block order; inline for a single block.
+
+    On a thread running a ``map_jobs`` job, the blocks no pool thread has
+    started run on that thread."""
     if len(blocks) == 1:
         return [fn(blocks[0])]
-    return _shared_pool().map(fn, blocks)
+    pool = _shared_pool()
+    if not getattr(_local, "job", False):
+        return pool.map(fn, blocks)
+    return _run_or_wait(fn, blocks, [pool.submit(fn, block) for block in blocks])
+
+
+def _run_or_wait(fn, blocks, futures):
+    try:
+        for block, future in zip(blocks, futures):
+            yield fn(block) if future.cancel() else future.result()
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def _attempt(fn, job):
@@ -114,16 +134,30 @@ def _attempt(fn, job):
 
 
 def map_jobs(fn, jobs, workers: int) -> list:
-    """``[fn(job) for job in jobs]`` on ``workers`` threads of their own, or on the
-    calling thread when one worker or one job is left to run.
+    """``[fn(job) for job in jobs]`` on the shared pool, at most ``workers`` jobs at
+    a time, or in turn on the calling thread when one worker or one job is left
+    to run.
 
     Every job runs to its end, whatever the others do; then the exception of
     the lowest-index failed job, if any, is raised."""
     if min(workers, len(jobs)) <= 1:
         outcomes = [_attempt(fn, job) for job in jobs]
     else:
-        with ThreadPoolExecutor(workers) as pool:
-            outcomes = list(pool.map(lambda job: _attempt(fn, job), jobs))
+        in_flight = threading.Semaphore(workers)
+
+        def run(job):
+            _local.job = True
+            try:
+                return _attempt(fn, job)
+            finally:
+                _local.job = False
+                in_flight.release()
+
+        pool, futures = _shared_pool(), []
+        for job in jobs:
+            in_flight.acquire()
+            futures.append(pool.submit(run, job))
+        outcomes = [future.result() for future in futures]
     for _, exc in outcomes:
         if exc is not None:
             raise exc

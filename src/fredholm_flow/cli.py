@@ -171,7 +171,8 @@ def _preset(cfg: dict):
         raise ConfigError(f"unknown preset {name!r}; choose from {tuple(_PRESET_OPTIONS)}",
                           path="preset")
     options = _section(cfg.get("preset_options", {}), "preset_options", _PRESET_OPTIONS[name])
-    with _at("preset_options"):
+    # the dimension is the only size among the presets' options
+    with _at("preset_options"), _allocated("preset_options.dim", options.get("dim", 1)):
         return get_preset(name, **options)
 
 
@@ -278,12 +279,20 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
     with _at("solver"):
         solver = dataclasses.replace(preset.solver, **cfg.get("solver", {}))
     replicates = cfg.get("replicates", 1)
-    if replicates < 1:
-        raise ConfigError("replicates must be positive", path="replicates")
+    if not 1 <= replicates < 1 << 63:
+        raise ConfigError("replicates must lie in [1, 2**63)", path="replicates")
+    seed_key = ("--seed" if seed_override is not None
+                else "seed_base" if "seed_base" in cfg else "solver.seed")
     seed_base = _seed(seed_override if seed_override is not None
-                      else cfg.get("seed_base", solver.seed), "seed_base", replicates)
+                      else cfg.get("seed_base", solver.seed), seed_key, replicates)
     metric_names = _metric_names(cfg, preset)
     init = cfg.get("init", {})
+    write_kde = cfg.get("kde_grid", True) and preset.metric_grid is not None and preset.dim <= 2
+    # without noise, particles that start at one point stay there
+    if (write_kde or "ise" in metric_names) and solver.alpha == 0 \
+            and preset.init_mode(init.get("mode", "auto")) == "point":
+        raise ConfigError("0 leaves a point initialization at one point, which has no "
+                          "KDE for kde_grid or ise", path="solver.alpha")
     draw = _observations(cfg, preset, solver)
 
     def replicate(r):   # every config error comes before the solve and any output
@@ -298,7 +307,6 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         with _at_init(init), _allocated("solver.n_particles", config.n_particles):
             start = build_initial_cloud(preset, config, observations, ref, **init)
         cloud, trace = run_solver(config, preset.kernel, ref, start, observations)
-        write_kde = cfg.get("kde_grid", True) and preset.metric_grid is not None and cloud.dim <= 2
         grid_kde = _grid_kde(preset, cloud) if write_kde or "ise" in metric_names else None
         rep_dir = out / f"rep{r:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
@@ -325,6 +333,7 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     preset = _preset(cfg)
     with _at("solver"):
         solver = dataclasses.replace(preset.solver, **cfg.get("solver", {}))
+    _seed(solver.seed, "solver.seed")   # the initial cloud built below takes it
     cv = cfg.get("cv", {})
     seed = seed_override if seed_override is not None else _seed(cv.get("seed", 0), "cv.seed")
     with _at("cv"):

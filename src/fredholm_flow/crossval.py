@@ -110,8 +110,9 @@ def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: ObservationSa
     ``folds`` may be given explicitly (index arrays forming a partition);
     otherwise a seeded near-equal partition is drawn.  ``init`` holds the
     initialization keys ``mode`` (default "auto"), ``point`` and ``box``, as
-    ``build_initial_cloud`` takes them.  Cells run on ``workers`` threads
-    (``blocks.map_jobs``); results are identical for any worker count.
+    ``build_initial_cloud`` takes them.  Cells run as jobs on the block pool,
+    at most ``workers`` at a time (``blocks.map_jobs``); results are identical
+    for any worker count.
     """
     base_config = preset.solver if base_config is None else base_config
     init = init or {}

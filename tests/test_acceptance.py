@@ -7,6 +7,7 @@ them).  Tolerances are fixed here, not calibrated.
 import dataclasses
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -284,6 +285,8 @@ def test_criterion_9_byte_determinism_across_workers(tmp_path):
     tree_a = run_to(tmp_path / "w1", 1)
     tree_b = run_to(tmp_path / "w4", 4)
     tree_c = run_to(tmp_path / "w1b", 1)
-    ok = tree_a == tree_b == tree_c
+    # more workers than cores start no thread of their own
+    tree_d = run_to(tmp_path / "wmany", os.cpu_count() + 3)
+    ok = tree_a == tree_b == tree_c == tree_d
     _gate(9, "byte-identical artifacts for repeated runs regardless of workers",
           ok, started, 60.0)

@@ -34,13 +34,21 @@ def test_trace_roundtrip_bitexact(tmp_path, rng):
 
 
 def test_density_roundtrip_bitexact(tmp_path, rng):
-    grid = EvaluationGrid(((-1.234567891234567, 2.0, 4), (0.0, 1.0, 3)))
-    density = DensityOnGrid(grid, rng.exponential(size=12))
-    path = tmp_path / "density.csv"
-    artifacts.write_density_csv(path, density)
-    back = artifacts.read_density_csv(path)
-    assert back.grid.spans == grid.spans
-    assert np.array_equal(back.values, density.values)
+    for spans in (((-1.234567891234567, 2.0, 4), (0.0, 1.0, 3)), ((0.1, 0.7, 5),),
+                  ((-1.0, 1.0, 3), (0.0, 2.0, 2), (5.0, 6.0, 4))):
+        grid = EvaluationGrid(spans)
+        density = DensityOnGrid(grid, rng.exponential(size=int(np.prod(grid.shape))))
+        path = tmp_path / "density.csv"
+        artifacts.write_density_csv(path, density)
+        back = artifacts.read_density_csv(path)
+        assert back.grid.spans == grid.spans
+        assert np.array_equal(back.values, density.values)
+        # the same bytes as every cell of the node table formatted in turn
+        table = tmp_path / "table.csv"
+        artifacts._write_table(table, [f"x_{i + 1}" for i in range(grid.dim)] + ["density"],
+                               np.column_stack([grid.nodes(), density.values]),
+                               [path.read_text().splitlines()[0]])
+        assert path.read_bytes() == table.read_bytes()
 
 
 def test_metrics_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -279,6 +280,67 @@ def test_concurrent_callers_share_the_pool(rng, monkeypatch):
     for have, expected in zip(got, want):
         for a, b in zip(have, expected):
             assert np.array_equal(a, b)
+
+
+def test_jobs_run_their_own_queued_blocks(rng, monkeypatch):
+    # on a one-thread pool a job that waited for a queued block would wait for
+    # ever; with more jobs than pool threads and cores, switching threads every
+    # microsecond, every job's results are still the same bits
+    kernel, xs, ys, ref = gaussian_step(rng, 2000, 700)
+    assert len(blocks.row_blocks(2000, 2000)) > 1 and len(blocks.drift_blocks(700, 2000)) > 1
+    clouds = [xs + 0.01 * i for i in range(4)]
+
+    def job(points):
+        return (*_drift(kernel, points, ys, ref, 0.3, 0.0, step=0),
+                GaussianKde(points).at_particles())
+
+    monkeypatch.setattr(blocks, "_pool", InlinePool())
+    want = [job(points) for points in clouds]
+    interval = sys.getswitchinterval()
+    for threads, workers in ((1, 2), (3, os.cpu_count() + 3)):
+        got = []
+        pool = ThreadPoolExecutor(threads)
+        monkeypatch.setattr(blocks, "_pool", pool)
+        caller = threading.Thread(target=lambda: got.extend(blocks.map_jobs(job, clouds, workers)),
+                                  daemon=True)
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False)   # a hung pool thread must not hang the test too
+        assert not caller.is_alive(), "a job waited for a queued block"
+        for have, expected in zip(got, want, strict=True):
+            for a, b in zip(have, expected):
+                assert np.array_equal(a, b)
+
+
+def test_map_jobs_keeps_at_most_workers_jobs_in_flight(monkeypatch):
+    running, most, lock = [0], [0], threading.Lock()
+
+    def job(i):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.01)
+        with lock:
+            running[0] -= 1
+        if i in (2, 5):
+            raise ValueError(i)
+        return i
+
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(blocks, "_pool", pool)
+        for workers in (2, 3, 100):
+            most[0] = 0
+            # every job runs to its end, and the lowest-index failure is raised
+            done = []
+            with pytest.raises(ValueError, match="^2$"):
+                blocks.map_jobs(lambda i: done.append(job(i)), range(8), workers)
+            assert sorted(done) == [0, 1, 3, 4, 6, 7]
+            assert most[0] <= min(workers, 4)
+            assert blocks.map_jobs(lambda i: i * i, range(8), workers) == [i * i for i in range(8)]
 
 
 @pytest.mark.parametrize("name", ["gauss", "gauss-d10", "delay", "radon"])

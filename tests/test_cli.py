@@ -1,15 +1,17 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fredholm_flow
-from fredholm_flow import artifacts, cli
+from fredholm_flow import artifacts, blocks, cli, density, kernels
 from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
 
@@ -388,6 +390,13 @@ def _probe(command, config, key, case):
     _probe("run", dict(SMALL_RUN, observations=[1]), "observations", "observations-not-object"),
     _probe("run", dict(SMALL_RUN, seed_base=-1), "seed_base", "negative-seed-base"),
     _probe("run", dict(SMALL_RUN, seed_base=2**63 - 1), "seed_base", "seed-base-plus-replicates"),
+    _probe("run", dict(SMALL_RUN, replicates=2**63), "replicates", "replicates-2^63"),
+    _probe("run", {"preset": "toy_gaussian", "solver": {"seed": 2**63}}, "solver.seed",
+           "solver-seed-as-seed-base"),
+    _probe("cv", dict(CV, solver=dict(CV["solver"], seed=-1)), "solver.seed",
+           "negative-cv-solver-seed"),
+    _probe("run", dict(SMALL_RUN, solver={"alpha": 0}, init={"mode": "point", "point": [0.4]}),
+           "solver.alpha", "point-init-without-noise"),
     _probe("run", dict(SMALL_RUN, observations={"seed": 2**63}), "observations.seed",
            "observation-seed-too-large"),
     _probe("run", {"preset": "toy_gaussian", "preset_options": {"dim": 3}}, "preset_options",
@@ -495,9 +504,13 @@ def _sampler_without_memory(name, **options):
      None, "n_bins"),
     ("baseline", {"baseline": "oslem", "preset": "gaussian_mixture_1d", "n_bins": 2**63},
      None, "n_bins"),
+    ("run", {"preset": "highdim_mixture", "preset_options": {"dim": 10**13}},
+     ("get_preset", _no_memory), "preset_options.dim"),
+    ("cv", dict(CV, preset="highdim_mixture", preset_options={"dim": 2**63}), None,
+     "preset_options.dim"),
 ], ids=["observations", "run-cloud", "cv-cloud", "oslem-bins", "observations-1e30",
         "observations-2^63", "run-cloud-2^63", "run-cloud-1e30", "cv-cloud-2^62",
-        "oslem-bins-1e30", "oslem-bins-2^63"])
+        "oslem-bins-1e30", "oslem-bins-2^63", "dimensions", "dimensions-2^63"])
 def test_size_too_large_to_allocate_exits_2_at_its_key(tmp_path, capsys, monkeypatch,
                                                        command, config, target, key):
     if target is not None:
@@ -615,7 +628,25 @@ def test_inline_problem_equals_its_preset(tmp_path, rng):
         assert sorted(tree_bytes(outs[0] / rep)) == ["cloud_final.csv", "trace.csv"]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["2", str(os.cpu_count() + 3)])
+def test_replicates_hold_workspaces_on_pool_threads_only(tmp_path, monkeypatch, workers):
+    # replicates run on the block pool, whatever --workers is, so only its
+    # threads hold workspaces and a --workers above the core count starts no thread
+    threads = set()
+    scratch = blocks.scratch
+
+    def recorded(*shape):
+        threads.add(threading.get_ident())
+        return scratch(*shape)
+
+    for module in (blocks, density, kernels):
+        monkeypatch.setattr(module, "scratch", recorded)
+    cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, replicates=4))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]) == 0
+    assert threads and threads <= {thread.ident for thread in blocks._shared_pool()._threads}
+
+
+@pytest.mark.parametrize("workers", ["1", "2", str(os.cpu_count() + 3)])
 def test_failed_replicate_leaves_the_finished_ones(tmp_path, monkeypatch, capsys, workers):
     from fredholm_flow.errors import NumericalFailure
     solve = cli.run_solver

@@ -34,6 +34,8 @@ def _grid(n_bins=10, lo=0.0, hi=1.0):
     lambda: toy_sweep(TOY, [0.5, NAN]),
     lambda: ToyGaussianSpec(INF, 0.2, 0.5, 1.0),
     lambda: _grid(n_bins=0),
+    lambda: _grid(n_bins=2**63),
+    lambda: _grid(n_bins=2.5),
     lambda: _grid(lo=-INF),
     lambda: _grid(hi=NAN),
     lambda: _grid(lo=1.0, hi=1.0),
@@ -60,7 +62,7 @@ def _grid(n_bins=10, lo=0.0, hi=1.0):
     lambda: EvaluationGrid(((-1e308, 1e308, 5),)),
 ], ids=["alpha-nan", "gamma-inf", "eta-nan", "stop-tol-nan",
         "one-particle", "cv-alpha-nan", "cv-alpha-inf", "toy-alpha-nan", "toy-sigma-inf",
-        "no-bins", "lo-inf", "hi-nan", "empty-span", "negative-iterations",
+        "no-bins", "bins-2^63", "fractional-bins", "lo-inf", "hi-nan", "empty-span", "negative-iterations",
         "noise-sd-nan", "noise-sd-inf", "noise-sd-bound-overflows",
         "noise-sd-variance-out-of-range", "delay-weight-nan", "delay-mean-nan", "delay-sd-nan",
         "delay-normaliser-overflows", "delay-unweighted-sd-overflows", "radon-sigma-nan",
