@@ -47,13 +47,30 @@ def write_cloud_csv(path, cloud: ParticleCloud) -> None:
     _write_table(path, _names("x", cloud.dim), cloud.points)
 
 
-def read_cloud_csv(path) -> ParticleCloud:
-    """A cloud as ``write_cloud_csv`` wrote it; a non-finite entry is a ValueError."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+def read_points_csv(path) -> np.ndarray:
+    """One point per row, p comma-separated finite numbers; a header row is allowed.
+
+    An empty, ragged, non-numeric or non-finite file is a ValueError naming ``path``."""
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    try:
+        [float(v) for v in (lines[0] if lines else "").split(",")]
+    except ValueError:  # a header row
+        lines = lines[1:]
+    if not lines:
+        raise ValueError(f"{path}: no rows")
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite entry in row "
                          f"{np.argwhere(~np.isfinite(data))[0, 0] + 1}")
-    return ParticleCloud(data)
+    return data
+
+
+def read_cloud_csv(path) -> ParticleCloud:
+    """A cloud as ``write_cloud_csv`` wrote it, or the same rows with no header."""
+    return ParticleCloud(read_points_csv(path))
 
 
 # -- solver traces -----------------------------------------------------------

@@ -10,22 +10,24 @@ depends on the shape and the kernel only, never on the thread count.
 order, so a caller that adds them in that order gets the same bits for any
 number of threads.  A single task runs inline, with no pool call.
 
-The KDE at the particles and at arbitrary queries is row-separable: row i
-reads all of the other point set, but query i alone, so ``row_blocks``
-cuts it into rows of queries.  The drift needs the mean over all N
-particles of k(·, y_j) for each observation, so ``drift_rows`` cuts it into
-observation-major blocks: a block holds w observations against every
-particle, stored (w, N).  ``drift_blocks`` gives the cut: one task per
-``BLOCK_PAIRS`` pairs of observations, like the KDE's, and within a task
-the blocks whose plane fits a workspace.  A task sweeps each of its blocks'
-k and gradient plane, reduces each observation's mean along one contiguous
-row, weights the block's own means and adds the block's (N, d) share of
-the drift rows to its own in block order; the calling thread adds the
-tasks' shares in task order.  So no (N, m) matrix is ever held, the drift
-is one sweep with no second pass, and the calling thread adds one (N, d)
-share per ``BLOCK_PAIRS`` pairs whatever d is.  ``column_means`` is the
-same sweep without the gradient; a mean reads one whole row, so it is the
-same bits for any cut.
+The KDE at the particles is row-separable: row i reads all of the
+particles, but particle i alone, so ``row_blocks`` cuts it into rows.  The
+drift needs the mean over all N particles of k(·, y_j) for each
+observation, so ``drift_rows`` cuts it into observation-major blocks: a
+block holds w observations against every particle, stored (w, N).
+``drift_blocks`` gives the cut: one task per ``BLOCK_PAIRS`` pairs of
+observations, like the KDE's, and within a task the blocks whose plane fits
+a workspace.  A task sweeps each of its blocks' k and gradient plane,
+reduces each observation's mean along one contiguous row, weights the
+block's own means and adds the block's (N, d) share of the drift rows to
+its own in block order; the calling thread adds the tasks' shares in task
+order.  So no (N, m) matrix is ever held, the drift is one sweep with no
+second pass, and the calling thread adds one (N, d) share per
+``BLOCK_PAIRS`` pairs whatever d is.  ``column_means`` is the same sweep
+without the gradient, and every other particle mean (1/N) Σ_i k(X_i, y)
+runs it: the monitor's denominators, the KDE at arbitrary queries (the
+queries as observations) and the reconvolution.  A mean reads one whole
+row, so it is the same bits for any cut.
 
 ``scratch`` gives each thread reusable block-sized workspaces: a block costs
 the same whatever the allocator's state (a fresh 2 MB array sits at glibc's
@@ -225,10 +227,11 @@ def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights=None):
 
 
 def _add_in_order(parts):
-    """The concatenated means and the in-order sum of the rows of (means, rows) parts."""
+    """The concatenated means and the in-order sum of the rows of (means, rows)
+    parts; no parts (no observations) are no means and no rows."""
     means, rows = [], None
     for part_means, part_rows in parts:
         means.append(part_means)
         if part_rows is not None:
             rows = part_rows if rows is None else np.add(rows, part_rows, out=rows)
-    return np.concatenate(means), rows
+    return (np.concatenate(means) if means else np.empty(0)), rows

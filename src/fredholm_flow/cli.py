@@ -220,10 +220,8 @@ def _observations(cfg: dict, preset, solver=None):
             seed = _rng.derive_seed(replicate_seed, 11) if fixed is None else fixed
             with _allocated("observations.n_samples", n):
                 return preset.sample_observations(n, seed), seed
-    if solver is not None and solver.minibatch is not None and solver.minibatch > n \
-            and solver.resample_policy == "without_replacement":
-        raise ConfigError("minibatch exceeds the observation count under "
-                          "without-replacement resampling", path="solver.minibatch")
+    if solver is not None and solver.minibatch is not None and solver.minibatch > n:
+        raise ConfigError("minibatch exceeds the observation count", path="solver.minibatch")
     return draw
 
 

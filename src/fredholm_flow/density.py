@@ -2,22 +2,23 @@
 
 Diagonal bandwidths only; the rule of thumb is Silverman's.  The KDE with
 bandwidth H is the particle mean of the Gaussian convolution kernel with
-variances diag(H), so all evaluation goes through its ``eval_matrix``,
-particle-major with the queries as rows, and no pairwise block holds more
-than ``BLOCK_PAIRS`` entries.  It asks for no gradient plane, so the kernel
-forms one coordinate difference at a time and a block needs no d-plane
-workspace.  Each evaluation uses its structure:
+variances diag(H), so all evaluation goes through its ``eval_matrix``, and
+no pairwise block holds more than ``BLOCK_PAIRS`` entries.  It asks for no
+gradient plane, so the kernel forms one coordinate difference at a time and
+a block needs no d-plane workspace.  There are three evaluations:
 
-- ``evaluate(xs)``: arbitrary queries, in row blocks on the shared pool of
-  ``blocks``;
+- ``evaluate(xs)``: arbitrary queries, as ``blocks.column_means`` of the
+  kernel, the drift's observation-major mean sweep with the queries in
+  place of the observations;
 - ``at_particles()``: the cloud at its own points, summing the symmetric N×N
   matrix by upper-triangular row blocks, so about half the exps are computed;
-  the blocks run on the shared pool, and the calling thread adds their row
-  sums and the column sums below the diagonal in block order, so the result
-  is the same bits for any thread count;
-- ``on_grid(grid)``: a tensor-product grid; the diagonal Gaussian factorizes
-  over coordinates, so one 1-D (n_i, N) factor per axis is contracted by GEMM
-  (in 2-D, A₁ A₂ᵀ / N) in place of one exp per (node, particle) pair.
+  the blocks run on the shared pool of ``blocks``, and the calling thread
+  adds their row sums and the column sums below the diagonal in block order,
+  so the result is the same bits for any thread count;
+- ``on_grid(grid)``: a tensor-product grid; at d = 1 it is ``evaluate`` of
+  the nodes, and at d ≥ 2 the diagonal Gaussian factorizes over coordinates,
+  so one 1-D (n_i, N) factor per axis is contracted by GEMM (in 2-D,
+  A₁ A₂ᵀ / N) in place of one exp per (node, particle) pair.
 
 Direct summation (no binning) keeps the estimator exact relative to its
 definition; the three paths differ only in summation order.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK_PAIRS, map_blocks, row_blocks, scratch
+from .blocks import BLOCK_PAIRS, column_means, map_blocks, row_blocks, scratch
 from .kernels import GaussianConvolutionKernel
 
 
@@ -124,20 +125,10 @@ class GaussianKde:
         self.bandwidth = silverman_bandwidth(self.points) if bandwidth is None else bandwidth
         self._kernel = GaussianConvolutionKernel(np.sqrt(self.bandwidth.diag))
 
-    def _block(self, xs, ys) -> np.ndarray:
-        """k(xs, ys) for one block, in this thread's workspace "k", which the
-        drift's k blocks share."""
-        return self._kernel.eval_matrix(xs, ys, out=scratch("k", xs.shape[0], ys.shape[0]))
-
     def evaluate(self, xs) -> np.ndarray:
         """(1/N) Σ_k det(H)^{-1/2} φ(H^{-1/2}(x − X_k)) at each row x of ``xs``."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        rows = row_blocks(xs.shape[0], self.points.shape[0])
-        out = np.empty(xs.shape[0])
-        means = map_blocks(lambda r: self._block(xs[r], self.points).mean(axis=1), rows)
-        for r, mean in zip(rows, means):
-            out[r] = mean
-        return out
+        return column_means(self._kernel, self.points, xs)
 
     def at_particles(self) -> np.ndarray:
         """``evaluate(points)`` from the upper triangle: k(X_i, X_j) == k(X_j, X_i)
@@ -147,7 +138,9 @@ class GaussianKde:
         rows = row_blocks(n, n)
 
         def sums(r):
-            k = self._block(pts[r], pts[r.start:])
+            # this thread's workspace "k", which the drift's k blocks share
+            k = self._kernel.eval_matrix(pts[r], pts[r.start:],
+                                         out=scratch("k", r.stop - r.start, n - r.start))
             return k.sum(axis=1), k[:, r.stop - r.start:].sum(axis=0)
 
         out = np.zeros(n)

@@ -1,5 +1,5 @@
 """Accuracy metrics: integrated square error, pointwise MSE, 1-D Wasserstein-1
-and reconvolution of an estimate through the kernel.
+and reconvolution of a particle estimate through the kernel.
 
 All of them are plain numpy: the 1-D Wasserstein-1 distance is computed here
 from sorted samples, so importing this module loads no scipy.
@@ -72,20 +72,12 @@ def wasserstein1_1d(sample_a, sample_b) -> float:
 
 
 def reconvolve(source, kernel: KernelModel, y_grid: EvaluationGrid) -> DensityOnGrid:
-    """Push an estimate of the solution back through the kernel.
+    """Push a particle estimate of the solution back through the kernel: the
+    particle mean (1/N) Σ_k k(X_k, y) at every node y of ``y_grid``.
 
-    ``source`` is either a particle cloud (or raw point matrix), giving
-    (1/N) Σ_k k(X_k, y), or a DensityOnGrid, giving the quadrature
-    ∫ k(x, y) π̂(x) dx on its own grid.
+    ``source`` is a particle cloud or a raw (N, d) point matrix.
     """
     if kernel.dim_x != kernel.dim_y:
         raise ValueError("reconvolution needs a kernel with matching input/output dimension")
-    y_nodes = y_grid.nodes()
-    if isinstance(source, DensityOnGrid):
-        x_nodes = source.grid.nodes()
-        weights = source.grid.trapezoid_weights() * source.values
-        values = weights @ kernel.eval_matrix(x_nodes, y_nodes)
-    else:
-        pts = np.atleast_2d(getattr(source, "points", source))
-        values = column_means(kernel, pts, y_nodes)
-    return DensityOnGrid(y_grid, values)
+    pts = np.atleast_2d(getattr(source, "points", source))
+    return DensityOnGrid(y_grid, column_means(kernel, pts, y_grid.nodes()))

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import rng as _rng
+from .artifacts import read_points_csv
 from .density import EvaluationGrid
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       KernelModel, RadonAlignmentKernel)
@@ -366,15 +366,5 @@ def get_preset(name: str, **options) -> ExperimentPreset:
 
 
 def load_observations_csv(path) -> ObservationSample:
-    """One observation per row, p comma-separated finite numbers; a header is allowed."""
-    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    try:
-        [float(v) for v in (lines[0] if lines else "").split(",")]
-    except ValueError:  # a header row
-        lines = lines[1:]
-    if not lines:
-        raise ValueError("no observation rows")
-    data = np.loadtxt(lines, delimiter=",", ndmin=2)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"non-finite entry in row {np.argwhere(~np.isfinite(data))[0, 0] + 1}")
-    return ObservationSample(data)
+    """One observation per row, as ``artifacts.read_points_csv`` reads it."""
+    return ObservationSample(read_points_csv(path))

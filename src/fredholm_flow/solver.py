@@ -33,20 +33,18 @@ from .kernels import KernelModel
 from .reference import ReferenceMeasure
 from .state import ObservationSample, ParticleCloud
 
-RESAMPLE_POLICIES = ("without_replacement", "iid")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """All knobs of one solver run.
 
     ``minibatch=None`` applies the default batch rule m = min(N, M), which
-    ``batch_size`` computes.  Every step draws a fresh batch, with or without
-    replacement as ``resample_policy`` says, which sets the observations it
-    sees.  The stopping rule, the only way to end before ``n_steps``, is
-    active only when ``stop_tol`` is set: the run stops once the relative
-    decrease of the ``stop_window``-averaged objective estimate falls below
-    ``stop_tol``.
+    ``batch_size`` computes.  Every step draws a fresh batch of m
+    observations without replacement (``draw_minibatch``), which sets the
+    observations it sees.  The stopping rule, the only way to end before
+    ``n_steps``, is active only when ``stop_tol`` is set: the run stops once
+    the relative decrease of the ``stop_window``-averaged objective estimate
+    falls below ``stop_tol``.
     """
 
     alpha: float
@@ -56,7 +54,6 @@ class SolverConfig:
     seed: int = 0
     eta: float = 0.0
     minibatch: int | None = None
-    resample_policy: str = "without_replacement"
     stop_tol: float | None = None
     stop_window: int = 10
 
@@ -73,8 +70,6 @@ class SolverConfig:
             raise ValueError("eta must be nonnegative and finite")
         if self.minibatch is not None and self.minibatch < 1:
             raise ValueError("minibatch must be at least 1")
-        if self.resample_policy not in RESAMPLE_POLICIES:
-            raise ValueError(f"resample_policy must be one of {RESAMPLE_POLICIES}")
         if self.stop_tol is not None and not 0 < self.stop_tol < np.inf:
             raise ValueError("stop_tol must be positive and finite")
         if self.stop_window < 1:
@@ -172,18 +167,15 @@ def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: flo
     return ParticleCloud(new_points, cloud.step_index + 1)
 
 
-def draw_minibatch(full: ObservationSample, m: int, rng: np.random.Generator,
-                   policy: str = "without_replacement") -> ObservationSample:
-    """m rows of the sample; the whole sample when m ≥ M (no RNG consumed)."""
+def draw_minibatch(full: ObservationSample, m: int, rng: np.random.Generator) -> ObservationSample:
+    """m distinct rows of the sample, drawn without replacement; the whole
+    sample when m ≥ M (no RNG consumed)."""
     if m < 1:
         raise ValueError("minibatch size must be at least 1")
-    if policy not in RESAMPLE_POLICIES:
-        raise ValueError(f"resample policy must be one of {RESAMPLE_POLICIES}")
     big_m = full.n_observations
     if m >= big_m:
         return full
-    replace = policy == "iid"
-    idx = rng.choice(big_m, size=m, replace=replace)
+    idx = rng.choice(big_m, size=m, replace=False)
     return ObservationSample(full.points[idx])
 
 
@@ -247,8 +239,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
 
     def draw(step):
         return draw_minibatch(observations, m_eff,
-                              _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step),
-                              config.resample_policy)
+                              _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step))
 
     for step in range(config.n_steps):
         batch = draw(step)

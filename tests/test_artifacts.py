@@ -16,6 +16,12 @@ def test_cloud_roundtrip_bitexact(tmp_path, rng):
     assert np.array_equal(back.points, cloud.points)
 
 
+def test_headerless_cloud_keeps_every_row(tmp_path):
+    path = tmp_path / "cloud.csv"
+    path.write_text("0.1\n0.2\n0.3\n")
+    assert np.array_equal(artifacts.read_cloud_csv(path).points, [[0.1], [0.2], [0.3]])
+
+
 def test_trace_roundtrip_bitexact(tmp_path, rng):
     trace = SolverTrace(2)
     for step in range(20):   # past the initial capacity, so the table grows

@@ -387,6 +387,8 @@ def _probe(command, config, key, case):
            "denom-floor-is-no-solver-key"),
     _probe("run", dict(SMALL_RUN, solver={"resample_each_step": False}), "solver",
            "resample-each-step-is-no-solver-key"),
+    _probe("run", dict(SMALL_RUN, solver={"resample_policy": "iid"}), "solver",
+           "resample-policy-is-no-solver-key"),
     _probe("run", dict(SMALL_RUN, observations=[1]), "observations", "observations-not-object"),
     _probe("run", dict(SMALL_RUN, seed_base=-1), "seed_base", "negative-seed-base"),
     _probe("run", dict(SMALL_RUN, seed_base=2**63 - 1), "seed_base", "seed-base-plus-replicates"),

@@ -17,8 +17,7 @@ from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset
 
 SOLVER = {"n_particles": 20, "n_steps": 2, "minibatch": 20, "alpha": 0.01, "gamma": 0.001,
-          "eta": 0.0, "seed": 1, "resample_policy": "without_replacement", "stop_tol": 1e-3,
-          "stop_window": 2}
+          "eta": 0.0, "seed": 1, "stop_tol": 1e-3, "stop_window": 2}
 PRESETS = {"gaussian_mixture_1d": ({}, {"mode": "point", "point": [0.4]}),
            "toy_gaussian": ({}, {"mode": "auto"}),
            "highdim_mixture": ({"dim": 2}, {"mode": "uniform", "box": [[0, 1], [0, 1]]}),

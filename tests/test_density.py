@@ -120,9 +120,24 @@ def test_kde_blocks_cover_every_query(rng):
     bw = BandwidthMatrix([0.3, 0.5])
     xs = rng.normal(size=(2 * rows + rows // 2, 2))
     vals = GaussianKde(pts, bw).evaluate(xs)
-    for start in range(0, xs.shape[0], rows):
-        for i in (start, min(start + rows, xs.shape[0]) - 1):
+    cut = blocks.row_blocks(xs.shape[0], pts.shape[0])
+    assert len(cut) == 3
+    for r in cut:
+        for i in (r.start, r.stop - 1):
             assert vals[i] == GaussianKde(ParticleCloud(pts), bw).evaluate(xs[i])[0]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kde_evaluate_is_the_row_mean_of_one_matrix(d, shift, rng):
+    # three blocks of queries: every query's mean is the same bits as the
+    # mean of its row of the whole (queries, N) matrix
+    pts = rng.normal(size=(1000, d)) + shift
+    xs = 1.5 * rng.normal(size=(700, d)) + shift
+    assert len(blocks.row_blocks(700, 1000)) == 3
+    kde = GaussianKde(pts)
+    assert np.array_equal(kde.evaluate(xs), kde._kernel.eval_matrix(xs, kde.points).mean(axis=1))
+    assert kde.evaluate(xs[:0]).shape == (0,)
 
 
 def test_kde_at_particles_matches_evaluate(rng):
@@ -137,9 +152,10 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
     sizes = []
     eval_matrix = GaussianConvolutionKernel.eval_matrix
 
-    def recording(self, xs, ys, out=None):
-        sizes.append(np.atleast_2d(xs).shape[0] * np.atleast_2d(ys).shape[0])
-        return eval_matrix(self, xs, ys, out=out)
+    def recording(self, xs, ys, out=None, plane=None):
+        k = eval_matrix(self, xs, ys, out, plane)
+        sizes.append(k.size)
+        return k
 
     monkeypatch.setattr(GaussianConvolutionKernel, "eval_matrix", recording)
     grids = {1: EvaluationGrid(((-3.0, 3.0, 301),)),

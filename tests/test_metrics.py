@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from fredholm_flow import (DensityOnGrid, EvaluationGrid, GaussianConvolutionKernel,
                            GaussianMixtureDelayKernel, RadonAlignmentKernel, blocks, ise,
                            pointwise_mse, reconvolve, wasserstein1_1d)
-from fredholm_flow.problems import preset_gaussian_mixture_1d
 
 from conftest import gauss_pdf
 
@@ -168,15 +167,6 @@ def test_particle_reconvolution_is_the_column_mean_in_blocks(name, rng, monkeypa
     assert np.array_equal(got.values, want)
     # one (N, nodes) matrix and a few block workspaces per thread, not three matrices
     assert peak <= 1.5 * 8 * len(pts) * n_nodes
-
-
-def test_reconvolve_of_truth_matches_observed_density():
-    preset = preset_gaussian_mixture_1d()
-    grid = preset.metric_grid
-    truth = DensityOnGrid(grid, preset.truth_pdf(grid.nodes()))
-    rec = reconvolve(truth, preset.kernel, grid)
-    observed = preset.observed_pdf(grid.nodes())
-    assert np.max(np.abs(rec.values - observed)) < 1e-4
 
 
 def test_reconvolve_requires_matching_dims():

@@ -1,10 +1,11 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from fredholm_flow import EvaluationGrid, ReferenceMeasure
-from fredholm_flow import problems
+from fredholm_flow import artifacts, problems
 from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_preset,
                                     incidence_pdf, load_observations_csv,
                                     preset_ct_phantom, preset_epidemiology_synthetic,
@@ -250,8 +251,10 @@ def test_load_observations_csv(tmp_path):
 def test_load_observations_csv_rejects_bad_files(tmp_path, content):
     path = tmp_path / "obs.csv"
     path.write_text(content)
-    with pytest.raises(ValueError):
-        load_observations_csv(path)
+    # the cloud reader is the same reader, and its error names the file
+    for read in (load_observations_csv, artifacts.read_cloud_csv):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read(path)
 
 
 def test_ct_reconvolution_grid_covers_the_observations():

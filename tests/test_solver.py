@@ -267,18 +267,6 @@ def test_config_validation():
         SolverConfig(alpha=-0.1, gamma=0.1, n_particles=10, n_steps=1)
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.1, gamma=0.0, n_particles=10, n_steps=1)
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=0.1, gamma=0.1, n_particles=10, n_steps=1,
-                     resample_policy="sometimes")
-
-
-def test_minibatch_iid_policy(rng):
-    full = ObservationSample(np.arange(10.0)[:, None])
-    batch = draw_minibatch(full, 6, stream(1, 99), policy="iid")
-    assert batch.n_observations == 6
-    assert set(batch.points.ravel()) <= set(full.points.ravel())
-    again = draw_minibatch(full, 6, stream(1, 99), policy="iid")
-    assert np.array_equal(batch.points, again.points)
 
 
 def test_drift_failure_carries_particle_index():
