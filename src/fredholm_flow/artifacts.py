@@ -18,12 +18,25 @@ from .solver import SolverTrace
 from .state import ParticleCloud
 
 
+# array rows turned into Python floats at a time
+_CHUNK_LINES = 1024
+
+
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def _write_lines(path, lines):
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Each of ``lines`` and a newline, streamed through the file's buffer."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _as_listed(values: np.ndarray):
+    """The rows (or entries) of ``values`` as Python lists (or floats), converted
+    ``_CHUNK_LINES`` rows at a time."""
+    for start in range(0, len(values), _CHUNK_LINES):
+        yield from values[start:start + _CHUNK_LINES].tolist()
 
 
 def _write_table(path, header, rows, comments=()) -> None:
@@ -33,8 +46,9 @@ def _write_table(path, header, rows, comments=()) -> None:
     float is the same text as ``fmt``.
     """
     line = ",".join(["%.17g"] * len(header))
-    _write_lines(path, [*comments, ",".join(header),
-                        *(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist())])
+    rows = _as_listed(np.asarray(rows, dtype=float))
+    _write_lines(path, itertools.chain([*comments, ",".join(header)],
+                                       (line % tuple(row) for row in rows)))
 
 
 def _names(prefix: str, dim: int) -> list:
@@ -87,9 +101,10 @@ def write_density_csv(path, density: DensityOnGrid) -> None:
     grid = density.grid
     spans = ";".join(f"{fmt(lo)},{fmt(hi)},{n}" for lo, hi, n in grid.spans)
     nodes = itertools.product(*(["%.17g" % x for x in axis.tolist()] for axis in grid.axes()))
-    _write_lines(path, [f"# grid: {spans}", ",".join(_names("x", grid.dim) + ["density"]),
-                        *(",".join(node) + ",%.17g" % value
-                          for node, value in zip(nodes, density.values.tolist()))])
+    _write_lines(path, itertools.chain(
+        [f"# grid: {spans}", ",".join(_names("x", grid.dim) + ["density"])],
+        (",".join(node) + ",%.17g" % value
+         for node, value in zip(nodes, _as_listed(density.values)))))
 
 
 def read_density_csv(path) -> DensityOnGrid:

@@ -11,14 +11,17 @@ a block needs no d-plane workspace.  There are three evaluations:
   kernel, the drift's observation-major mean sweep with the queries in
   place of the observations;
 - ``at_particles()``: the cloud at its own points, summing the symmetric N×N
-  matrix by upper-triangular row blocks, so about half the exps are computed;
-  the blocks run on the shared pool of ``blocks``, and the calling thread
-  adds their row sums and the column sums below the diagonal in block order,
-  so the result is the same bits for any thread count;
+  matrix by upper-triangular row blocks (at least two), so about half the
+  exps are computed (3/4 when the square fits one block); the blocks run on
+  the shared pool of ``blocks``, and the calling thread adds their row sums
+  and the column sums below the diagonal in block order, so the result is
+  the same bits for any thread count;
 - ``on_grid(grid)``: a tensor-product grid; at d = 1 it is ``evaluate`` of
   the nodes, and at d ≥ 2 the diagonal Gaussian factorizes over coordinates,
   so one 1-D (n_i, N) factor per axis is contracted by GEMM (in 2-D,
-  A₁ A₂ᵀ / N) in place of one exp per (node, particle) pair.
+  A₁ A₂ᵀ / N) in place of one exp per (node, particle) pair, a particle
+  chunk at a time, with every factor block and leading-node product within
+  an eighth of a workspace.
 
 Direct summation (no binning) keeps the estimator exact relative to its
 definition; the three paths differ only in summation order.
@@ -32,6 +35,11 @@ import numpy as np
 
 from .blocks import BLOCK_PAIRS, column_means, map_blocks, row_blocks, scratch
 from .kernels import GaussianConvolutionKernel
+
+# entries of each 1-D factor block and leading-node product of the grid
+# readout: an eighth of a workspace, so the readout adds a few small arrays
+# to a run's peak, not blocks as large as a step's
+_GRID_PAIRS = BLOCK_PAIRS // 8
 
 
 def _points_of(cloud_or_points) -> np.ndarray:
@@ -135,18 +143,26 @@ class GaussianKde:
         bit for bit, since (a − b)² == (b − a)², so only the summation order changes."""
         pts = self.points
         n = pts.shape[0]
-        rows = row_blocks(n, n)
+        tasks = [[r] for r in row_blocks(n, n)]
+        if len(tasks) == 1 and n > 1:
+            # a square of one block still sweeps its triangle in two row blocks,
+            # 3/4 of the pairs, in one task
+            tasks = [[slice(0, n // 2), slice(n // 2, n)]]
 
-        def sums(r):
+        def sums(task):
             # this thread's workspace "k", which the drift's k blocks share
-            k = self._kernel.eval_matrix(pts[r], pts[r.start:],
-                                         out=scratch("k", r.stop - r.start, n - r.start))
-            return k.sum(axis=1), k[:, r.stop - r.start:].sum(axis=0)
+            parts = []
+            for r in task:
+                k = self._kernel.eval_matrix(pts[r], pts[r.start:],
+                                             out=scratch("k", r.stop - r.start, n - r.start))
+                parts.append((r, k.sum(axis=1), k[:, r.stop - r.start:].sum(axis=0)))
+            return parts
 
         out = np.zeros(n)
-        for r, (row_sums, col_sums) in zip(rows, map_blocks(sums, rows)):
-            out[r] += row_sums
-            out[r.stop:] += col_sums
+        for task in map_blocks(sums, tasks):
+            for r, row_sums, col_sums in task:
+                out[r] += row_sums
+                out[r.stop:] += col_sums
         return out / n
 
     def on_grid(self, grid: EvaluationGrid) -> np.ndarray:
@@ -158,11 +174,11 @@ class GaussianKde:
         factor_kernels = [GaussianConvolutionKernel(s) for s in self._kernel.noise_sd]
         axes = [a[:, None] for a in grid.axes()]
         lead_shape, n_last = grid.shape[:-1], grid.shape[-1]
-        n_lead = int(np.prod(lead_shape))
-        # particles per block keep every (n_i, block) factor within the cap;
+        n_lead = math.prod(lead_shape)
+        # particles per block keep every (n_i, block) factor within _GRID_PAIRS;
         # leading nodes per block keep their row products within it too
-        p_block = max(1, BLOCK_PAIRS // max(grid.shape))
-        r_block = max(1, BLOCK_PAIRS // p_block)
+        p_block = max(1, _GRID_PAIRS // max(grid.shape))
+        r_block = max(1, _GRID_PAIRS // p_block)
         out = np.zeros((n_lead, n_last))
         for p0 in range(0, self.points.shape[0], p_block):
             chunk = self.points[p0:p0 + p_block]
@@ -172,6 +188,6 @@ class GaussianKde:
                 idx = np.unravel_index(np.arange(r0, min(r0 + r_block, n_lead)), lead_shape)
                 lead = factors[0][idx[0]]
                 for f, j in zip(factors[1:-1], idx[1:]):
-                    lead = lead * f[j]
+                    lead *= f[j]
                 out[r0:r0 + r_block] += lead @ factors[-1].T
         return out.ravel() / self.points.shape[0]

@@ -50,9 +50,9 @@ runs ``eval_matrix`` in row blocks, the drift in blocks of observations.
 order, so its rows are the same bits whichever other particles (at least
 one) come with them; the drift passes all of them to every block.
 Temporaries go to the calling thread's reusable ``blocks.scratch``
-workspaces "a" to "c", so neither ``out`` nor ``plane`` may be one of
-those.  Pointwise ``eval`` and ``grad1`` are derived from the two (one
-pair, unit weight).  Every kernel is immutable after construction, and
+workspaces "a" and then "b" (the delay kernel alone needs "b"), so neither
+``out`` nor ``plane`` may be one of those.  Pointwise ``eval`` and
+``grad1`` are derived from the two (one pair, unit weight).  Every kernel is immutable after construction, and
 every constructor rejects a parameter that is not finite, or whose
 normaliser or ``bound_M`` is not, with a ValueError.  ``bound_M`` is an
 analytic uniform bound on both k and ``‖∇₁k‖`` (second derivatives are
@@ -245,9 +245,9 @@ class GaussianMixtureDelayKernel(KernelModel):
         grad = None if plane is None else plane[0]
         components = zip(self.means, self._exponent_scale, self._peak, self._precision)
         for c, (m, scale, peak, precision) in enumerate(components):
-            dens = out if c == 0 else scratch("b", *shape)
+            dens = out if c == 0 else scratch("a", *shape)
             # k alone needs no z
-            z = dens if grad is None else grad if c == 0 else scratch("c", *shape)
+            z = dens if grad is None else grad if c == 0 else scratch("b", *shape)
             np.copyto(z, Y[0])
             z -= X[0]
             z -= m
@@ -318,7 +318,7 @@ class RadonAlignmentKernel(KernelModel):
             # broadcast copies scaled in place: the same bits as broadcast products
             np.copyto(u, cos)
             u *= X[0]
-            term = scratch("b", *shape)
+            term = scratch("a", *shape)
             np.copyto(term, sin)
             term *= X[1]
             u += term

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .artifacts import read_points_csv
+from .blocks import row_blocks
 from .density import EvaluationGrid
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       KernelModel, RadonAlignmentKernel)
@@ -56,9 +57,13 @@ def _iso_mixture_pdf(points, weights, means, sds):
 def _mixture_sampler(weights, means, sds, dim) -> Callable:
     """``sample_truth(m, seed)`` for ``_iso_mixture_pdf``'s mixture in ``dim`` dimensions.
 
-    A component label per row (none with one component), then one (m, dim)
-    standard-normal block.  ``means`` holds a scalar or a ``dim``-vector per
-    component; scalars broadcast over the coordinates.
+    A component label per row (none with one component), then an (m, dim)
+    standard-normal block, drawn in ``row_blocks(m, dim)`` row blocks into
+    the result and scaled and shifted there: the same stream, in the same
+    order, as one draw, and the same bits as ``means[label] + sds[label] * z``
+    with no whole-sample temporary.
+    ``means`` holds a scalar or a ``dim``-vector per component; scalars
+    broadcast over the coordinates.
     """
     thresholds = np.cumsum(weights)[:-1]
     means = np.asarray(means, dtype=float).reshape(len(weights), -1)
@@ -68,7 +73,12 @@ def _mixture_sampler(weights, means, sds, dim) -> Callable:
         gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
         label = np.searchsorted(thresholds, gen.random(m), side="right") \
             if thresholds.size else np.zeros(m, dtype=int)
-        return means[label] + sds[label, None] * gen.standard_normal((m, dim))
+        out = np.empty((m, dim))
+        for r in row_blocks(m, dim):
+            z = gen.standard_normal(out=out[r])
+            z *= sds[label[r], None]
+            z += means[label[r]]
+        return out
 
     return sample_truth
 
@@ -139,9 +149,16 @@ def _additive_noise_preset(name, weights, means, sds, noise_sd, dim=1,
     sample_truth = _mixture_sampler(weights, means, sds, dim)
 
     def sample_observations(m, seed):
+        """The truth plus noise_sd times its own standard-normal stream, added in
+        the truth's row blocks: the same bits as adding one (m, dim) draw."""
         x = sample_truth(m, seed)
         gen = _rng.stream(_rng.derive_seed(seed, 1), _rng.ROLE_OBSERVATIONS)
-        return ObservationSample(x + noise_sd * gen.standard_normal((m, dim)))
+        for r in row_blocks(m, dim):
+            noise = gen.standard_normal((r.stop - r.start, dim))
+            noise *= noise_sd
+            x[r] += noise
+            del noise   # before the next block's draw
+        return ObservationSample(x)
 
     return ExperimentPreset(
         name=name,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -81,3 +82,22 @@ def test_table_rows_match_per_cell_format(tmp_path, rng):
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# comment", "a,b,c"]
     assert lines[2:] == [",".join(artifacts.fmt(v) for v in row) for row in rows]
+
+
+def test_density_csv_streams_its_lines(tmp_path, rng):
+    grid = EvaluationGrid(((-1.2, 1.2, 161), (-1.2, 1.2, 161)))
+    density = DensityOnGrid(grid, rng.exponential(size=161 * 161))
+    path = tmp_path / "kde_grid.csv"
+    tracemalloc.start()
+    artifacts.write_density_csv(path, density)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 + 161 * 161 > 20 * artifacts._CHUNK_LINES
+    # one chunk of values as Python floats and the file's buffer, not the whole file's text
+    chunk_bytes = artifacts._CHUNK_LINES * (1 + max(len(line) for line in lines))
+    assert peak <= 8 * chunk_bytes < path.stat().st_size / 2
+    # every node and value as one write of the whole file writes them
+    nodes = grid.nodes()
+    assert lines[2:] == [",".join(artifacts.fmt(v) for v in (*node, value))
+                         for node, value in zip(nodes, density.values)]

@@ -374,6 +374,29 @@ def test_particle_reconvolution_memory_does_not_grow_with_the_cloud(rng, monkeyp
         assert peak <= 8 * 8 * blocks.BLOCK_PAIRS
 
 
+@pytest.mark.parametrize("name, names", [("radon", ["a", "k", "plane"]),
+                                         ("delay", ["a", "b", "k", "plane"])])
+def test_a_pool_thread_holds_k_the_plane_and_the_temporaries(name, names, rng, monkeypatch):
+    # a drift, then the KDE at the particles, on a pool of one thread: two
+    # jobs, each running every block of its own; kernels take their
+    # temporaries from "a" and then "b", so the KDE's difference shares "a"
+    monkeypatch.setattr(blocks, "_cores", lambda: 1)
+    monkeypatch.setattr(blocks, "_pool", None)
+    kernel, xs, ys = kernel_batch(name, rng, 2000, 2000)
+    assert len(blocks.drift_blocks(2000, 2000)) > 1 and len(blocks.row_blocks(2000, 2000)) > 1
+
+    def job(_):
+        blocks.drift_rows(kernel, xs, ys, weights=np.sqrt)
+        GaussianKde(xs).at_particles()
+        return sorted(key for key, value in vars(blocks._local).items()
+                      if isinstance(value, np.ndarray))
+
+    try:
+        assert blocks.map_jobs(job, range(2), workers=2) == [names, names]
+    finally:
+        blocks._shared_pool().shutdown()
+
+
 def test_one_block_runs_inline(rng, monkeypatch):
     n, m = 300, 200
     kernel, xs, ys, ref = gaussian_step(rng, n, m)

@@ -148,6 +148,28 @@ def test_kde_at_particles_matches_evaluate(rng):
     np.testing.assert_allclose(kde.at_particles(), kde.evaluate(pts), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 500])
+def test_kde_at_particles_cuts_a_one_block_square_in_two(n, rng, monkeypatch):
+    # N² fits one block, yet the triangle is swept in two row blocks: at
+    # N = 500 three quarters of the square, not all of it
+    assert len(blocks.row_blocks(n, n)) == 1
+    pairs = []
+    eval_matrix = GaussianConvolutionKernel.eval_matrix
+
+    def counting(self, xs, ys, out=None, plane=None):
+        k = eval_matrix(self, xs, ys, out, plane)
+        pairs.append(k.size)
+        return k
+
+    pts = rng.normal(size=(n, 2))
+    kde = GaussianKde(pts, BandwidthMatrix([0.3, 0.5]))
+    with monkeypatch.context() as patch:
+        patch.setattr(GaussianConvolutionKernel, "eval_matrix", counting)
+        got = kde.at_particles()
+    assert len(pairs) == 2 and sum(pairs) < 0.8 * n * n
+    np.testing.assert_allclose(got, kde.evaluate(pts), rtol=1e-12, atol=0)
+
+
 def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
     sizes = []
     eval_matrix = GaussianConvolutionKernel.eval_matrix
@@ -173,6 +195,14 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
             assert sizes and max(sizes) <= blocks.BLOCK_PAIRS
             # a few blocks' worth of temporaries, not a whole (nodes, N) product
             assert peak <= 8 * 8 * blocks.BLOCK_PAIRS
+        # the grid readout at d >= 2 holds a few factor blocks and leading-node
+        # products of an eighth of a workspace each: less than one workspace
+        if d >= 2:
+            tracemalloc.start()
+            kde.on_grid(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 8 * blocks.BLOCK_PAIRS
         # several particle blocks (and leading-node blocks in 3-D) against one sum
         np.testing.assert_allclose(kde.on_grid(grid), kde.evaluate(grid.nodes()),
                                    rtol=1e-12, atol=0)

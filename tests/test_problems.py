@@ -1,11 +1,13 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fredholm_flow import EvaluationGrid, ReferenceMeasure
-from fredholm_flow import artifacts, problems
+from fredholm_flow import artifacts, blocks, problems
+from fredholm_flow import rng as _rng
 from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_preset,
                                     incidence_pdf, load_observations_csv,
                                     preset_ct_phantom, preset_epidemiology_synthetic,
@@ -196,6 +198,57 @@ def test_preset_observation_streams_are_pinned(name, options, digest):
     points = get_preset(name, **options).sample_observations(4, seed=2209).points
     data = np.ascontiguousarray(points, dtype="<f8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def one_call_truth(weights, means, sds, dim, m, seed):
+    """The mixture sampler's formula in one call: every label, then one (m, dim) draw."""
+    gen = _rng.stream(seed, _rng.ROLE_OBSERVATIONS)
+    thresholds = np.cumsum(weights)[:-1]
+    label = np.searchsorted(thresholds, gen.random(m), side="right") \
+        if thresholds.size else np.zeros(m, dtype=int)
+    means = np.asarray(means, dtype=float).reshape(len(weights), -1)
+    sds = np.asarray(sds, dtype=float)
+    return means[label] + sds[label, None] * gen.standard_normal((m, dim))
+
+
+def one_call_noise(m, dim, seed):
+    return _rng.stream(_rng.derive_seed(seed, 1), _rng.ROLE_OBSERVATIONS).standard_normal((m, dim))
+
+
+MIXTURES = [
+    # preset, its mixture (weights, means, sds, dim), its noise sd (None: not additive)
+    (preset_highdim_mixture(10), ((1 / 3, 2 / 3), (0.3, 0.7), (0.07, 0.1), 10), 0.15),
+    (preset_toy_gaussian(), ((1.0,), (0.0,), (0.43,), 1), 0.45),
+    (preset_ct_phantom(), ((0.5, 0.5), ((-0.3, -0.25), (0.35, 0.2)), (0.12, 0.18), 2), None),
+]
+
+
+@pytest.mark.parametrize("preset, mixture, noise_sd", MIXTURES,
+                         ids=[preset.name for preset, _, _ in MIXTURES])
+def test_row_blocked_draws_match_one_call(preset, mixture, noise_sd):
+    # the samplers write several row blocks; each stream is drawn in the same
+    # order as one call, so the draws are the same bits
+    dim = mixture[-1]
+    m = 3 * blocks.BLOCK_PAIRS // dim + 7
+    assert len(blocks.row_blocks(m, dim)) > 3
+    truth = one_call_truth(*mixture, m, 2209)
+    assert np.array_equal(preset.sample_truth(m, 2209), truth)
+    if noise_sd is not None:
+        observed = truth + noise_sd * one_call_noise(m, dim, 2209)
+        assert np.array_equal(preset.sample_observations(m, 2209).points, observed)
+
+
+def test_highdim_observations_hold_their_output_and_one_row_block():
+    preset, m = preset_highdim_mixture(10), 100_000
+    block = max(r.stop - r.start for r in blocks.row_blocks(m, 10))
+    preset.sample_observations(10, seed=1)
+    tracemalloc.start()
+    points = preset.sample_observations(m, seed=2209).points
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the (m, 10) result and one (block, 10) draw of noise, with a few small
+    # arrays and objects: no whole-sample temporary
+    assert peak <= points.nbytes + 8 * 10 * block + 2**16
 
 
 def test_init_modes():
