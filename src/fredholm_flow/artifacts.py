@@ -1,4 +1,4 @@
-"""CSV and JSON artifact writers/readers.
+"""CSV and JSON artifact writers, and the reader of point files.
 
 All floats are written with 17 significant digits so every file parses back
 bit-exactly; writers emit rows in a fixed order so identical runs produce
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import EvaluationGrid
 from .metrics import DensityOnGrid
 from .solver import SolverTrace
 from .state import ParticleCloud
@@ -82,11 +81,6 @@ def read_points_csv(path) -> np.ndarray:
     return data
 
 
-def read_cloud_csv(path) -> ParticleCloud:
-    """A cloud as ``write_cloud_csv`` wrote it, or the same rows with no header."""
-    return ParticleCloud(read_points_csv(path))
-
-
 # -- solver traces -----------------------------------------------------------
 
 def write_trace_csv(path, trace: SolverTrace) -> None:
@@ -107,19 +101,6 @@ def write_density_csv(path, density: DensityOnGrid) -> None:
          for node, value in zip(nodes, _as_listed(density.values)))))
 
 
-def read_density_csv(path) -> DensityOnGrid:
-    with open(path) as fh:
-        comment = fh.readline().strip()
-        if not comment.startswith("# grid: "):
-            raise ValueError(f"{path} is missing its grid header")
-        spans = tuple(tuple(float(v) if i < 2 else int(v)
-                            for i, v in enumerate(part.split(",")))
-                      for part in comment[len("# grid: "):].split(";"))
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return DensityOnGrid(EvaluationGrid(spans), data[:, -1])
-
-
 # -- metric tables -----------------------------------------------------------
 
 def write_metrics_csv(path, rows) -> None:
@@ -128,16 +109,6 @@ def write_metrics_csv(path, rows) -> None:
     for exp, method, n, m, seed, metric, value in rows:
         lines.append(f"{exp},{method},{n},{m},{seed},{metric},{fmt(value)}")
     _write_lines(path, lines)
-
-
-def read_metrics_csv(path):
-    rows = []
-    with open(path) as fh:
-        fh.readline()
-        for line in fh:
-            exp, method, n, m, seed, metric, value = line.strip().split(",")
-            rows.append((exp, method, int(n), int(m), int(seed), metric, float(value)))
-    return rows
 
 
 # -- cross-validation tables -------------------------------------------------

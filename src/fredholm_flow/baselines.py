@@ -120,6 +120,7 @@ def resolve_toy_sigma0_sq(beta_target: float, alpha: float,
     from the stationarity condition."""
     if not 0 < alpha:
         raise ValueError("alpha must be positive")
+    ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, 1.0, alpha)   # the variances' range checks
     s = beta_target + sigma_k_sq
     mu2 = sigma_pi_sq + sigma_k_sq
     data_slope = 1.0 / (2 * s) - mu2 / (2 * s**2)
@@ -178,10 +179,6 @@ class GridProblem:
                 raise ValueError(f"bin_centers must have one row per solution bin ({pi0.size})")
             object.__setattr__(self, "bin_centers", centers)
 
-    @property
-    def n_bins(self) -> int:
-        return self.reference.size
-
 
 def grid_problem_from_continuous(kernel: KernelModel, observed_pdf, ref: ReferenceMeasure,
                                  n_bins: int, lo: float = 0.0, hi: float = 1.0) -> GridProblem:
@@ -202,13 +199,6 @@ def grid_problem_from_continuous(kernel: KernelModel, observed_pdf, ref: Referen
     mu = np.asarray(observed_pdf(pts), dtype=float).ravel() * width
     pi0 = np.exp(ref.log_density(pts)) * width
     return GridProblem(k, mu, pi0, bin_centers=pts)
-
-
-def richardson_lucy_step(state: np.ndarray, problem: GridProblem) -> np.ndarray:
-    """Unpenalized multiplicative update π_b ← π_b Σ_c μ_c k_bc / λ_c."""
-    state = np.asarray(state, dtype=float)
-    lam = state @ problem.kernel_matrix
-    return state * (problem.kernel_matrix @ (problem.observed / lam))
 
 
 def oslem_step(state: np.ndarray, problem: GridProblem, alpha: float) -> np.ndarray:

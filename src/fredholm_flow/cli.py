@@ -34,9 +34,10 @@ from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       RadonAlignmentKernel)
 from .metrics import DensityOnGrid, ise, reconvolve, wasserstein1_1d
 from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, ExperimentPreset,
-                       build_initial_cloud, get_preset, load_observations_csv)
+                       build_initial_cloud, get_preset)
 from .reference import ReferenceMeasure
 from .solver import SolverConfig, run as run_solver
+from .state import ObservationSample, ParticleCloud
 
 # key tables: key -> type or section table; (key, tables) picks tables[the value of key]
 _SOLVER = typing.get_type_hints(SolverConfig)
@@ -69,6 +70,8 @@ _REFERENCES = {"gaussian": {"mean": list[float], "variances": list[float]},
                "flat": {"dim": int}, "from_sample": {"mean_shift": float}}
 _INIT_ERROR_KEYS = {"point": "init.point", "uniform": "init.box"}   # else init.mode
 _METRIC_NAMES = ("ise", "w1_marginal1", "reconvolution_ise")
+# the most replicates one run writes: every repNNN/ name keeps three digits
+MAX_REPLICATES = 1000
 _INLINE_SOLVER = SolverConfig(alpha=0.01, gamma=1e-3, n_particles=200, n_steps=100)
 
 
@@ -193,7 +196,7 @@ def _metric_names(cfg: dict, preset) -> list:
     return names
 
 
-def _observations(cfg: dict, preset, solver=None):
+def _observations(cfg: dict, preset, solver=None, metrics=()):
     """``draw(replicate_seed) -> (observations, seed)``, checked once: the file's sample
     (seed None) or a preset draw seeded by ``observations.seed`` or the replicate's seed."""
     obs = cfg.get("observations", {})
@@ -202,24 +205,26 @@ def _observations(cfg: dict, preset, solver=None):
         if not path.is_file():
             raise ConfigError(f"file not found: {path}", path="observations.file")
         with _at("observations.file"):
-            sample = load_observations_csv(path)
+            sample = ObservationSample(artifacts.read_points_csv(path))
         if sample.dim != preset.kernel.dim_y:
             raise ConfigError(f"observations have dimension {sample.dim}, kernel "
                               f"expects {preset.kernel.dim_y}", path="observations")
-        n, draw = sample.n_observations, lambda _: (sample, None)
+        n, draw, key = sample.n_observations, lambda _: (sample, None), "observations.file"
     elif preset.sample_observations is None:
         raise ConfigError("inline problems need observations from a file",
                           path="observations.file")
     else:
-        n = obs.get("n_samples", preset.n_observations)
-        if n < 1:
-            raise ConfigError("n_samples must be positive", path="observations.n_samples")
+        n, key = obs.get("n_samples", preset.n_observations), "observations.n_samples"
         fixed = _seed(obs["seed"], "observations.seed") if "seed" in obs else None
 
         def draw(replicate_seed):
             seed = _rng.derive_seed(replicate_seed, 11) if fixed is None else fixed
             with _allocated("observations.n_samples", n):
                 return preset.sample_observations(n, seed), seed
+    # the reconvolution ISE scores against a KDE of the observations, which needs two
+    least = 2 if "reconvolution_ise" in metrics else 1
+    if n < least:
+        raise ConfigError(f"{n} observations, at least {least} needed", path=key)
     if solver is not None and solver.minibatch is not None and solver.minibatch > n:
         raise ConfigError("minibatch exceeds the observation count", path="solver.minibatch")
     return draw
@@ -277,8 +282,8 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
     with _at("solver"):
         solver = dataclasses.replace(preset.solver, **cfg.get("solver", {}))
     replicates = cfg.get("replicates", 1)
-    if not 1 <= replicates < 1 << 63:
-        raise ConfigError("replicates must lie in [1, 2**63)", path="replicates")
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise ConfigError(f"{replicates} is not in [1, {MAX_REPLICATES}]", path="replicates")
     seed_key = ("--seed" if seed_override is not None
                 else "seed_base" if "seed_base" in cfg else "solver.seed")
     seed_base = _seed(seed_override if seed_override is not None
@@ -291,7 +296,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
             and preset.init_mode(init.get("mode", "auto")) == "point":
         raise ConfigError("0 leaves a point initialization at one point, which has no "
                           "KDE for kde_grid or ise", path="solver.alpha")
-    draw = _observations(cfg, preset, solver)
+    draw = _observations(cfg, preset, solver, metric_names)
 
     def replicate(r):   # every config error comes before the solve and any output
         seed = seed_base + r
@@ -367,6 +372,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
             sigma0_sq = cfg.get("sigma0_sq", 0.0) \
                 or resolve_toy_sigma0_sq(0.44, 1.0, sigma_pi_sq, sigma_k_sq)
             spec = ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
+        with _at("alpha_grid"):
             rows = toy_sweep(spec, cfg.get("alpha_grid", [0.0, 0.5, 1.0]))
         artifacts.write_toy_sweep_csv(out / "toy_sweep.csv", rows)
         for alpha, beta, value in rows:
@@ -377,14 +383,22 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
     if preset.observed_pdf is None or preset.dim != 1:
         raise ConfigError("grid EM baseline needs a 1-D preset with a closed-form "
                           "observed density", path="preset")
-    alpha = cfg.get("alpha", preset.solver.alpha)
+    alpha, n_bins = cfg.get("alpha", preset.solver.alpha), cfg.get("n_bins", 100)
+    if alpha < 0:
+        raise ConfigError(f"{alpha} must be nonnegative", path="alpha")
+    if n_bins < 1:
+        raise ConfigError(f"{n_bins} bins, at least 1 needed", path="n_bins")
+    lo, hi = cfg.get("lo", 0.0), cfg.get("hi", 1.0)
+    # a bin range that is empty, or where the reference vanishes, is reported at
+    # the bound farther from its default
+    bound = "lo" if abs(lo) >= abs(hi - 1.0) else "hi"
     observations, _ = _observations(cfg, preset)(
         seed_override if seed_override is not None else 0)
-    n_bins = cfg.get("n_bins", 100)
-    with _at(""), _allocated("n_bins", n_bins):   # the range messages name the key
-        problem = grid_problem_from_continuous(
-            preset.kernel, preset.observed_pdf, preset.make_reference(observations),
-            n_bins, cfg.get("lo", 0.0), cfg.get("hi", 1.0))
+    with _at("observations"):   # a reference may be the sample's moments
+        ref = preset.make_reference(observations)
+    with _at(bound), _allocated("n_bins", n_bins):
+        problem = grid_problem_from_continuous(preset.kernel, preset.observed_pdf, ref,
+                                               n_bins, lo, hi)
     with _at("iterations"):
         state = oslem_solve(problem, alpha, cfg.get("iterations", 500))
     artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)
@@ -403,13 +417,13 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
     clouds = []
     for path in cloud_paths:
         with _at("clouds"):
-            clouds.append(artifacts.read_cloud_csv(path))
+            clouds.append(ParticleCloud(artifacts.read_points_csv(path)))
         if clouds[-1].dim != preset.dim:
             raise ConfigError(f"{path} has dimension {clouds[-1].dim}, the preset "
                               f"{preset.dim}", path="clouds")
     names = _metric_names(cfg, preset)
     seed = seed_override if seed_override is not None else _seed(cfg.get("seed", 0), "seed")
-    observations = _observations(cfg, preset)(seed)[0] \
+    observations = _observations(cfg, preset, metrics=names)(seed)[0] \
         if "reconvolution_ise" in names or "observations" in cfg else None
     n_observations = observations.n_observations if observations else 0
     rows = [(preset.name, "stored_cloud", cloud.n_particles, n_observations, seed, metric, value)

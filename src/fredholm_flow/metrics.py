@@ -1,5 +1,5 @@
-"""Accuracy metrics: integrated square error, pointwise MSE, 1-D Wasserstein-1
-and reconvolution of a particle estimate through the kernel.
+"""Accuracy metrics: integrated square error, 1-D Wasserstein-1 and
+reconvolution of a particle estimate through the kernel.
 
 All of them are plain numpy: the 1-D Wasserstein-1 distance is computed here
 from sorted samples, so importing this module loads no scipy.
@@ -41,14 +41,6 @@ def ise(estimate: DensityOnGrid, truth: DensityOnGrid) -> float:
         raise ValueError("ISE requires identical grids")
     diff = truth.values - estimate.values
     return float(estimate.grid.trapezoid_weights() @ diff**2)
-
-
-def pointwise_mse(replicate_values, truth_value: float) -> float:
-    """Mean over replicate estimates of the squared error at one point."""
-    reps = np.asarray(replicate_values, dtype=float).ravel()
-    if reps.size < 2:
-        raise ValueError("pointwise MSE needs at least 2 replicates")
-    return float(np.mean((truth_value - reps) ** 2))
 
 
 def wasserstein1_1d(sample_a, sample_b) -> float:

@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .artifacts import read_points_csv
 from .blocks import row_blocks
 from .density import EvaluationGrid
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
@@ -380,8 +379,3 @@ def get_preset(name: str, **options) -> ExperimentPreset:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     return PRESETS[name](**options)
-
-
-def load_observations_csv(path) -> ObservationSample:
-    """One observation per row, as ``artifacts.read_points_csv`` reads it."""
-    return ObservationSample(read_points_csv(path))

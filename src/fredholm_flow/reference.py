@@ -1,9 +1,9 @@
 """Reference measures π₀ given through their potential U.
 
 Two kinds are supported: a diagonal Gaussian (the only proper reference any
-shipped experiment uses) and an improper flat reference with ∇U ≡ 0.  The
-Gaussian kind stores its Lipschitz and dissipativity constants for
-diagnostics; they are never enforced at runtime.
+shipped experiment uses) and an improper flat reference with ∇U ≡ 0.  Each
+stores the Lipschitz constant of ∇U for diagnostics; it is never enforced at
+runtime.
 """
 from __future__ import annotations
 
@@ -41,14 +41,10 @@ class ReferenceMeasure:
                 self.lipschitz = float(np.max(1.0 / self.variances))
             if not np.isfinite(self.lipschitz):
                 raise ValueError("variances must not be so small that 1/variance overflows")
-            self.dissipativity_m = float(np.min(1.0 / self.variances))
-            self.dissipativity_c = 0.0
         else:
             self.mean = None
             self.variances = None
             self.lipschitz = 0.0
-            self.dissipativity_m = 0.0
-            self.dissipativity_c = 0.0
 
     @classmethod
     def gaussian(cls, mean, variances) -> "ReferenceMeasure":

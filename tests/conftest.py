@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from fredholm_flow import DensityOnGrid, EvaluationGrid
+
 # every @given test draws the same examples on every run, and no example
 # database carries failures from one run to the next
 settings.register_profile("deterministic", derandomize=True)
@@ -26,3 +28,28 @@ def central_difference(f, x, h=1e-5):
 
 def gauss_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
+
+
+def read_density_csv(path) -> DensityOnGrid:
+    """A density as ``artifacts.write_density_csv`` wrote it."""
+    with open(path) as fh:
+        comment = fh.readline().strip()
+        if not comment.startswith("# grid: "):
+            raise ValueError(f"{path} is missing its grid header")
+        spans = tuple(tuple(float(v) if i < 2 else int(v)
+                            for i, v in enumerate(part.split(",")))
+                      for part in comment[len("# grid: "):].split(";"))
+        fh.readline()
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return DensityOnGrid(EvaluationGrid(spans), data[:, -1])
+
+
+def read_metrics_csv(path):
+    """The rows of a ``metrics.csv``, with the counts and seed as ints and the value a float."""
+    rows = []
+    with open(path) as fh:
+        fh.readline()
+        for line in fh:
+            exp, method, n, m, seed, metric, value = line.strip().split(",")
+            rows.append((exp, method, int(n), int(m), int(seed), metric, float(value)))
+    return rows

@@ -8,19 +8,20 @@ from fredholm_flow import artifacts
 from fredholm_flow.functional import FunctionalEstimate
 from fredholm_flow.solver import SolverTrace
 
+from conftest import read_density_csv, read_metrics_csv
+
 
 def test_cloud_roundtrip_bitexact(tmp_path, rng):
     cloud = ParticleCloud(rng.normal(size=(17, 3)) * 1e-7)
     path = tmp_path / "cloud.csv"
     artifacts.write_cloud_csv(path, cloud)
-    back = artifacts.read_cloud_csv(path)
-    assert np.array_equal(back.points, cloud.points)
+    assert np.array_equal(artifacts.read_points_csv(path), cloud.points)
 
 
 def test_headerless_cloud_keeps_every_row(tmp_path):
     path = tmp_path / "cloud.csv"
     path.write_text("0.1\n0.2\n0.3\n")
-    assert np.array_equal(artifacts.read_cloud_csv(path).points, [[0.1], [0.2], [0.3]])
+    assert np.array_equal(artifacts.read_points_csv(path), [[0.1], [0.2], [0.3]])
 
 
 def test_trace_roundtrip_bitexact(tmp_path, rng):
@@ -47,7 +48,7 @@ def test_density_roundtrip_bitexact(tmp_path, rng):
         density = DensityOnGrid(grid, rng.exponential(size=int(np.prod(grid.shape))))
         path = tmp_path / "density.csv"
         artifacts.write_density_csv(path, density)
-        back = artifacts.read_density_csv(path)
+        back = read_density_csv(path)
         assert back.grid.spans == grid.spans
         assert np.array_equal(back.values, density.values)
         # the same bytes as every cell of the node table formatted in turn
@@ -62,7 +63,7 @@ def test_metrics_roundtrip(tmp_path):
     rows = [("toy", "particle_flow", 500, 10000, 7, "ise", 0.1 + 1e-16)]
     path = tmp_path / "metrics.csv"
     artifacts.write_metrics_csv(path, rows)
-    assert artifacts.read_metrics_csv(path) == rows
+    assert read_metrics_csv(path) == rows
 
 
 def test_resolved_config_is_sorted_json(tmp_path):

@@ -15,6 +15,8 @@ from fredholm_flow import artifacts, blocks, cli, density, kernels
 from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
 
+from conftest import read_density_csv, read_metrics_csv
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -64,7 +66,7 @@ def test_run_emits_artifacts(tmp_path):
         assert (out / rep / "kde_grid.csv").exists()
     assert (out / "metrics.csv").exists()
     assert (out / "config_resolved.json").exists()
-    rows = artifacts.read_metrics_csv(out / "metrics.csv")
+    rows = read_metrics_csv(out / "metrics.csv")
     assert {r[5] for r in rows} == {"ise", "w1_marginal1"}
     assert {r[4] for r in rows} == {5, 6}
 
@@ -82,7 +84,7 @@ def test_run_zero_steps_final_cloud_is_init(tmp_path):
     cfg = write_config(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    cloud = artifacts.read_cloud_csv(out / "rep000" / "cloud_final.csv")
+    points = artifacts.read_points_csv(out / "rep000" / "cloud_final.csv")
     # rebuild the initialization independently from the same seeds
     from fredholm_flow.problems import build_initial_cloud
     import dataclasses
@@ -92,7 +94,7 @@ def test_run_zero_steps_final_cloud_is_init(tmp_path):
     ref = preset.make_reference(obs)
     config = dataclasses.replace(preset.solver, n_particles=50, n_steps=0, seed=5)
     init = build_initial_cloud(preset, config, obs, ref)
-    assert np.array_equal(cloud.points, init.points)
+    assert np.array_equal(points, init.points)
 
 
 def test_minibatch_rule_validated(tmp_path):
@@ -217,8 +219,8 @@ def test_metrics_recomputation(tmp_path):
     })
     out2 = tmp_path / "out2"
     assert main(["metrics", "--config", metrics_cfg, "--out", str(out2)]) == 0
-    recomputed = artifacts.read_metrics_csv(out2 / "metrics.csv")
-    original = artifacts.read_metrics_csv(out / "metrics.csv")
+    recomputed = read_metrics_csv(out2 / "metrics.csv")
+    original = read_metrics_csv(out / "metrics.csv")
     orig_ise = [r for r in original if r[5] == "ise"][0][6]
     assert recomputed[0][6] == pytest.approx(orig_ise, rel=1e-12)
 
@@ -246,7 +248,7 @@ def test_seed_flag_overrides_base(tmp_path):
     cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, replicates=1))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
-    rows = artifacts.read_metrics_csv(out / "metrics.csv")
+    rows = read_metrics_csv(out / "metrics.csv")
     assert {r[4] for r in rows} == {99}
 
 
@@ -267,9 +269,9 @@ def test_run_reads_out_metric_grid_once(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert calls.count(preset.metric_grid) == SMALL_RUN["replicates"]
     truth = DensityOnGrid(preset.metric_grid, preset.truth_pdf(preset.metric_grid.nodes()))
-    rows = artifacts.read_metrics_csv(out / "metrics.csv")
+    rows = read_metrics_csv(out / "metrics.csv")
     for r, rep in enumerate(("rep000", "rep001")):
-        written = artifacts.read_density_csv(out / rep / "kde_grid.csv")
+        written = read_density_csv(out / rep / "kde_grid.csv")
         used = [row[6] for row in rows if row[5] == "ise" and row[4] == 5 + r]
         assert used == [ise(written, truth)]
 
@@ -432,6 +434,16 @@ def _probe(command, config, key, case):
     _probe("baseline", dict(OSLEM, n_bins=0), "n_bins", "oslem-no-bins"),
     _probe("baseline", dict(OSLEM, iterations=-1), "iterations", "oslem-negative-iterations"),
     _probe("baseline", dict(OSLEM, lo=1, hi=0), "lo", "oslem-empty-span"),
+    _probe("baseline", dict(OSLEM, hi=0.0), "hi", "oslem-span-empty-at-hi"),
+    _probe("baseline", dict(OSLEM, hi=1e13), "hi", "oslem-span-where-the-reference-vanishes"),
+    _probe("baseline", dict(OSLEM, alpha=-1.0), "alpha", "oslem-negative-alpha"),
+    _probe("baseline", dict(OSLEM, preset="toy_gaussian", preset_options={},
+                            observations={"n_samples": 1, "seed": 2}), "observations",
+           "oslem-reference-from-one-observation"),
+    _probe("baseline", {"baseline": "toy", "alpha_grid": [-1.0]}, "alpha_grid",
+           "toy-negative-alpha"),
+    _probe("baseline", {"baseline": "toy", "sigma_k_sq": -0.5}, "sigma_k_sq",
+           "toy-negative-variance-with-sigma0-resolved"),
     _probe("baseline", dict(OSLEM, itrations=5), "itrations", "oslem-unknown-key"),
     _probe("baseline", {"baseline": "toy", "alpha_grid": [NAN]}, "alpha_grid", "toy-alpha-nan"),
     _probe("cv", dict(CV, cv=[1]), "cv", "cv-not-object"),
@@ -452,6 +464,9 @@ def _probe(command, config, key, case):
                        "clouds": [OBS_FILE]}, "clouds", "metrics-cloud-of-wrong-dimension"),
     _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [OBS_FILE], "seed": -1},
            "seed", "negative-metrics-seed"),
+    _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [OBS_FILE],
+                       "metrics": ["reconvolution_ise"], "observations": {"n_samples": 1}},
+           "observations.n_samples", "metrics-reconvolution-of-one-observation"),
 ])
 def test_invalid_config_exits_2_at_its_key(tmp_path, capsys, monkeypatch, rng, command,
                                            config, key):
@@ -539,6 +554,14 @@ def test_workers_flag_below_one_exits_2(tmp_path, capsys, command, workers):
     assert not out.exists()
 
 
+def test_more_replicates_than_the_cap_exit_2_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, replicates=cli.MAX_REPLICATES + 1))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: replicates")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", ["", "y_1\n", "0.1,0.2\n0.3\n", "0.1\nabc\n"],
                          ids=["empty", "header-only", "ragged", "non-numeric"])
 def test_bad_observation_file_exits_2(tmp_path, capsys, content):
@@ -552,8 +575,8 @@ def test_bad_observation_file_exits_2(tmp_path, capsys, content):
 def test_observation_file_is_read_once_per_run(tmp_path, monkeypatch, rng):
     np.savetxt(tmp_path / "obs.csv", rng.normal(0.4, 0.1, size=(60, 1)), delimiter=",")
     reads = []
-    load = cli.load_observations_csv
-    monkeypatch.setattr(cli, "load_observations_csv", lambda path: reads.append(path) or load(path))
+    read = artifacts.read_points_csv
+    monkeypatch.setattr(artifacts, "read_points_csv", lambda path: reads.append(path) or read(path))
     payload = dict(SMALL_RUN, observations={"file": str(tmp_path / "obs.csv")}, replicates=3)
     cfg = write_config(tmp_path, "c.json", payload)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "2"]) == 0

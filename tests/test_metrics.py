@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fredholm_flow import (DensityOnGrid, EvaluationGrid, GaussianConvolutionKernel,
                            GaussianMixtureDelayKernel, RadonAlignmentKernel, blocks, ise,
-                           pointwise_mse, reconvolve, wasserstein1_1d)
+                           reconvolve, wasserstein1_1d)
 
 from conftest import gauss_pdf
 
@@ -55,21 +55,6 @@ def test_ise_grid_mismatch():
     with pytest.raises(ValueError):
         ise(DensityOnGrid(_grid(n=101), np.zeros(101)),
             DensityOnGrid(_grid(n=201), np.zeros(201)))
-
-
-def test_pointwise_mse_trivials():
-    assert pointwise_mse([0.4, 0.4, 0.4], 0.4) == 0.0
-    eps = 0.03
-    assert pointwise_mse([1.0 + eps, 1.0 - eps], 1.0) == pytest.approx(eps**2, rel=1e-12)
-    with pytest.raises(ValueError):
-        pointwise_mse([1.0], 1.0)
-
-
-def test_pointwise_mse_matches_loop(rng):
-    reps = rng.normal(size=100)
-    truth = 0.7
-    oracle = sum((truth - r) ** 2 for r in reps) / 100
-    assert pointwise_mse(reps, truth) == pytest.approx(oracle, rel=1e-15)
 
 
 def test_w1_trivials():

@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm_flow import EvaluationGrid, ReferenceMeasure
+from fredholm_flow import EvaluationGrid, NumericalFailure, ObservationSample, ReferenceMeasure
 from fredholm_flow import artifacts, blocks, problems
 from fredholm_flow import rng as _rng
 from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_preset,
-                                    incidence_pdf, load_observations_csv,
-                                    preset_ct_phantom, preset_epidemiology_synthetic,
+                                    incidence_pdf, preset_ct_phantom, preset_epidemiology_synthetic,
                                     preset_gaussian_mixture_1d, preset_highdim_mixture,
                                     preset_toy_gaussian)
 
@@ -251,6 +250,19 @@ def test_highdim_observations_hold_their_output_and_one_row_block():
     assert peak <= points.nbytes + 8 * 10 * block + 2**16
 
 
+def test_finite_check_holds_no_whole_array_temporary(rng):
+    points = rng.normal(size=(100_000, 10))
+    tracemalloc.start()
+    ObservationSample(points)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2**16   # a bool mask of the sample would take 1 MB
+    for bad in (np.nan, np.inf, -np.inf):
+        points[4321, 7] = bad
+        with pytest.raises(NumericalFailure, match="index=4321"):
+            ObservationSample(points)
+
+
 def test_init_modes():
     preset = preset_gaussian_mixture_1d()
     obs = preset.sample_observations(100, seed=0)
@@ -293,8 +305,7 @@ def test_get_preset_registry():
 def test_load_observations_csv(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("0.1,0.2\n0.3,0.4\n")
-    sample = load_observations_csv(path)
-    assert sample.points.shape == (2, 2)
+    assert artifacts.read_points_csv(path).shape == (2, 2)
 
 
 @pytest.mark.parametrize("content", ["", "\n\n", "y_1,y_2\n", "0.1,0.2\n0.3\n",
@@ -304,10 +315,9 @@ def test_load_observations_csv(tmp_path):
 def test_load_observations_csv_rejects_bad_files(tmp_path, content):
     path = tmp_path / "obs.csv"
     path.write_text(content)
-    # the cloud reader is the same reader, and its error names the file
-    for read in (load_observations_csv, artifacts.read_cloud_csv):
-        with pytest.raises(ValueError, match=re.escape(str(path))):
-            read(path)
+    # observation files and clouds share this reader, and its error names the file
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        artifacts.read_points_csv(path)
 
 
 def test_ct_reconvolution_grid_covers_the_observations():

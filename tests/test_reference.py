@@ -58,8 +58,6 @@ def test_lipschitz_witness(rng):
     rhs = ref.lipschitz * np.linalg.norm(xs - ys, axis=1)
     assert np.all(lhs <= rhs + 1e-12)
     assert ref.lipschitz == pytest.approx(1.0 / 0.3)
-    assert ref.dissipativity_m == pytest.approx(1.0 / 1.2)
-    assert ref.dissipativity_c == 0.0
 
 
 def test_flat_log_density_raises():
