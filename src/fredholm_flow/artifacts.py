@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .metrics import DensityOnGrid
 from .solver import SolverTrace
 from .state import ParticleCloud
 
@@ -89,16 +89,18 @@ def write_trace_csv(path, trace: SolverTrace) -> None:
 
 # -- densities on grids ------------------------------------------------------
 
-def write_density_csv(path, density: DensityOnGrid) -> None:
-    """The grid's spans as a comment, then one row per node in row-major order:
-    each axis coordinate is formatted once, and only the density per row."""
-    grid = density.grid
+def write_density_csv(path, grid, values: np.ndarray) -> None:
+    """The grid's spans as a comment, then one row per node in row-major order
+    with its entry of ``values``: each axis coordinate is formatted once, and
+    only the density per row."""
+    if len(values) != math.prod(grid.shape):
+        raise ValueError(f"{len(values)} values for a grid of {math.prod(grid.shape)} nodes")
     spans = ";".join(f"{fmt(lo)},{fmt(hi)},{n}" for lo, hi, n in grid.spans)
     nodes = itertools.product(*(["%.17g" % x for x in axis.tolist()] for axis in grid.axes()))
     _write_lines(path, itertools.chain(
         [f"# grid: {spans}", ",".join(_names("x", grid.dim) + ["density"])],
         (",".join(node) + ",%.17g" % value
-         for node, value in zip(nodes, _as_listed(density.values)))))
+         for node, value in zip(nodes, _as_listed(values)))))
 
 
 # -- metric tables -----------------------------------------------------------

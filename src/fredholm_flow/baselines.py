@@ -8,6 +8,7 @@ optimal β is the positive root of a cubic.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -42,6 +43,21 @@ class ToyGaussianSpec:
     @property
     def sigma_mu_sq(self) -> float:
         return self.sigma_pi_sq + self.sigma_k_sq
+
+
+def _finite(compute, *args, index: int | None = None) -> float:
+    """``compute(*args)`` of the toy closed form; an overflow, a division by zero,
+    an invalid value or a result that is not finite raises NumericalFailure at α
+    index ``index``, never a warning."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = compute(*args)
+    except ArithmeticError as err:   # Python's OverflowError, numpy's FloatingPointError
+        raise NumericalFailure(f"toy closed form is not finite ({err.args[-1]})",
+                               index=index) from None
+    if not math.isfinite(value):
+        raise NumericalFailure("toy closed form is not finite", index=index)
+    return value
 
 
 def toy_closed_form_g(spec: ToyGaussianSpec, beta: float) -> float:
@@ -123,20 +139,20 @@ def resolve_toy_sigma0_sq(beta_target: float, alpha: float,
     ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, 1.0, alpha)   # the variances' range checks
     s = beta_target + sigma_k_sq
     mu2 = sigma_pi_sq + sigma_k_sq
-    data_slope = 1.0 / (2 * s) - mu2 / (2 * s**2)
-    inv = 1.0 / beta_target - 2.0 * data_slope / alpha
+    inv = _finite(lambda: 1.0 / beta_target - 2.0 * (1.0 / (2 * s) - mu2 / (2 * s**2)) / alpha)
     if inv <= 0:
         raise ValueError("no positive sigma0_sq reaches that optimum")
-    return 1.0 / inv
+    return _finite(lambda: 1.0 / inv)
 
 
 def toy_sweep(spec: ToyGaussianSpec, alphas) -> list[tuple[float, float, float]]:
-    """(α, β(α), objective at β(α)) rows for a sweep over penalty weights."""
+    """(α, β(α), objective at β(α)) rows for a sweep over penalty weights; an
+    overflow or a non-finite β or objective raises NumericalFailure at its α index."""
     rows = []
-    for alpha in alphas:
+    for i, alpha in enumerate(alphas):
         sub = replace(spec, alpha=float(alpha))
-        beta = toy_optimal_beta(sub)
-        rows.append((float(alpha), beta, toy_closed_form_g(sub, beta)))
+        beta = _finite(toy_optimal_beta, sub, index=i)
+        rows.append((float(alpha), beta, _finite(toy_closed_form_g, sub, beta, index=i)))
     return rows
 
 

@@ -32,7 +32,7 @@ from .density import GaussianKde
 from .errors import ConfigError, NumericalFailure
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       RadonAlignmentKernel)
-from .metrics import DensityOnGrid, ise, reconvolve, wasserstein1_1d
+from .metrics import ise, reconvolve, wasserstein1_1d
 from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, ExperimentPreset,
                        build_initial_cloud, get_preset)
 from .reference import ReferenceMeasure
@@ -250,27 +250,21 @@ def _inline_problem(cfg: dict) -> ExperimentPreset:
                             default_metrics=())
 
 
-def _grid_kde(preset, cloud) -> DensityOnGrid:
-    grid = preset.metric_grid
-    return DensityOnGrid(grid, GaussianKde(cloud.points).on_grid(grid))
-
-
 def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
     """(metric, value) rows of a fitted cloud; ``grid_kde`` is its metric-grid KDE if known."""
     rows = []
     for name in names:
         if name == "ise":
-            est = grid_kde if grid_kde is not None else _grid_kde(preset, cloud)
-            truth = DensityOnGrid(preset.metric_grid,
-                                  preset.truth_pdf(preset.metric_grid.nodes()))
-            rows.append((name, ise(est, truth)))
+            grid = preset.metric_grid
+            est = grid_kde if grid_kde is not None else GaussianKde(cloud.points).on_grid(grid)
+            rows.append((name, ise(grid, est, preset.truth_pdf(grid.nodes()))))
         elif name == "w1_marginal1":
             truth = preset.sample_truth(cloud.n_particles, _rng.derive_seed(seed, 7))
             rows.append((name, wasserstein1_1d(cloud.points[:, 0], truth[:, 0])))
         else:  # reconvolution_ise
             grid = preset.observation_grid or preset.metric_grid
-            observed = DensityOnGrid(grid, GaussianKde(observations.points).on_grid(grid))
-            rows.append((name, ise(reconvolve(cloud.points, preset.kernel, grid), observed)))
+            observed = GaussianKde(observations.points).on_grid(grid)
+            rows.append((name, ise(grid, reconvolve(cloud.points, preset.kernel, grid), observed)))
     return rows
 
 
@@ -310,13 +304,14 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         with _at_init(init), _allocated("solver.n_particles", config.n_particles):
             start = build_initial_cloud(preset, config, observations, ref, **init)
         cloud, trace = run_solver(config, preset.kernel, ref, start, observations)
-        grid_kde = _grid_kde(preset, cloud) if write_kde or "ise" in metric_names else None
+        grid_kde = GaussianKde(cloud.points).on_grid(preset.metric_grid) \
+            if write_kde or "ise" in metric_names else None
         rep_dir = out / f"rep{r:03d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         artifacts.write_trace_csv(rep_dir / "trace.csv", trace)
         artifacts.write_cloud_csv(rep_dir / "cloud_final.csv", cloud)
         if write_kde:
-            artifacts.write_density_csv(rep_dir / "kde_grid.csv", grid_kde)
+            artifacts.write_density_csv(rep_dir / "kde_grid.csv", preset.metric_grid, grid_kde)
         rows = [(preset.name, "particle_flow", solver.n_particles, observations.n_observations,
                  seed, metric, value) for metric, value in
                 compute_metrics(preset, cloud, observations, metric_names, seed, grid_kde)]
@@ -364,7 +359,6 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
 
 
 def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
-    out.mkdir(parents=True, exist_ok=True)
     if cfg["baseline"] == "toy":
         sigma_pi_sq = cfg.get("sigma_pi_sq", TOY_SIGMA_PI_SQ)
         sigma_k_sq = cfg.get("sigma_k_sq", TOY_SIGMA_K_SQ)
@@ -374,6 +368,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
             spec = ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
         with _at("alpha_grid"):
             rows = toy_sweep(spec, cfg.get("alpha_grid", [0.0, 0.5, 1.0]))
+        out.mkdir(parents=True, exist_ok=True)
         artifacts.write_toy_sweep_csv(out / "toy_sweep.csv", rows)
         for alpha, beta, value in rows:
             print(f"alpha={artifacts.fmt(alpha)} beta={artifacts.fmt(beta)} "
@@ -401,6 +396,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
                                                n_bins, lo, hi)
     with _at("iterations"):
         state = oslem_solve(problem, alpha, cfg.get("iterations", 500))
+    out.mkdir(parents=True, exist_ok=True)
     artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)
     print(f"objective: {artifacts.fmt(discrete_objective(state, problem, alpha))}")
     return {"seed_base": 0}

@@ -48,25 +48,6 @@ def _points_of(cloud_or_points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BandwidthMatrix:
-    """Diagonal of the (positive definite) bandwidth matrix H."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        diag = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        if not np.all(np.isfinite(diag)):
-            raise ValueError("bandwidth diagonal must be finite")
-        if np.any(diag <= 0):
-            raise ValueError("bandwidth diagonal must be strictly positive")
-        object.__setattr__(self, "diag", diag)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-
-@dataclass(frozen=True)
 class EvaluationGrid:
     """Tensor-product grid, per-dimension (lo, hi, n_points), nodes row-major."""
 
@@ -110,8 +91,9 @@ class EvaluationGrid:
         return w.ravel()
 
 
-def silverman_bandwidth(cloud) -> BandwidthMatrix:
-    """Rule-of-thumb diagonal bandwidth, h_i = (4/(d+2))^{1/(d+4)} N^{-1/(d+4)} σ̂_i."""
+def silverman_bandwidth(cloud) -> np.ndarray:
+    """Rule-of-thumb diagonal of H, the variances h_i² with
+    h_i = (4/(d+2))^{1/(d+4)} N^{-1/(d+4)} σ̂_i."""
     pts = _points_of(cloud)
     n, d = pts.shape
     if n < 2:
@@ -121,17 +103,21 @@ def silverman_bandwidth(cloud) -> BandwidthMatrix:
     if degenerate.size:
         raise ValueError(f"coordinate {degenerate[0]} has zero sample variance")
     factor = (4.0 / (d + 2)) ** (1.0 / (d + 4)) * n ** (-1.0 / (d + 4))
-    return BandwidthMatrix((factor * sd) ** 2)
+    return (factor * sd) ** 2
 
 
 class GaussianKde:
-    """Fitted KDE handle: the cloud, a bandwidth, and evaluation at arbitrary
-    queries, at the particles themselves and on a tensor-product grid."""
+    """Fitted KDE handle: the cloud, the diagonal of its bandwidth H (Silverman's
+    by default), and evaluation at arbitrary queries, at the particles themselves
+    and on a tensor-product grid."""
 
-    def __init__(self, cloud, bandwidth: BandwidthMatrix | None = None):
+    def __init__(self, cloud, bandwidth=None):
         self.points = _points_of(cloud)
-        self.bandwidth = silverman_bandwidth(self.points) if bandwidth is None else bandwidth
-        self._kernel = GaussianConvolutionKernel(np.sqrt(self.bandwidth.diag))
+        diag = silverman_bandwidth(self.points) if bandwidth is None else \
+            np.atleast_1d(np.asarray(bandwidth, dtype=float))
+        if not np.all(diag > 0):   # NaN too; the kernel rejects an infinite entry
+            raise ValueError(f"bandwidth diagonal {diag.tolist()} must be positive")
+        self._kernel = GaussianConvolutionKernel(np.sqrt(diag))
 
     def evaluate(self, xs) -> np.ndarray:
         """(1/N) Σ_k det(H)^{-1/2} φ(H^{-1/2}(x − X_k)) at each row x of ``xs``."""

@@ -6,8 +6,6 @@ from sorted samples, so importing this module loads no scipy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import column_means
@@ -15,32 +13,14 @@ from .density import EvaluationGrid
 from .kernels import KernelModel
 
 
-@dataclass(frozen=True)
-class DensityOnGrid:
-    """Density values on the flattened nodes of an evaluation grid."""
-
-    grid: EvaluationGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        n_nodes = int(np.prod(self.grid.shape))
-        if values.size != n_nodes:
-            raise ValueError(f"{values.size} values for a grid of {n_nodes} nodes")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
-        object.__setattr__(self, "values", values)
-
-    def integral(self) -> float:
-        return float(self.grid.trapezoid_weights() @ self.values)
-
-
-def ise(estimate: DensityOnGrid, truth: DensityOnGrid) -> float:
-    """Trapezoid quadrature of (truth − estimate)² over the common grid."""
-    if estimate.grid.spans != truth.grid.spans:
-        raise ValueError("ISE requires identical grids")
-    diff = truth.values - estimate.values
-    return float(estimate.grid.trapezoid_weights() @ diff**2)
+def ise(grid: EvaluationGrid, estimate, truth) -> float:
+    """Trapezoid quadrature over ``grid`` of (truth − estimate)², both given as
+    their values at the flattened grid nodes."""
+    nodes = (int(np.prod(grid.shape)),)
+    if np.shape(estimate) != nodes or np.shape(truth) != nodes:
+        raise ValueError(f"values of shape {np.shape(estimate)} and {np.shape(truth)} "
+                         f"for a grid of {nodes[0]} nodes")
+    return float(grid.trapezoid_weights() @ (truth - estimate) ** 2)
 
 
 def wasserstein1_1d(sample_a, sample_b) -> float:
@@ -63,13 +43,10 @@ def wasserstein1_1d(sample_a, sample_b) -> float:
     return float(np.abs(cdf_a - cdf_b) @ np.diff(support))
 
 
-def reconvolve(source, kernel: KernelModel, y_grid: EvaluationGrid) -> DensityOnGrid:
+def reconvolve(points, kernel: KernelModel, y_grid: EvaluationGrid) -> np.ndarray:
     """Push a particle estimate of the solution back through the kernel: the
-    particle mean (1/N) Σ_k k(X_k, y) at every node y of ``y_grid``.
-
-    ``source`` is a particle cloud or a raw (N, d) point matrix.
-    """
+    particle mean (1/N) Σ_k k(X_k, y) at every node y of ``y_grid``, from the
+    (N, d) point matrix ``points``."""
     if kernel.dim_x != kernel.dim_y:
         raise ValueError("reconvolution needs a kernel with matching input/output dimension")
-    pts = np.atleast_2d(getattr(source, "points", source))
-    return DensityOnGrid(y_grid, column_means(kernel, pts, y_grid.nodes()))
+    return column_means(kernel, np.atleast_2d(points), y_grid.nodes())

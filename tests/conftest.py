@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fredholm_flow import DensityOnGrid, EvaluationGrid
+from fredholm_flow import EvaluationGrid
 
 # every @given test draws the same examples on every run, and no example
 # database carries failures from one run to the next
@@ -30,8 +30,8 @@ def gauss_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
 
 
-def read_density_csv(path) -> DensityOnGrid:
-    """A density as ``artifacts.write_density_csv`` wrote it."""
+def read_density_csv(path):
+    """(grid, node values) of a density as ``artifacts.write_density_csv`` wrote it."""
     with open(path) as fh:
         comment = fh.readline().strip()
         if not comment.startswith("# grid: "):
@@ -41,7 +41,7 @@ def read_density_csv(path) -> DensityOnGrid:
                       for part in comment[len("# grid: "):].split(";"))
         fh.readline()
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return DensityOnGrid(EvaluationGrid(spans), data[:, -1])
+    return EvaluationGrid(spans), data[:, -1]
 
 
 def read_metrics_csv(path):

@@ -2,8 +2,9 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from fredholm_flow import DensityOnGrid, EvaluationGrid, ParticleCloud
+from fredholm_flow import EvaluationGrid, ParticleCloud
 from fredholm_flow import artifacts
 from fredholm_flow.functional import FunctionalEstimate
 from fredholm_flow.solver import SolverTrace
@@ -45,16 +46,16 @@ def test_density_roundtrip_bitexact(tmp_path, rng):
     for spans in (((-1.234567891234567, 2.0, 4), (0.0, 1.0, 3)), ((0.1, 0.7, 5),),
                   ((-1.0, 1.0, 3), (0.0, 2.0, 2), (5.0, 6.0, 4))):
         grid = EvaluationGrid(spans)
-        density = DensityOnGrid(grid, rng.exponential(size=int(np.prod(grid.shape))))
+        values = rng.exponential(size=int(np.prod(grid.shape)))
         path = tmp_path / "density.csv"
-        artifacts.write_density_csv(path, density)
-        back = read_density_csv(path)
-        assert back.grid.spans == grid.spans
-        assert np.array_equal(back.values, density.values)
+        artifacts.write_density_csv(path, grid, values)
+        back_grid, back = read_density_csv(path)
+        assert back_grid.spans == grid.spans
+        assert np.array_equal(back, values)
         # the same bytes as every cell of the node table formatted in turn
         table = tmp_path / "table.csv"
         artifacts._write_table(table, [f"x_{i + 1}" for i in range(grid.dim)] + ["density"],
-                               np.column_stack([grid.nodes(), density.values]),
+                               np.column_stack([grid.nodes(), values]),
                                [path.read_text().splitlines()[0]])
         assert path.read_bytes() == table.read_bytes()
 
@@ -87,10 +88,10 @@ def test_table_rows_match_per_cell_format(tmp_path, rng):
 
 def test_density_csv_streams_its_lines(tmp_path, rng):
     grid = EvaluationGrid(((-1.2, 1.2, 161), (-1.2, 1.2, 161)))
-    density = DensityOnGrid(grid, rng.exponential(size=161 * 161))
+    values = rng.exponential(size=161 * 161)
     path = tmp_path / "kde_grid.csv"
     tracemalloc.start()
-    artifacts.write_density_csv(path, density)
+    artifacts.write_density_csv(path, grid, values)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     lines = path.read_text().splitlines()
@@ -101,4 +102,12 @@ def test_density_csv_streams_its_lines(tmp_path, rng):
     # every node and value as one write of the whole file writes them
     nodes = grid.nodes()
     assert lines[2:] == [",".join(artifacts.fmt(v) for v in (*node, value))
-                         for node, value in zip(nodes, density.values)]
+                         for node, value in zip(nodes, values)]
+
+
+def test_density_csv_of_too_few_values_writes_nothing(tmp_path):
+    grid = EvaluationGrid(((0.0, 1.0, 5), (0.0, 1.0, 3)))
+    path = tmp_path / "kde_grid.csv"
+    with pytest.raises(ValueError, match="14 values for a grid of 15 nodes"):
+        artifacts.write_density_csv(path, grid, np.ones(14))
+    assert not path.exists()

@@ -77,6 +77,24 @@ def test_cubic_residual_small_over_sweep():
         assert toy_cubic_residual(toy(alpha, SIGMA0_RESOLVED), beta) <= 1e-10
 
 
+@pytest.mark.parametrize("spec, alphas, index", [
+    (toy(1.0, 1e300), [0.0, 0.5], 1),                  # the cubic's b² overflows
+    (toy(1.0, SIGMA0_RESOLVED), [0.5, 1e-300], 1),      # b / a overflows
+    (ToyGaussianSpec(1e300, TOY_SIGMA_K_SQ, 5e-301, 1.0), [0.0], 0),   # log(σ₀²/β) of 0
+], ids=["sigma0-sq-huge", "alpha-tiny", "sigma-pi-sq-huge"])
+def test_toy_sweep_that_is_not_finite_raises_at_its_alpha(spec, alphas, index):
+    # a NumericalFailure, not an OverflowError, a warning or a NaN row
+    with pytest.raises(NumericalFailure, match=f"index={index}"):
+        toy_sweep(spec, alphas)
+
+
+@pytest.mark.parametrize("sigma_pi_sq, sigma_k_sq", [(TOY_SIGMA_PI_SQ, 1e300), (1e308, 0.2)],
+                         ids=["s-squared-overflows", "resolves-to-0"])
+def test_resolved_sigma0_sq_that_is_not_finite_raises(sigma_pi_sq, sigma_k_sq):
+    with pytest.raises(NumericalFailure, match="not finite"):
+        resolve_toy_sigma0_sq(0.44, 1.0, sigma_pi_sq, sigma_k_sq)
+
+
 # -- one-step-late EM ---------------------------------------------------------
 
 def random_grid_problem(rng, n_bins=3):

@@ -236,6 +236,18 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "step=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"sigma_k_sq": 1e300}, {"alpha_grid": [1e-300]}, {"sigma0_sq": 1e300},
+    {"sigma_pi_sq": 1e300}, {"sigma_pi_sq": 1e308},
+], ids=["sigma-k-sq-huge", "alpha-tiny", "sigma0-sq-huge", "sigma-pi-sq-huge",
+        "sigma0-sq-resolved-to-0"])
+def test_toy_closed_form_that_is_not_finite_exits_3(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, "c.json", {"baseline": "toy", **config})
+    assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: toy closed form is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dimension_mismatch_exits_2(tmp_path, rng):
     obs_path = tmp_path / "obs.csv"
     np.savetxt(obs_path, rng.normal(size=(30, 2)), delimiter=",")
@@ -254,7 +266,7 @@ def test_seed_flag_overrides_base(tmp_path):
 
 def test_run_reads_out_metric_grid_once(tmp_path, monkeypatch):
     from fredholm_flow.density import GaussianKde
-    from fredholm_flow.metrics import DensityOnGrid, ise
+    from fredholm_flow.metrics import ise
     preset = preset_gaussian_mixture_1d()
     calls = []
     on_grid = GaussianKde.on_grid
@@ -268,12 +280,12 @@ def test_run_reads_out_metric_grid_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert calls.count(preset.metric_grid) == SMALL_RUN["replicates"]
-    truth = DensityOnGrid(preset.metric_grid, preset.truth_pdf(preset.metric_grid.nodes()))
+    truth = preset.truth_pdf(preset.metric_grid.nodes())
     rows = read_metrics_csv(out / "metrics.csv")
     for r, rep in enumerate(("rep000", "rep001")):
-        written = read_density_csv(out / rep / "kde_grid.csv")
+        grid, written = read_density_csv(out / rep / "kde_grid.csv")
         used = [row[6] for row in rows if row[5] == "ise" and row[4] == 5 + r]
-        assert used == [ise(written, truth)]
+        assert used == [ise(grid, written, truth)]
 
 
 def test_cv_point_init_through_cli(tmp_path):
@@ -483,6 +495,7 @@ def test_invalid_config_exits_2_at_its_key(tmp_path, capsys, monkeypatch, rng, c
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     # the key, then ": ", " " (a message naming it) or "[" (a list element)
     assert re.match(rf"config error: {re.escape(key)}(: | |\[)", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def _no_memory(*args, **kwargs):

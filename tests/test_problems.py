@@ -323,23 +323,23 @@ def test_load_observations_csv_rejects_bad_files(tmp_path, content):
 def test_ct_reconvolution_grid_covers_the_observations():
     # the closed-form observed density is the oracle on the (phi, xi) observation grid
     from fredholm_flow.density import GaussianKde
-    from fredholm_flow.metrics import DensityOnGrid, ise, reconvolve
+    from fredholm_flow.metrics import ise, reconvolve
     preset = preset_ct_phantom()
     grid = preset.observation_grid
-    truth = DensityOnGrid(grid, preset.observed_pdf(grid.nodes()))
-    assert grid.trapezoid_weights() @ truth.values == pytest.approx(1.0, abs=1e-9)
-    scale = ise(DensityOnGrid(grid, np.zeros_like(truth.values)), truth)
+    truth = preset.observed_pdf(grid.nodes())
+    assert grid.trapezoid_weights() @ truth == pytest.approx(1.0, abs=1e-9)
+    scale = ise(grid, np.zeros_like(truth), truth)
     # reconvolved truth draws: Monte Carlo error only (0.0024 measured at N = 1000)
-    assert ise(reconvolve(preset.sample_truth(1000, 3), preset.kernel, grid), truth) \
+    assert ise(grid, reconvolve(preset.sample_truth(1000, 3), preset.kernel, grid), truth) \
         < 0.01 * scale
     # observation KDE: 0.045 measured at M = 20000, most of it the phi-edge bias
     # the preset docstring documents (about half the density at phi = 0)
     kde = GaussianKde(preset.sample_observations(20_000, 5).points).on_grid(grid)
-    assert ise(DensityOnGrid(grid, kde), truth) < 0.1 * scale
+    assert ise(grid, kde, truth) < 0.1 * scale
     phi = grid.nodes()[:, 0]
     edge, middle = phi == 0.0, np.abs(phi - np.pi) < 0.05
-    assert kde[edge].sum() < 0.7 * truth.values[edge].sum()
-    assert kde[middle].sum() == pytest.approx(truth.values[middle].sum(), rel=0.05)
+    assert kde[edge].sum() < 0.7 * truth[edge].sum()
+    assert kde[middle].sum() == pytest.approx(truth[middle].sum(), rel=0.05)
 
 
 def test_truth_mass_on_metric_grids():

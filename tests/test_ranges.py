@@ -3,7 +3,7 @@ so a bad number is a config error at the CLI, never a numerical failure."""
 import numpy as np
 import pytest
 
-from fredholm_flow import (BandwidthMatrix, CvPlan, EvaluationGrid, GaussianConvolutionKernel,
+from fredholm_flow import (CvPlan, EvaluationGrid, GaussianConvolutionKernel, GaussianKde,
                            GaussianMixtureDelayKernel, RadonAlignmentKernel, ReferenceMeasure,
                            SolverConfig, ToyGaussianSpec, oslem_solve, toy_sweep)
 from fredholm_flow.baselines import grid_problem_from_continuous
@@ -57,7 +57,7 @@ def _grid(n_bins=10, lo=0.0, hi=1.0):
     lambda: ReferenceMeasure.gaussian([0.0], [1e-320]),
     lambda: ReferenceMeasure.from_sample([[0.3]]),
     lambda: ReferenceMeasure.from_sample([[1e200], [-1e200]]),
-    lambda: BandwidthMatrix([NAN]),
+    lambda: GaussianKde([[0.0], [1.0]], [NAN]),
     lambda: EvaluationGrid(((0.0, INF, 5),)),
     lambda: EvaluationGrid(((-1e308, 1e308, 5),)),
 ], ids=["alpha-nan", "gamma-inf", "eta-nan", "stop-tol-nan",
