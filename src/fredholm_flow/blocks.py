@@ -32,10 +32,12 @@ row, so it is the same bits for any cut.
 ``scratch`` gives each thread reusable block-sized workspaces: a block costs
 the same whatever the allocator's state (a fresh 2 MB array sits at glibc's
 dynamic mmap threshold and may be mapped and unmapped on every call).  One
-step holds, per thread, the k block "k" (the KDE's workspace), the gradient
-plane "plane" and the kernel's temporaries, "a" and then "b": the KDE's
-coordinate difference shares "a" with the drift's temporaries, so a thread
-holds three workspaces, four for the delay kernel.
+step holds, per thread, the k block "k" (the KDE's workspace too) and the
+gradient plane "plane"; a KDE or Radon sweep without a plane keeps its
+temporary in "plane" (the coordinate differences, the Radon term), and a
+Radon sweep with one keeps the term in k.  So a thread holds two
+workspaces for the Radon kernel and the KDE, three for the Gaussian
+kernel's drift (k·w in "a") and four for the delay kernel ("a" and "b").
 
 The pool has one thread per core this process may run on.  It is shared by
 every caller, the jobs of ``map_jobs`` (replicates, cv cells) included, so
@@ -56,7 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# pairs per block: 2 MB of float64.  A step keeps three or four such
+# pairs per block: 2 MB of float64.  A step keeps two to four such
 # workspaces per thread (k, the plane, the kernel's temporaries "a" and "b"),
 # so a block's working set is beyond a 2 MB L2; blocks of 2**15 pairs or fewer
 # were the same bits but slower end to end (ROADMAP, "Tried")

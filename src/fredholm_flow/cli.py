@@ -257,7 +257,7 @@ def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
         if name == "ise":
             grid = preset.metric_grid
             est = grid_kde if grid_kde is not None else GaussianKde(cloud.points).on_grid(grid)
-            rows.append((name, ise(grid, est, preset.truth_pdf(grid.nodes()))))
+            rows.append((name, ise(grid, est, grid.map_nodes(preset.truth_pdf))))
         elif name == "w1_marginal1":
             truth = preset.sample_truth(cloud.n_particles, _rng.derive_seed(seed, 7))
             rows.append((name, wasserstein1_1d(cloud.points[:, 0], truth[:, 0])))

@@ -4,7 +4,8 @@ Diagonal bandwidths only; the rule of thumb is Silverman's.  The KDE with
 bandwidth H is the particle mean of the Gaussian convolution kernel with
 variances diag(H), so all evaluation goes through its ``eval_matrix``, and
 no pairwise block holds more than ``BLOCK_PAIRS`` entries.  It asks for no
-gradient plane, so the kernel forms one coordinate difference at a time and
+gradient plane, so the kernel forms one coordinate difference at a time,
+the first in the k block and the others in the thread's workspace "plane":
 a block needs no d-plane workspace.  There are three evaluations:
 
 - ``evaluate(xs)``: arbitrary queries, as ``blocks.column_means`` of the
@@ -40,6 +41,9 @@ from .kernels import GaussianConvolutionKernel
 # readout: an eighth of a workspace, so the readout adds a few small arrays
 # to a run's peak, not blocks as large as a step's
 _GRID_PAIRS = BLOCK_PAIRS // 8
+# coordinates of each row block of ``EvaluationGrid.map_nodes``: 32 KB of
+# nodes, so a whole-grid truth density adds its values and a few such blocks
+_NODE_BLOCK = _GRID_PAIRS // 8
 
 
 def _points_of(cloud_or_points) -> np.ndarray:
@@ -79,6 +83,18 @@ class EvaluationGrid:
         """Flattened (n_nodes, d) node list in row-major order."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
+
+    def map_nodes(self, fn) -> np.ndarray:
+        """``fn(self.nodes())`` for a row-wise ``fn`` of (rows, d) nodes, one value
+        per row, evaluated on row blocks of at most ``_NODE_BLOCK`` coordinates
+        into one (n_nodes,) array, so the whole node list is never held."""
+        axes, n = self.axes(), math.prod(self.shape)
+        step = max(1, _NODE_BLOCK // self.dim)
+        out = np.empty(n)
+        for start in range(0, n, step):
+            index = np.unravel_index(np.arange(start, min(start + step, n)), self.shape)
+            out[start:start + step] = fn(np.column_stack([a[i] for a, i in zip(axes, index)]))
+        return out
 
     def trapezoid_weights(self) -> np.ndarray:
         """Flattened tensor-product trapezoid quadrature weights."""

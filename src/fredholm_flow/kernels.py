@@ -50,13 +50,20 @@ runs ``eval_matrix`` in row blocks, the drift in blocks of observations.
 order, so its rows are the same bits whichever other particles (at least
 one) come with them; the drift passes all of them to every block.
 Temporaries go to the calling thread's reusable ``blocks.scratch``
-workspaces "a" and then "b" (the delay kernel alone needs "b"), so neither
-``out`` nor ``plane`` may be one of those.  Pointwise ``eval`` and
-``grad1`` are derived from the two (one pair, unit weight).  Every kernel is immutable after construction, and
-every constructor rejects a parameter that is not finite, or whose
-normaliser or ``bound_M`` is not, with a ValueError.  ``bound_M`` is an
-analytic uniform bound on both k and ``‖∇₁k‖`` (second derivatives are
-bounded too but nothing downstream consumes them).
+workspaces.  A Radon or Gaussian sweep without a plane keeps its
+temporary in "plane": the Radon term x₂sinφ/σ and the Gaussian differences
+after the first, so a KDE block, or a Radon block of ``column_means``,
+touches "k" and "plane" alone.  A sweep with a plane puts the Radon term in
+``out``; the delay kernel forms y − x in "a" and, with a plane, its later
+densities in "b" (a middle component of three or more takes "b" or "c"
+for its z), and the Gaussian kernel's ``weighted_grad1`` forms k·w in "a".
+So ``out`` may not be "plane", and neither ``out`` nor ``plane`` may be
+"a", "b" or "c".  Pointwise ``eval`` and ``grad1`` are derived from the
+two (one pair, unit weight).  Every kernel is immutable after
+construction, and every constructor rejects a parameter that is not
+finite, or whose normaliser or ``bound_M`` is not, with a ValueError.
+``bound_M`` is an analytic uniform bound on both k and ``‖∇₁k‖`` (second
+derivatives are bounded too but nothing downstream consumes them).
 """
 from __future__ import annotations
 
@@ -171,15 +178,16 @@ class GaussianConvolutionKernel(KernelModel):
         less x (the same bits as one broadcast subtract, and cheaper); the
         exponent Σ_i D_i²·(−1/(2σᵢ²)) is then one einsum over the planes, the
         same bits as squaring, scaling and adding them in order.  Without a
-        plane, k is formed one difference at a time in one workspace, so a
-        KDE block needs no d-plane workspace (and at d = 1 the einsum would be
-        slower than a square and a scale)."""
+        plane, k is formed one difference at a time, the first in ``out`` and
+        each later one in the workspace "plane", so a KDE block needs no
+        d-plane workspace (and at d = 1 the einsum would be slower than a
+        square and a scale)."""
         X, Y, shape = _pairs(self, xs, ys)
         sq = np.empty(shape) if out is None else out
         with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
             if plane is None:
                 for i in range(self.dim_x):
-                    diff = sq if i == 0 else scratch("a", *shape)
+                    diff = sq if i == 0 else scratch("plane", *shape)
                     np.copyto(diff, Y[i])
                     diff -= X[i]
                     np.square(diff, out=diff)
@@ -237,20 +245,33 @@ class GaussianMixtureDelayKernel(KernelModel):
         x-derivative Σ_c w_c N(y − x; m_c, s_c²)(y − x − m_c)/s_c² into its one
         plane, in one pass over the components.  The first component writes
         ``out`` and the plane directly, and each later one is added in.  y − x
-        is formed anew for each component, the same bits each time, so a block
-        needs two workspaces, not three; like the Gaussian kernel's, it is a
-        broadcast copy of y less x."""
+        is formed once, in the workspace "a", and like the Gaussian kernel's
+        it is a broadcast copy of y less x.  Component c subtracts m_c from it
+        in one pass into its z = (y − x) − m_c, the same bits as y − x − m_c
+        formed anew for each component: the first component's z is its own
+        output (``out``, or the plane when one is given), the last's is "a"
+        itself and any other's a workspace of its own.  Without a plane z is
+        the component's density; with one, the later densities go to "b".
+        So a block of a two-component kernel touches "a" alone without a
+        plane, and "a" and "b" with one."""
         X, Y, shape = _pairs(self, xs, ys)
         out = np.empty(shape) if out is None else out
         grad = None if plane is None else plane[0]
+        diff = scratch("a", *shape)
+        np.copyto(diff, Y[0])
+        diff -= X[0]
+        last = self.means.size - 1
         components = zip(self.means, self._exponent_scale, self._peak, self._precision)
         for c, (m, scale, peak, precision) in enumerate(components):
-            dens = out if c == 0 else scratch("a", *shape)
-            # k alone needs no z
-            z = dens if grad is None else grad if c == 0 else scratch("b", *shape)
-            np.copyto(z, Y[0])
-            z -= X[0]
-            z -= m
+            if c == 0:
+                z = out if grad is None else grad
+            elif c == last:
+                z = diff
+            else:
+                z = scratch("b" if grad is None else "c", *shape)
+            # k alone needs no z apart from its density
+            dens = z if grad is None else out if c == 0 else scratch("b", *shape)
+            np.subtract(diff, m, out=z)
             with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
                 np.square(z, out=dens)
                 dens *= scale
@@ -309,7 +330,9 @@ class RadonAlignmentKernel(KernelModel):
     def eval_matrix(self, xs, ys, out=None, plane=None):
         """k into ``out`` and, when ``plane`` is given, G = k·u into its one plane,
         for the scaled residual u = x₁(cosφ/σ) + x₂(sinφ/σ) − ξ/σ formed once
-        from observations scaled by 1/σ."""
+        from observations scaled by 1/σ.  With a plane, u is formed there and
+        its term x₂(sinφ/σ) in ``out``, which squaring u overwrites; without
+        one, u is ``out`` and the term goes to the workspace "plane"."""
         X, Y, shape = _pairs(self, xs, ys)
         out = np.empty(shape) if out is None else out
         u = out if plane is None else plane[0]
@@ -318,7 +341,7 @@ class RadonAlignmentKernel(KernelModel):
             # broadcast copies scaled in place: the same bits as broadcast products
             np.copyto(u, cos)
             u *= X[0]
-            term = scratch("a", *shape)
+            term = scratch("plane", *shape) if plane is None else out
             np.copyto(term, sin)
             term *= X[1]
             u += term

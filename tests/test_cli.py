@@ -1,19 +1,22 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fredholm_flow
-from fredholm_flow import artifacts, blocks, cli, density, kernels
+from fredholm_flow import artifacts, blocks, cli, density, kernels, metrics
 from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
+from fredholm_flow.state import ParticleCloud
 
 from conftest import read_density_csv, read_metrics_csv
 
@@ -712,3 +715,40 @@ def test_failed_replicate_leaves_the_finished_ones(tmp_path, monkeypatch, capsys
         assert tree_bytes(out) == {name: data for name, data in tree_bytes(clean).items()
                                    if name.startswith("rep")
                                    and not name.startswith(f"rep{failing:03d}/")}
+
+
+@pytest.mark.parametrize("name, options", [("ct_phantom", {}), ("epidemiology_synthetic", {}),
+                                           ("gaussian_mixture_1d", {}), ("toy_gaussian", {}),
+                                           ("highdim_mixture", {"dim": 2})])
+def test_ise_metric_is_the_ise_of_the_whole_grid_truth(name, options):
+    preset = get_preset(name, **options)
+    grid = preset.metric_grid
+    points = preset.sample_truth(300, 8)
+    [(_, got)] = cli.compute_metrics(preset, ParticleCloud(points), None, ["ise"], 0)
+    want = metrics.ise(grid, density.GaussianKde(points).on_grid(grid),
+                       preset.truth_pdf(grid.nodes()))
+    assert got == want
+
+
+def test_ise_truth_holds_its_values_and_one_row_block(monkeypatch):
+    # the truth density is evaluated a row block of nodes at a time into one
+    # (nodes,) array, never on the whole (161², 2) node list
+    preset = get_preset("ct_phantom")
+    grid = preset.metric_grid
+    estimate = np.zeros(math.prod(grid.shape))
+    peaks = []
+
+    def ise(grid, estimate, truth):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return metrics.ise(grid, estimate, truth)
+
+    monkeypatch.setattr(cli, "ise", ise)
+    tracemalloc.start()
+    try:
+        cli.compute_metrics(preset, None, None, ["ise"], 0, grid_kde=estimate)
+    finally:
+        tracemalloc.stop()
+    # below its values and the node list, and within its values and the
+    # temporaries of one block of nodes
+    assert peaks[0] < estimate.nbytes * (1 + grid.dim)
+    assert peaks[0] <= estimate.nbytes + 8 * 8 * density._NODE_BLOCK

@@ -327,3 +327,31 @@ def test_far_from_origin_matches_the_difference_first_formula(kernel, rng):
     rows = kernel.weighted_grad1(xv, yv, got, planes, w)
     weighted = grad_terms * w[None, :, None]
     assert np.all(np.abs(rows - weighted.sum(axis=1)) <= 1e-12 * np.abs(weighted).sum(axis=1))
+
+
+@pytest.mark.parametrize("mixture", [DELAY, dict(weights=(0.2, 0.3, 0.5), means=(1.0, 8.0, 15.0),
+                                                 sds=(1.5, 2.5, 4.0))], ids=["two", "three"])
+@pytest.mark.parametrize("shift", [0.0, 1e3], ids=["origin", "shifted"])
+def test_delay_sweep_is_the_straight_line_formula_bit_for_bit(mixture, shift, rng):
+    # component by component, z = (y − x) − m_c, its density and its term of
+    # ∂ₓk, added in order: the sweep's op order, so the same bits, whichever
+    # workspaces hold y − x and z; the shift is 10³ of the widest sd
+    kernel = GaussianMixtureDelayKernel(**mixture)
+    shift *= max(mixture["sds"])
+    n, m = 70, 50
+    xs = shift + rng.normal(0.0, 3.0, (n, 1))
+    ys = shift + rng.normal(11.0, 5.0, (m, 1))
+    diff = ys - xs[:, 0]   # (m, n), observation-major
+    k = grad = 0.0
+    for w, mu, s in zip(*mixture.values()):
+        precision = 1.0 / s**2
+        z = diff - mu
+        dens = np.exp(z * z * (-0.5 * precision)) * (w / (s * SQRT_2PI))
+        k, grad = k + dens, grad + z * dens * precision
+    assert np.count_nonzero(k) > k.size // 2
+    xv, yv = by_observation(xs, ys)
+    plane = np.empty((1, m, n))
+    assert np.array_equal(kernel.eval_matrix(xv, yv, plane=plane), k)
+    assert np.array_equal(plane[0], grad)
+    assert np.array_equal(kernel.eval_matrix(xv, yv), k)
+    assert np.array_equal(kernel.eval_matrix(xs, ys), k.T)
