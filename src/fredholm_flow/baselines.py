@@ -211,7 +211,7 @@ def grid_problem_from_continuous(kernel: KernelModel, observed_pdf, ref: Referen
     width = (hi - lo) / n_bins
     centers = lo + (np.arange(n_bins) + 0.5) * width
     pts = centers[:, None]
-    k = kernel.eval_matrix(pts, pts) * width
+    k = np.ascontiguousarray(kernel.eval_matrix(pts, pts).T) * width
     mu = np.asarray(observed_pdf(pts), dtype=float).ravel() * width
     pi0 = np.exp(ref.log_density(pts)) * width
     return GridProblem(k, mu, pi0, bin_centers=pts)

@@ -13,8 +13,9 @@ number of threads.  A single task runs inline, with no pool call.
 The KDE at the particles is row-separable: row i reads all of the
 particles, but particle i alone, so ``row_blocks`` cuts it into rows.  The
 drift needs the mean over all N particles of k(·, y_j) for each
-observation, so ``drift_rows`` cuts it into observation-major blocks: a
-block holds w observations against every particle, stored (w, N).
+observation, so ``drift_rows`` cuts it into blocks of observations: a
+block holds w observations against every particle, the (w, N) k of one
+``eval_matrix`` sweep, and each particle coordinate is one contiguous row.
 ``drift_blocks`` gives the cut: one task per ``BLOCK_PAIRS`` pairs of
 observations, like the KDE's, and within a task the blocks whose plane fits
 a workspace.  A task sweeps each of its blocks' k and gradient plane,
@@ -184,14 +185,6 @@ def scratch(key: str, *shape: int) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def by_observation(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views (1, n, d) and (m, 1, p) of particles xs (n, d) and observations
-    ys (m, p) that make a kernel's sweep observation-major, (m, n); slicing
-    the second slices the observations.  The particles are copied once,
-    coordinate by coordinate, so each coordinate is one contiguous row."""
-    return np.asfortranarray(xs)[None], np.asarray(ys)[:, None]
-
-
 def column_means(kernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The means (1/n) Σ_i k(x_i, y_j) over the particles xs (n, d), one per
     observation of ys (m, p), as ``drift_rows`` gives them."""
@@ -203,26 +196,28 @@ def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights=None):
     per observation, and the (n, d) rows Σ_j w_j ∇₁k(x_i, y_j) for
     ``w = weights(means)``, or None without ``weights``.
 
-    Each block of observations is one observation-major ``eval_matrix``
-    sweep, (w, n), which gives its k and, with ``weights``, the kernel's
-    gradient plane.  A mean is ``np.add.reduce`` of one contiguous row of k,
-    bit for bit ``k.mean(axis=1)`` of the whole (m, n) sweep, and
+    Each block of observations is one ``eval_matrix`` sweep, (w, n), which
+    gives its k and, with ``weights``, the kernel's gradient plane.  The
+    particles are copied once, coordinate by coordinate, so each coordinate
+    is one contiguous row and no block copies them.  A mean is
+    ``np.add.reduce`` of one contiguous row of k, bit for bit
+    ``k.mean(axis=1)`` of the whole (m, n) sweep, and
     ``kernel.weighted_grad1`` turns the plane and the weights of the block's
     own means into its rows.  ``weights`` is called once per block, so it
     must be elementwise.  The rows are the sum, in task order, of each
     ``drift_blocks`` task's rows, its blocks' rows added in block order."""
     n = xs.shape[0]
     planes = 1 if weights is None else kernel.planes
-    xv, yv = by_observation(xs, ys)
+    xs = np.asfortranarray(xs)
 
     def block(c):
         width = c.stop - c.start
         plane = None if weights is None else scratch("plane", planes, width, n)
-        k = kernel.eval_matrix(xv, yv[c], scratch("k", width, n), plane)
+        k = kernel.eval_matrix(xs, ys[c], scratch("k", width, n), plane)
         means = np.add.reduce(k, axis=1) / n
         if plane is None:
             return means, None
-        return means, kernel.weighted_grad1(xv, yv[c], k, plane, weights(means))
+        return means, kernel.weighted_grad1(ys[c], k, plane, weights(means))
 
     def task(cut):
         return _add_in_order(block(c) for c in cut)

@@ -225,6 +225,9 @@ def _observations(cfg: dict, preset, solver=None, metrics=()):
     least = 2 if "reconvolution_ise" in metrics else 1
     if n < least:
         raise ConfigError(f"{n} observations, at least {least} needed", path=key)
+    if "file" in obs and "reconvolution_ise" in metrics:   # and a file's KDE must be defined
+        with _at(key):
+            GaussianKde(sample.points)
     if solver is not None and solver.minibatch is not None and solver.minibatch > n:
         raise ConfigError("minibatch exceeds the observation count", path="solver.minibatch")
     return draw
@@ -410,6 +413,7 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
     missing = [p for p in cloud_paths if not Path(p).is_file()]
     if missing:
         raise ConfigError(f"cloud files not found: {missing}", path="clouds")
+    names = _metric_names(cfg, preset)
     clouds = []
     for path in cloud_paths:
         with _at("clouds"):
@@ -417,7 +421,11 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
         if clouds[-1].dim != preset.dim:
             raise ConfigError(f"{path} has dimension {clouds[-1].dim}, the preset "
                               f"{preset.dim}", path="clouds")
-    names = _metric_names(cfg, preset)
+        if "ise" in names:   # the ISE scores the cloud's KDE
+            try:
+                GaussianKde(clouds[-1].points)
+            except ValueError as err:
+                raise ConfigError(f"{path}: {err}", path="clouds") from err
     seed = seed_override if seed_override is not None else _seed(cfg.get("seed", 0), "seed")
     observations = _observations(cfg, preset, metrics=names)(seed)[0] \
         if "reconvolution_ise" in names or "observations" in cfg else None

@@ -9,17 +9,19 @@ the first in the k block and the others in the thread's workspace "plane":
 a block needs no d-plane workspace.  There are three evaluations:
 
 - ``evaluate(xs)``: arbitrary queries, as ``blocks.column_means`` of the
-  kernel, the drift's observation-major mean sweep with the queries in
-  place of the observations;
+  kernel, the drift's mean sweep with the queries in place of the
+  observations;
 - ``at_particles()``: the cloud at its own points, summing the symmetric N×N
-  matrix by upper-triangular row blocks (at least two), so about half the
-  exps are computed (3/4 when the square fits one block); the blocks run on
-  the shared pool of ``blocks``, and the calling thread adds their row sums
-  and the column sums below the diagonal in block order, so the result is
-  the same bits for any thread count;
+  matrix by upper-triangular row blocks (at least two), each block's rows
+  swept as the observations of ``eval_matrix``, so about half the exps are
+  computed (3/4 when the square fits one block); the blocks run on the
+  shared pool of ``blocks``, and the calling thread adds their row sums and
+  the column sums below the diagonal in block order, so the result is the
+  same bits for any thread count;
 - ``on_grid(grid)``: a tensor-product grid; at d = 1 it is ``evaluate`` of
-  the nodes, and at d ≥ 2 the diagonal Gaussian factorizes over coordinates,
-  so one 1-D (n_i, N) factor per axis is contracted by GEMM (in 2-D,
+  the nodes, a node block at a time, and at d ≥ 2 the diagonal Gaussian
+  factorizes over coordinates, so one 1-D (n_i, N) factor per axis, the
+  axis's nodes swept as observations, is contracted by GEMM (in 2-D,
   A₁ A₂ᵀ / N) in place of one exp per (node, particle) pair, a particle
   chunk at a time, with every factor block and leading-node product within
   an eighth of a workspace.
@@ -79,15 +81,11 @@ class EvaluationGrid:
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, n) for lo, hi, n in self.spans]
 
-    def nodes(self) -> np.ndarray:
-        """Flattened (n_nodes, d) node list in row-major order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-
     def map_nodes(self, fn) -> np.ndarray:
-        """``fn(self.nodes())`` for a row-wise ``fn`` of (rows, d) nodes, one value
-        per row, evaluated on row blocks of at most ``_NODE_BLOCK`` coordinates
-        into one (n_nodes,) array, so the whole node list is never held."""
+        """``fn`` of the (n_nodes, d) node list in row-major order, for a row-wise
+        ``fn`` of (rows, d) nodes, one value per row, evaluated on row blocks of
+        at most ``_NODE_BLOCK`` coordinates into one (n_nodes,) array, so the
+        whole node list is never held."""
         axes, n = self.axes(), math.prod(self.shape)
         step = max(1, _NODE_BLOCK // self.dim)
         out = np.empty(n)
@@ -114,12 +112,15 @@ def silverman_bandwidth(cloud) -> np.ndarray:
     n, d = pts.shape
     if n < 2:
         raise ValueError("bandwidth selection needs at least 2 particles")
-    sd = pts.std(axis=0, ddof=1)
-    degenerate = np.nonzero(sd <= 0)[0]
-    if degenerate.size:
-        raise ValueError(f"coordinate {degenerate[0]} has zero sample variance")
     factor = (4.0 / (d + 2)) ** (1.0 / (d + 4)) * n ** (-1.0 / (d + 4))
-    return (factor * sd) ** 2
+    with np.errstate(over="ignore"):   # a spread beyond the float range is rejected below
+        sd = pts.std(axis=0, ddof=1)
+        diag = (factor * sd) ** 2
+    for bad, what in ((sd <= 0, "zero sample variance"),
+                      (~np.isfinite(diag), "a sample spread beyond the float range")):
+        if bad.any():
+            raise ValueError(f"coordinate {np.argmax(bad)} has {what}")
+    return diag
 
 
 class GaussianKde:
@@ -142,7 +143,9 @@ class GaussianKde:
 
     def at_particles(self) -> np.ndarray:
         """``evaluate(points)`` from the upper triangle: k(X_i, X_j) == k(X_j, X_i)
-        bit for bit, since (a − b)² == (b − a)², so only the summation order changes."""
+        bit for bit, since (a − b)² == (b − a)², so only the summation order changes:
+        each row block is swept as observations against the particles from its
+        first row on."""
         pts = self.points
         n = pts.shape[0]
         tasks = [[r] for r in row_blocks(n, n)]
@@ -155,7 +158,7 @@ class GaussianKde:
             # this thread's workspace "k", which the drift's k blocks share
             parts = []
             for r in task:
-                k = self._kernel.eval_matrix(pts[r], pts[r.start:],
+                k = self._kernel.eval_matrix(pts[r.start:], pts[r],
                                              out=scratch("k", r.stop - r.start, n - r.start))
                 parts.append((r, k.sum(axis=1), k[:, r.stop - r.start:].sum(axis=0)))
             return parts
@@ -172,7 +175,7 @@ class GaussianKde:
         if grid.dim != self.points.shape[1]:
             raise ValueError(f"grid has dimension {grid.dim}, expected {self.points.shape[1]}")
         if grid.dim == 1:
-            return self.evaluate(grid.nodes())
+            return grid.map_nodes(self.evaluate)
         factor_kernels = [GaussianConvolutionKernel(s) for s in self._kernel.noise_sd]
         axes = [a[:, None] for a in grid.axes()]
         lead_shape, n_last = grid.shape[:-1], grid.shape[-1]
@@ -184,7 +187,7 @@ class GaussianKde:
         out = np.zeros((n_lead, n_last))
         for p0 in range(0, self.points.shape[0], p_block):
             chunk = self.points[p0:p0 + p_block]
-            factors = [kern.eval_matrix(axis, chunk[:, i:i + 1])
+            factors = [kern.eval_matrix(chunk[:, i:i + 1], axis)
                        for i, (kern, axis) in enumerate(zip(factor_kernels, axes))]
             for r0 in range(0, n_lead, r_block):
                 idx = np.unravel_index(np.arange(r0, min(r0 + r_block, n_lead)), lead_shape)

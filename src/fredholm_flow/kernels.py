@@ -1,25 +1,21 @@
 """Markov-kernel densities k(x, y) and their x-gradients.
 
-A kernel implements two batched methods over every pair of particles and
-observations:
+A kernel implements two batched methods over every pair of particles xs
+(n, d) and observations ys (m, p):
 
-- ``eval_matrix(xs, ys, out=None, plane=None)``: k(x, y) for each pair,
-  written into ``out`` when one is given; when ``plane`` is given, the same
-  sweep also writes the kernel's gradient plane into it, a stack of
-  ``planes`` arrays shaped like k;
-- ``weighted_grad1(xs, ys, k, plane, w)``: the (n, d) rows
-  Σ_j w_j ∇₁k(x_i, y_j) from the k and plane of an observation-major sweep
-  and weights ``w`` of shape (m,).
+- ``eval_matrix(xs, ys, out=None, plane=None)``: the (m, n) matrix
+  k(x_i, y_j), one row per observation, written into ``out`` when one is
+  given; when ``plane`` is given, the same sweep also writes the kernel's
+  gradient plane into it, a stack of ``planes`` arrays shaped like k;
+- ``weighted_grad1(ys, k, plane, w)``: the (n, d) rows
+  Σ_j w_j ∇₁k(x_i, y_j) from the k and plane of that sweep and weights
+  ``w`` of shape (m,).
 
-The caller sets the orientation of the pairs by the arrays it passes, and
-each kernel has one sweep body for both: it forms every pair by
-broadcasting a coordinate of ``ys`` against the same coordinate of ``xs``.
-Particles xs (n, d) and observations ys (m, p) pair particle-major, as the
-(n, m) matrix k(x_i, y_j); the views ``blocks.by_observation(xs, ys)``,
-(1, n, d) and (m, 1, p), pair observation-major, as (m, n), row j holding
-observation j against every particle, and each particle coordinate is one
-contiguous row.  The drift sweeps observation-major blocks (see
-``blocks``); the KDE sweeps its queries as rows.
+A sweep forms every pair by broadcasting a coordinate of the observations,
+a column (m, 1), against the same coordinate of the particles, a row
+(1, n), so row j of k holds observation j against every particle.  The
+drift sweeps blocks of observations (see ``blocks``), and the KDE sweeps
+its queries as observations.
 
 The drift needs only the weighted sum, so no (n, m, d) gradient tensor is
 ever formed from k.  The Gaussian kernel's plane is its d coordinate
@@ -43,12 +39,12 @@ origin.  A constructor rejects a width whose folded reciprocal overflows,
 so no 0·inf reaches a sweep at the mode.
 
 Each pair's k and plane entries are computed from that pair alone, with
-elementwise ufuncs (no BLAS call), so they are the same bits in either
-orientation and whichever other pairs are evaluated with them: the KDE
-runs ``eval_matrix`` in row blocks, the drift in blocks of observations.
-``weighted_grad1`` adds each particle's terms over the observations in
-order, so its rows are the same bits whichever other particles (at least
-one) come with them; the drift passes all of them to every block.
+elementwise ufuncs (no BLAS call), so they are the same bits whichever
+other pairs are evaluated with them: the KDE runs ``eval_matrix`` in row
+blocks, the drift in blocks of observations.  ``weighted_grad1`` adds each
+particle's terms over the observations in order, so its rows are the same
+bits whichever other particles (at least one) come with them; the drift
+passes all of them to every block.
 Temporaries go to the calling thread's reusable ``blocks.scratch``
 workspaces.  A Radon or Gaussian sweep without a plane keeps its
 temporary in "plane": the Radon term x₂sinφ/σ and the Gaussian differences
@@ -71,7 +67,7 @@ import abc
 
 import numpy as np
 
-from .blocks import by_observation, scratch
+from .blocks import scratch
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # nodes of the Radon normalizing quadrature past which xi_max / sigma is rejected
@@ -79,25 +75,19 @@ _MAX_QUADRATURE_NODES = 2**20
 
 
 def _as_points(arr, dim: int, name: str) -> np.ndarray:
-    """Coerce to a float array of points along its last axis, accepting a single
-    point as (1, dim)."""
-    out = np.asarray(arr, dtype=float)
-    out = np.atleast_2d(out) if out.ndim < 2 else out
-    if out.shape[-1] != dim:
-        raise ValueError(f"{name} has dimension {out.shape[-1]}, expected {dim}")
+    """Coerce to a float (rows, dim) array, accepting a single point as (1, dim)."""
+    out = np.atleast_2d(np.asarray(arr, dtype=float))
+    if out.ndim != 2 or out.shape[1] != dim:
+        raise ValueError(f"{name} has shape {out.shape}, expected (rows, {dim})")
     return out
 
 
 def _pairs(kernel, xs, ys):
-    """Coordinate views X (d, ...) and Y (p, ...) of xs and ys, and the shape of
-    their pairs, to which X[i] and Y[i] broadcast; 2-D xs and ys pair
-    particle-major."""
+    """Coordinate views X (d, 1, n) of particles xs (n, d) and Y (p, m, 1) of
+    observations ys (m, p), and the shape (m, n) of their pairs."""
     xs = _as_points(xs, kernel.dim_x, "x")
     ys = _as_points(ys, kernel.dim_y, "y")
-    if xs.ndim == ys.ndim == 2:
-        xs, ys = xs[:, None], ys[None]
-    X, Y = np.moveaxis(xs, -1, 0), np.moveaxis(ys, -1, 0)
-    return X, Y, np.broadcast_shapes(X.shape[1:], Y.shape[1:])
+    return xs.T[:, None], ys.T[:, :, None], (ys.shape[0], xs.shape[0])
 
 
 def _finite(value, name: str, positive: bool = False) -> np.ndarray:
@@ -112,10 +102,10 @@ def _finite(value, name: str, positive: bool = False) -> np.ndarray:
 
 
 def plane_rows(plane: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The (n, d) rows Σ_j w_j G_ji v_j of an observation-major gradient plane
-    G (m, n) with per-observation directions v (m, d): one no-BLAS reduction
-    over the observations per coordinate, in order, so row i depends on G's
-    column i alone."""
+    """The (n, d) rows Σ_j w_j G_ji v_j of a gradient plane G (m, n) with
+    per-observation directions v (m, d): one no-BLAS reduction over the
+    observations per coordinate, in order, so row i depends on G's column i
+    alone."""
     if plane.shape[1] == 1:
         # einsum would add a lone particle's terms pairwise, not in order
         return np.add.accumulate(plane * (w[:, None] * v), axis=0)[-1:]
@@ -134,26 +124,24 @@ class KernelModel(abc.ABC):
     @abc.abstractmethod
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None,
                     plane: np.ndarray | None = None) -> np.ndarray:
-        """k(x, y) over the pairs of xs (…, d) and ys (…, p), (n, m) for 2-D xs and
-        ys; returns ``out`` if given, and writes the (planes, …) gradient plane
-        into ``plane`` if given."""
+        """The (m, n) matrix k(x_i, y_j) of particles xs (n, d) and observations
+        ys (m, p); returns ``out`` if given, and writes the (planes, m, n)
+        gradient plane into ``plane`` if given."""
 
     @abc.abstractmethod
-    def weighted_grad1(self, xs: np.ndarray, ys: np.ndarray, k: np.ndarray,
-                       plane: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def weighted_grad1(self, ys: np.ndarray, k: np.ndarray, plane: np.ndarray,
+                       w: np.ndarray) -> np.ndarray:
         """Σ_j w_j ∇₁k(x_i, y_j) for the (m, n) k and gradient plane of
-        eval_matrix(*by_observation(xs, ys)) and w (m,); returns (n, d)."""
+        eval_matrix(xs, ys) and w (m,); returns (n, d)."""
 
     def eval(self, x, y) -> float:
-        xs = _as_points(x, self.dim_x, "x")
-        ys = _as_points(y, self.dim_y, "y")
-        return float(self.eval_matrix(xs, ys)[0, 0])
+        return float(self.eval_matrix(x, y)[0, 0])
 
     def grad1(self, x, y) -> np.ndarray:
-        xs, ys = by_observation(_as_points(x, self.dim_x, "x"), _as_points(y, self.dim_y, "y"))
+        ys = _as_points(y, self.dim_y, "y")
         plane = np.empty((self.planes, 1, 1))
-        k = self.eval_matrix(xs, ys, plane=plane)
-        return self.weighted_grad1(xs, ys, k, plane, np.ones(1))[0]
+        k = self.eval_matrix(x, ys, plane=plane)
+        return self.weighted_grad1(ys, k, plane, np.ones(1))[0]
 
 
 class GaussianConvolutionKernel(KernelModel):
@@ -202,7 +190,7 @@ class GaussianConvolutionKernel(KernelModel):
         sq *= self._norm
         return sq
 
-    def weighted_grad1(self, xs, ys, k, plane, w):
+    def weighted_grad1(self, ys, k, plane, w):
         # per-coordinate differences, not Yᵀ(k∘w) − x∘colsum, which cancels
         # when the cloud sits far from the origin
         kw = np.multiply(k, w[:, None], out=scratch("a", *k.shape))
@@ -286,7 +274,7 @@ class GaussianMixtureDelayKernel(KernelModel):
                     grad += z
         return out
 
-    def weighted_grad1(self, xs, ys, k, plane, w):
+    def weighted_grad1(self, ys, k, plane, w):
         return plane_rows(plane[0], w, np.ones((w.size, 1)))
 
 
@@ -358,6 +346,5 @@ class RadonAlignmentKernel(KernelModel):
         """cosφ/σ and sinφ/σ, each shaped like φ."""
         return np.cos(phi) * self._inv_sigma, np.sin(phi) * self._inv_sigma
 
-    def weighted_grad1(self, xs, ys, k, plane, w):
-        phi = np.asarray(ys)[..., 0].ravel()
-        return plane_rows(plane[0], w, -np.column_stack(self._direction(phi)))
+    def weighted_grad1(self, ys, k, plane, w):
+        return plane_rows(plane[0], w, -np.column_stack(self._direction(ys[:, 0])))

@@ -46,7 +46,7 @@ def wasserstein1_1d(sample_a, sample_b) -> float:
 def reconvolve(points, kernel: KernelModel, y_grid: EvaluationGrid) -> np.ndarray:
     """Push a particle estimate of the solution back through the kernel: the
     particle mean (1/N) Σ_k k(X_k, y) at every node y of ``y_grid``, from the
-    (N, d) point matrix ``points``."""
+    (N, d) point matrix ``points``, a block of nodes at a time."""
     if kernel.dim_x != kernel.dim_y:
         raise ValueError("reconvolution needs a kernel with matching input/output dimension")
-    return column_means(kernel, np.atleast_2d(points), y_grid.nodes())
+    return y_grid.map_nodes(lambda y: column_means(kernel, np.atleast_2d(points), y))

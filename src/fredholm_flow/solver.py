@@ -10,7 +10,7 @@ denominator is small.
 
 The drift runs in fixed observation-major blocks on the shared pool of
 ``blocks`` (``blocks.drift_rows``).  A block holds a slice of the batch
-against all N particles, stored (w, N), so one ``eval_matrix`` sweep gives
+against all N particles, (w, N), so one ``eval_matrix`` sweep gives
 its k, the mean of each observation's contiguous row and its gradient
 plane (for the Gaussian kernel, its d planes of coordinate differences),
 and the weights of those means give its share of the drift rows; the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .blocks import column_means, drift_rows
+from .blocks import drift_rows
 from .errors import NumericalFailure
 from .functional import DENOM_FLOOR, FunctionalEstimate, g_hat
 from .kernels import KernelModel
@@ -179,7 +179,8 @@ def draw_minibatch(full: ObservationSample, m: int, rng: np.random.Generator) ->
     return ObservationSample(full.points[idx])
 
 
-def _monitor_estimate(cloud, batch, kernel, ref, config, k_mean) -> FunctionalEstimate | None:
+def _monitor_estimate(cloud, batch, kernel, ref, config,
+                      k_mean=None) -> FunctionalEstimate | None:
     try:
         return g_hat(cloud, batch, kernel, ref, config.alpha, config.eta, k_mean=k_mean)
     except ValueError:
@@ -262,8 +263,7 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     if not stopped:
         # a run of no steps scores its only row on the batch that step 0 would draw
         final_batch = batch if batch is not None else draw(0)
-        k_mean = column_means(kernel, cloud.points, final_batch.points)
-        estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config, k_mean)
+        estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config)
         trace.append(cloud.step_index, estimate, None, cloud.points)
         if monitor is not None:
             monitor(cloud.step_index, cloud, estimate)

@@ -30,6 +30,12 @@ def gauss_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
 
 
+def grid_nodes(grid):
+    """The (n_nodes, d) node list of an ``EvaluationGrid``, in row-major order."""
+    mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
 def read_density_csv(path):
     """(grid, node values) of a density as ``artifacts.write_density_csv`` wrote it."""
     with open(path) as fh:

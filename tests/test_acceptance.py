@@ -21,6 +21,7 @@ from fredholm_flow.problems import (TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ,
                                     preset_toy_gaussian)
 from fredholm_flow.rng import ROLE_INIT, derive_seed, stream
 
+from conftest import grid_nodes
 from test_baselines import SIGMA0_RESOLVED, random_grid_problem, simplex_mass_oracle
 from test_density import naive_kde
 
@@ -82,8 +83,8 @@ def _mixture_ise(preset, n_particles, seed):
     init = build_initial_cloud(preset, config, obs, ref)
     cloud, _ = ff.run(config, preset.kernel, ref, init, obs)
     grid = preset.metric_grid
-    est = ff.GaussianKde(cloud.points).evaluate(grid.nodes())
-    return ff.ise(grid, est, preset.truth_pdf(grid.nodes()))
+    est = ff.GaussianKde(cloud.points).evaluate(grid_nodes(grid))
+    return ff.ise(grid, est, preset.truth_pdf(grid_nodes(grid)))
 
 
 def test_criterion_3_deconvolution_improves_with_n():
@@ -146,7 +147,7 @@ def test_criterion_5_oracle_equivalences():
     for _ in range(100):
         pts = gen.normal(size=(int(gen.integers(1, 6)), 1))
         rec = ff.reconvolve(pts, kernel1, grid)
-        for i, node in enumerate(grid.nodes()):
+        for i, node in enumerate(grid_nodes(grid)):
             oracle = sum(kernel1.eval(p, node) for p in pts) / len(pts)
             ok = ok and np.isclose(rec[i], oracle, rtol=1e-12, atol=0)
 

@@ -9,7 +9,7 @@ from fredholm_flow import artifacts
 from fredholm_flow.functional import FunctionalEstimate
 from fredholm_flow.solver import SolverTrace
 
-from conftest import read_density_csv, read_metrics_csv
+from conftest import grid_nodes, read_density_csv, read_metrics_csv
 
 
 def test_cloud_roundtrip_bitexact(tmp_path, rng):
@@ -55,7 +55,7 @@ def test_density_roundtrip_bitexact(tmp_path, rng):
         # the same bytes as every cell of the node table formatted in turn
         table = tmp_path / "table.csv"
         artifacts._write_table(table, [f"x_{i + 1}" for i in range(grid.dim)] + ["density"],
-                               np.column_stack([grid.nodes(), values]),
+                               np.column_stack([grid_nodes(grid), values]),
                                [path.read_text().splitlines()[0]])
         assert path.read_bytes() == table.read_bytes()
 
@@ -100,7 +100,7 @@ def test_density_csv_streams_its_lines(tmp_path, rng):
     chunk_bytes = artifacts._CHUNK_LINES * (1 + max(len(line) for line in lines))
     assert peak <= 8 * chunk_bytes < path.stat().st_size / 2
     # every node and value as one write of the whole file writes them
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     assert lines[2:] == [",".join(artifacts.fmt(v) for v in (*node, value))
                          for node, value in zip(nodes, values)]
 

@@ -50,19 +50,18 @@ def kernel_batch(name, rng, n, m, d=3):
 
 
 def sweep(kernel, xs, ys):
-    """(k, gradient plane) of one observation-major sweep, (m, n) and (planes, m, n)."""
+    """(k, gradient plane) of one sweep, (m, n) and (planes, m, n)."""
     plane = np.full((kernel.planes, ys.shape[0], xs.shape[0]), np.nan)
-    return kernel.eval_matrix(*blocks.by_observation(xs, ys), plane=plane), plane
+    return kernel.eval_matrix(xs, ys, plane=plane), plane
 
 
 def blocked_rows(kernel, xs, ys, k, plane, w, cut=None):
     """The in-order sum, over the tasks of ``cut`` (by default the drift's), of
     each task's rows: the in-order sum of its observation blocks'
     weighted_grad1 rows."""
-    xv, yv = blocks.by_observation(xs, ys)
 
     def block_rows(c):
-        return kernel.weighted_grad1(xv, yv[c], k[c], np.ascontiguousarray(plane[:, c]), w[c])
+        return kernel.weighted_grad1(ys[c], k[c], np.ascontiguousarray(plane[:, c]), w[c])
 
     rows = None
     for task in cut or blocks.drift_blocks(ys.shape[0], xs.shape[0], kernel.planes):
@@ -90,27 +89,47 @@ def test_kernel_rows_do_not_depend_on_the_block(name, rng):
     kernel, xs, ys = kernel_batch(name, rng, 37, 53)
     w = rng.uniform(0.1, 2.0, ys.shape[0])
     full, plane = sweep(kernel, xs, ys)
-    # writing the plane changes no bit of k, and either orientation is the same bits
-    assert np.array_equal(kernel.eval_matrix(*blocks.by_observation(xs, ys)), full)
-    assert np.array_equal(kernel.eval_matrix(xs, ys), full.T)
-    xv, yv = blocks.by_observation(xs, ys)
-    grad = kernel.weighted_grad1(xv, yv, full, plane, w)
+    # writing the plane changes no bit of k
+    assert np.array_equal(kernel.eval_matrix(xs, ys), full)
+    grad = kernel.weighted_grad1(ys, full, plane, w)
     for rows in (slice(0, 1), slice(5, 17), slice(36, 37), slice(0, 37)):
         part = kernel.eval_matrix(xs[rows], ys)
-        assert np.array_equal(part, full[:, rows].T)
+        assert np.array_equal(part, full[:, rows])
         part, part_plane = sweep(kernel, xs[rows], ys)
         assert np.array_equal(part, full[:, rows])
         assert np.array_equal(part_plane, plane[:, :, rows])
-        part_xv, part_yv = blocks.by_observation(xs[rows], ys)
-        part_grad = kernel.weighted_grad1(part_xv, part_yv, part, part_plane, w)
+        part_grad = kernel.weighted_grad1(ys, part, part_plane, w)
         assert np.array_equal(part_grad, grad[rows])
     for cols in (slice(0, 1), slice(5, 17), slice(52, 53), slice(0, 53)):
         width = cols.stop - cols.start
         out = np.full((width, 37), np.nan)
         part_plane = np.full((kernel.planes, width, 37), np.nan)
-        assert kernel.eval_matrix(xv, yv[cols], out=out, plane=part_plane) is out
+        assert kernel.eval_matrix(xs, ys[cols], out=out, plane=part_plane) is out
         assert np.array_equal(out, full[cols])
         assert np.array_equal(part_plane, plane[:, cols])
+
+
+@pytest.mark.parametrize("name", ["gauss-d3", "delay", "radon"])
+def test_eval_matrix_is_the_k_rows_of_the_drift_blocks(name, rng, monkeypatch):
+    # (n, d) particles and (m, p) observations give one row per observation,
+    # the rows the drift sweeps a few observations at a time
+    kernel, xs, ys = kernel_batch(name, rng, 37, 53)
+    full = kernel.eval_matrix(xs, ys)
+    assert full.shape == (53, 37)
+    swept = []
+    eval_matrix = kernel.eval_matrix
+
+    def recording(xs, ys, out=None, plane=None):
+        k = eval_matrix(xs, ys, out=out, plane=plane)
+        swept.append(k.copy())
+        return k
+
+    monkeypatch.setattr(kernel, "eval_matrix", recording)
+    monkeypatch.setattr(blocks, "BLOCK_PAIRS", 5 * 37 * kernel.planes)
+    monkeypatch.setattr(blocks, "_pool", InlinePool())
+    blocks.drift_rows(kernel, xs, ys, np.ones_like)
+    assert len(swept) > 1
+    assert np.array_equal(np.concatenate(swept), full)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +155,7 @@ def test_block_contract(pools, name, n, m, d, block_pairs, seed):
 
     def weights(k_mean):
         return 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
-    xv, yv = blocks.by_observation(xs, ys)
-    single = kernel.weighted_grad1(xv, yv, k, plane, weights(want_mean))
+    single = kernel.weighted_grad1(ys, k, plane, weights(want_mean))
     kde = GaussianKde(xs) if name == "gauss" and n >= 2 else None
     want_kde = None
     with pytest.MonkeyPatch.context() as patch:
@@ -189,8 +207,7 @@ def assert_blocked_step_is_the_same_bits_for_any_thread_count(d, rng, monkeypatc
     k_mean = k.mean(axis=1)
     weights = 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
     want = blocked_rows(kernel, xs, ys, k, plane, weights, cut) - 0.3 * ref.grad_u(xs)
-    xv, yv = blocks.by_observation(xs, ys)
-    assert_near_single_block(want, kernel.weighted_grad1(xv, yv, k, plane, weights)
+    assert_near_single_block(want, kernel.weighted_grad1(ys, k, plane, weights)
                              - 0.3 * ref.grad_u(xs))
     monkeypatch.setattr(blocks, "_pool", InlinePool())
     want_kde = GaussianKde(xs).at_particles()
@@ -221,8 +238,7 @@ def test_fused_drift_is_the_two_method_drift(name, rng, monkeypatch):
     k_mean = k.mean(axis=1)
     weights = 1.0 / (m * np.maximum(k_mean + 0.01, 1e-30))
     want = blocked_rows(kernel, xs, ys, k, plane, weights) - 0.3 * ref.grad_u(xs)
-    xv, yv = blocks.by_observation(xs, ys)
-    assert_near_single_block(want, kernel.weighted_grad1(xv, yv, k, plane, weights)
+    assert_near_single_block(want, kernel.weighted_grad1(ys, k, plane, weights)
                              - 0.3 * ref.grad_u(xs))
     block_cols = sorted(c.stop - c.start for task in blocks.drift_blocks(m, n, kernel.planes)
                         for c in task)

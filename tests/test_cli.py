@@ -18,7 +18,7 @@ from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
 from fredholm_flow.state import ParticleCloud
 
-from conftest import read_density_csv, read_metrics_csv
+from conftest import grid_nodes, read_density_csv, read_metrics_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -283,7 +283,7 @@ def test_run_reads_out_metric_grid_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert calls.count(preset.metric_grid) == SMALL_RUN["replicates"]
-    truth = preset.truth_pdf(preset.metric_grid.nodes())
+    truth = preset.truth_pdf(grid_nodes(preset.metric_grid))
     rows = read_metrics_csv(out / "metrics.csv")
     for r, rep in enumerate(("rep000", "rep001")):
         grid, written = read_density_csv(out / rep / "kde_grid.csv")
@@ -376,7 +376,10 @@ def test_baseline_toy_alpha_grid_must_be_a_list(tmp_path, capsys):
     assert "alpha_grid: expected list, got str" in capsys.readouterr().err
 
 
-OBS_FILE, NAN_FILE = "<observations.csv>", "<nan.csv>"   # written by the test
+# written by the test: 40 draws of N(0, 1), a NaN, four rows of 0.5, one row,
+# and two points whose spread overflows
+OBS_FILE, NAN_FILE, CONSTANT_FILE = "<observations.csv>", "<nan.csv>", "<constant.csv>"
+ONE_ROW_FILE, WIDE_FILE = "<one-row.csv>", "<wide.csv>"
 INLINE = {"problem": {"kernel": {"type": "gaussian_convolution", "noise_sd": [0.3]},
                       "reference": {"kind": "from_sample"}},
           "observations": {"file": OBS_FILE}, "solver": {"n_particles": 10, "n_steps": 2}}
@@ -482,6 +485,16 @@ def _probe(command, config, key, case):
     _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [OBS_FILE],
                        "metrics": ["reconvolution_ise"], "observations": {"n_samples": 1}},
            "observations.n_samples", "metrics-reconvolution-of-one-observation"),
+    # a KDE of the input is undefined: reported before any solve or output
+    _probe("run", {"preset": "highdim_mixture", "preset_options": {"dim": 1},
+                   "metrics": ["reconvolution_ise"], "observations": {"file": CONSTANT_FILE}},
+           "observations.file", "reconvolution-of-constant-observations"),
+    _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [ONE_ROW_FILE],
+                       "metrics": ["ise"]}, "clouds", "metrics-ise-of-one-particle"),
+    _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [OBS_FILE, CONSTANT_FILE],
+                       "metrics": ["ise"]}, "clouds", "metrics-ise-of-a-constant-cloud"),
+    _probe("metrics", {"preset": "gaussian_mixture_1d", "clouds": [WIDE_FILE],
+                       "metrics": ["ise"]}, "clouds", "metrics-ise-of-an-overflowing-spread"),
 ])
 def test_invalid_config_exits_2_at_its_key(tmp_path, capsys, monkeypatch, rng, command,
                                            config, key):
@@ -491,8 +504,14 @@ def test_invalid_config_exits_2_at_its_key(tmp_path, capsys, monkeypatch, rng, c
     monkeypatch.setattr("fredholm_flow.cli.run_solver", no_solve)
     np.savetxt(tmp_path / "obs.csv", rng.normal(size=(40, 1)), delimiter=",")
     (tmp_path / "nan.csv").write_text("0.1\nnan\n0.3\n")
-    text = json.dumps(config).replace(OBS_FILE, str(tmp_path / "obs.csv")) \
-        .replace(NAN_FILE, str(tmp_path / "nan.csv"))
+    (tmp_path / "constant.csv").write_text("0.5\n" * 4)
+    (tmp_path / "one-row.csv").write_text("0.5\n")
+    (tmp_path / "wide.csv").write_text("1e200\n-1e200\n")
+    text = json.dumps(config)
+    for placeholder, name in [(OBS_FILE, "obs.csv"), (NAN_FILE, "nan.csv"),
+                              (CONSTANT_FILE, "constant.csv"), (ONE_ROW_FILE, "one-row.csv"),
+                              (WIDE_FILE, "wide.csv")]:
+        text = text.replace(placeholder, str(tmp_path / name))
     cfg = tmp_path / "c.json"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -726,7 +745,7 @@ def test_ise_metric_is_the_ise_of_the_whole_grid_truth(name, options):
     points = preset.sample_truth(300, 8)
     [(_, got)] = cli.compute_metrics(preset, ParticleCloud(points), None, ["ise"], 0)
     want = metrics.ise(grid, density.GaussianKde(points).on_grid(grid),
-                       preset.truth_pdf(grid.nodes()))
+                       preset.truth_pdf(grid_nodes(grid)))
     assert got == want
 
 

@@ -6,6 +6,8 @@ import pytest
 from fredholm_flow import (EvaluationGrid, GaussianConvolutionKernel,
                            GaussianKde, ParticleCloud, blocks, density, silverman_bandwidth)
 
+from conftest import grid_nodes
+
 
 def naive_kde(points, diag, x):
     """Independent per-particle summation oracle."""
@@ -74,7 +76,7 @@ def test_kde_grid_matches_pointwise_1d(rng):
     bw = [0.3]
     grid = EvaluationGrid(((-2.0, 2.0, 7),))
     vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     for i in range(nodes.shape[0]):
         assert vals[i] == GaussianKde(ParticleCloud(pts), bw).evaluate(nodes[i])[0]
 
@@ -84,7 +86,7 @@ def test_kde_grid_matches_pointwise(rng):
     bw = [0.3, 0.5]
     grid = EvaluationGrid(((-2.0, 2.0, 7), (-1.0, 1.0, 5)))
     vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
-    nodes = grid.nodes()
+    nodes = grid_nodes(grid)
     pointwise = [GaussianKde(ParticleCloud(pts), bw).evaluate(x)[0] for x in nodes]
     naive = [naive_kde(pts, bw, x) for x in nodes]
     np.testing.assert_allclose(vals, pointwise, rtol=1e-12, atol=0)
@@ -136,7 +138,7 @@ def test_kde_evaluate_is_the_row_mean_of_one_matrix(d, shift, rng):
     xs = 1.5 * rng.normal(size=(700, d)) + shift
     assert len(blocks.row_blocks(700, 1000)) == 3
     kde = GaussianKde(pts)
-    assert np.array_equal(kde.evaluate(xs), kde._kernel.eval_matrix(xs, kde.points).mean(axis=1))
+    assert np.array_equal(kde.evaluate(xs), kde._kernel.eval_matrix(kde.points, xs).mean(axis=1))
     assert kde.evaluate(xs[:0]).shape == (0,)
 
 
@@ -204,7 +206,7 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
             tracemalloc.stop()
             assert peak <= 8 * blocks.BLOCK_PAIRS
         # several particle blocks (and leading-node blocks in 3-D) against one sum
-        np.testing.assert_allclose(kde.on_grid(grid), kde.evaluate(grid.nodes()),
+        np.testing.assert_allclose(kde.on_grid(grid), kde.evaluate(grid_nodes(grid)),
                                    rtol=1e-12, atol=0)
 
 
@@ -216,7 +218,7 @@ def test_kde_on_grid_matches_naive_sum(shape, shift, rng):
     bw = rng.uniform(0.05, 0.3, size=d)
     grid = EvaluationGrid(tuple((shift - 2.0, shift + 2.0, n) for n in shape))
     vals = GaussianKde(pts, bw).on_grid(grid)
-    naive = [naive_kde(pts, bw, x) for x in grid.nodes()]
+    naive = [naive_kde(pts, bw, x) for x in grid_nodes(grid)]
     np.testing.assert_allclose(vals, naive, rtol=1e-12, atol=0)
 
 
@@ -230,9 +232,9 @@ def test_kde_on_grid_far_nodes_underflow_to_zero(d, shift, rng):
     bw = np.full(d, 0.01)
     grid = EvaluationGrid(tuple((shift - 1.5, shift + 7.5, 4) for _ in range(d)))
     vals = GaussianKde(pts, bw).on_grid(grid)
-    naive = np.array([naive_kde(pts, bw, x) for x in grid.nodes()])
+    naive = np.array([naive_kde(pts, bw, x) for x in grid_nodes(grid)])
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
-    near = np.all(grid.nodes() - shift < 2.0, axis=1)
+    near = np.all(grid_nodes(grid) - shift < 2.0, axis=1)
     assert np.all(naive[~near] == 0.0) and np.all(vals[~near] == 0.0)
     assert np.all(naive[near] > np.finfo(float).tiny)
     np.testing.assert_allclose(vals[near], naive[near], rtol=1e-12, atol=0)

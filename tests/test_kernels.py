@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from fredholm_flow import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                            RadonAlignmentKernel)
-from fredholm_flow.blocks import by_observation
 
 from conftest import central_difference, gauss_pdf
 
@@ -109,7 +108,7 @@ def test_gaussian_1d_normalization_quadrature():
     k = GaussianConvolutionKernel([0.045])
     x = np.array([0.37])
     y = np.linspace(x[0] - 8 * 0.045, x[0] + 8 * 0.045, 4001)
-    vals = k.eval_matrix(x[None, :], y[:, None])[0]
+    vals = k.eval_matrix(x[None, :], y[:, None])[:, 0]
     assert np.trapezoid(vals, y) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -119,7 +118,7 @@ def test_delay_normalization_quadrature():
     lo = x[0] + min(DELAY["means"]) - 8 * max(DELAY["sds"])
     hi = x[0] + max(DELAY["means"]) + 8 * max(DELAY["sds"])
     y = np.linspace(lo, hi, 8001)
-    vals = k.eval_matrix(x[None, :], y[:, None])[0]
+    vals = k.eval_matrix(x[None, :], y[:, None])[:, 0]
     assert np.trapezoid(vals, y) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -129,7 +128,7 @@ def test_radon_normalization_on_window():
     phi = np.linspace(0.0, 2 * np.pi, 257)
     xi = np.linspace(-2.0, 2.0, 4001)
     nodes = np.column_stack([np.repeat(phi, xi.size), np.tile(xi, phi.size)])
-    vals = k.eval_matrix(x, nodes)[0].reshape(phi.size, xi.size)
+    vals = k.eval_matrix(x, nodes)[:, 0].reshape(phi.size, xi.size)
     integral = np.trapezoid(np.trapezoid(vals, xi, axis=1), phi)
     assert integral == pytest.approx(1.0, abs=1e-6)
 
@@ -196,19 +195,18 @@ def test_batch_matches_pointwise(kernel, shift, rng):
     xs, ys = (xs + shift) - shift, (ys + shift) - shift
     w = rng.uniform(0.1, 2.0, ys.shape[0])
     mat = kernel.eval_matrix(xs + shift, ys + shift)
-    xv, yv = by_observation(xs + shift, ys + shift)
     plane = np.empty((kernel.planes, ys.shape[0], xs.shape[0]))
-    k = kernel.eval_matrix(xv, yv, plane=plane)
-    # observation-major pairs are the same bits as particle-major ones
-    assert np.array_equal(k, mat.T)
-    got = kernel.weighted_grad1(xv, yv, k, plane, w)
-    assert mat.shape == (xs.shape[0], ys.shape[0])
+    k = kernel.eval_matrix(xs + shift, ys + shift, plane=plane)
+    # writing the plane changes no bit of k
+    assert np.array_equal(k, mat)
+    got = kernel.weighted_grad1(ys + shift, k, plane, w)
+    assert mat.shape == (ys.shape[0], xs.shape[0])
     assert got.shape == xs.shape
     for i in range(xs.shape[0]):
         want = sum(w[j] * kernel.grad1(xs[i], ys[j]) for j in range(ys.shape[0]))
         np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=0)
         for j in range(ys.shape[0]):
-            assert mat[i, j] == pytest.approx(kernel.eval(xs[i], ys[j]), rel=1e-12)
+            assert mat[j, i] == pytest.approx(kernel.eval(xs[i], ys[j]), rel=1e-12)
 
 
 def test_invalid_construction():
@@ -315,16 +313,15 @@ def test_far_from_origin_matches_the_difference_first_formula(kernel, rng):
         np.testing.assert_array_less(0.0, k)
         grad_terms = plane_terms.sum(axis=0)[:, :, None]
     w = rng.uniform(0.1, 2.0, m)
-    xv, yv = by_observation(xs, ys)
     planes = np.empty((kernel.planes, m, n))
-    got = kernel.eval_matrix(xv, yv, plane=planes)
+    got = kernel.eval_matrix(xs, ys, plane=planes)
     plane = planes[0].T
     np.testing.assert_allclose(got.T, k, rtol=1e-12, atol=0)
     if isinstance(kernel, GaussianMixtureDelayKernel):
         # signed terms: each entry to 1e-12 of the sum of its terms' magnitudes
         err = np.abs(plane - plane_terms.sum(axis=0))
         assert np.all(err <= 1e-12 * np.abs(plane_terms).sum(axis=0))
-    rows = kernel.weighted_grad1(xv, yv, got, planes, w)
+    rows = kernel.weighted_grad1(ys, got, planes, w)
     weighted = grad_terms * w[None, :, None]
     assert np.all(np.abs(rows - weighted.sum(axis=1)) <= 1e-12 * np.abs(weighted).sum(axis=1))
 
@@ -341,7 +338,7 @@ def test_delay_sweep_is_the_straight_line_formula_bit_for_bit(mixture, shift, rn
     n, m = 70, 50
     xs = shift + rng.normal(0.0, 3.0, (n, 1))
     ys = shift + rng.normal(11.0, 5.0, (m, 1))
-    diff = ys - xs[:, 0]   # (m, n), observation-major
+    diff = ys - xs[:, 0]   # (m, n), one row per observation
     k = grad = 0.0
     for w, mu, s in zip(*mixture.values()):
         precision = 1.0 / s**2
@@ -349,9 +346,7 @@ def test_delay_sweep_is_the_straight_line_formula_bit_for_bit(mixture, shift, rn
         dens = np.exp(z * z * (-0.5 * precision)) * (w / (s * SQRT_2PI))
         k, grad = k + dens, grad + z * dens * precision
     assert np.count_nonzero(k) > k.size // 2
-    xv, yv = by_observation(xs, ys)
     plane = np.empty((1, m, n))
-    assert np.array_equal(kernel.eval_matrix(xv, yv, plane=plane), k)
+    assert np.array_equal(kernel.eval_matrix(xs, ys, plane=plane), k)
     assert np.array_equal(plane[0], grad)
-    assert np.array_equal(kernel.eval_matrix(xv, yv), k)
-    assert np.array_equal(kernel.eval_matrix(xs, ys), k.T)
+    assert np.array_equal(kernel.eval_matrix(xs, ys), k)

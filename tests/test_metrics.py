@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from fredholm_flow import (EvaluationGrid, GaussianConvolutionKernel,
                            GaussianMixtureDelayKernel, RadonAlignmentKernel, blocks, ise,
                            reconvolve, wasserstein1_1d)
+from fredholm_flow.problems import get_preset
 
-from conftest import gauss_pdf
+from conftest import gauss_pdf, grid_nodes
 
 
 def _grid(lo=-10.0, hi=10.0, n=4001):
@@ -106,7 +107,7 @@ def test_reconvolve_point_mass():
     grid = _grid(-3, 3, 501)
     x0 = 0.4
     out = reconvolve(np.array([[x0]]), kernel, grid)
-    expected = kernel.eval_matrix(np.array([[x0]]), grid.nodes())[0]
+    expected = kernel.eval_matrix(np.array([[x0]]), grid_nodes(grid))[:, 0]
     assert np.allclose(out, expected, rtol=1e-14)
 
 
@@ -123,7 +124,7 @@ def test_reconvolve_matches_loop(rng):
     pts = rng.normal(size=(6, 1))
     grid = _grid(-2, 2, 11)
     out = reconvolve(pts, kernel, grid)
-    for i, node in enumerate(grid.nodes()):
+    for i, node in enumerate(grid_nodes(grid)):
         oracle = sum(kernel.eval(p, node) for p in pts) / len(pts)
         assert out[i] == pytest.approx(oracle, rel=1e-12)
 
@@ -144,9 +145,10 @@ def test_particle_reconvolution_is_the_column_mean_in_blocks(name, rng, monkeypa
         pts = rng.normal(0.0, 0.5, (2000, 3))
     n_nodes = int(np.prod(grid.shape))
     assert len(blocks.row_blocks(n_nodes, len(pts))) > 1
-    # each node's mean is one contiguous row of the observation-major matrix
-    want = kernel.eval_matrix(*blocks.by_observation(pts, grid.nodes())).mean(axis=1)
-    np.testing.assert_allclose(want, kernel.eval_matrix(pts, grid.nodes()).mean(axis=0),
+    # each node's mean is one contiguous row of the (nodes, N) matrix
+    full = kernel.eval_matrix(pts, grid_nodes(grid))
+    want = full.mean(axis=1)
+    np.testing.assert_allclose(want, np.ascontiguousarray(full.T).mean(axis=0),
                                rtol=1e-13, atol=0)
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(blocks, "_pool", pool)
@@ -157,6 +159,24 @@ def test_particle_reconvolution_is_the_column_mean_in_blocks(name, rng, monkeypa
     assert np.array_equal(got, want)
     # one (N, nodes) matrix and a few block workspaces per thread, not three matrices
     assert peak <= 1.5 * 8 * len(pts) * n_nodes
+
+
+def test_warm_reconvolution_holds_its_values_and_node_blocks(rng, monkeypatch):
+    # ct_phantom's 161² observation grid is read a node block at a time: once
+    # the pool thread's workspaces are kept, a call holds its values and a few
+    # blocks, below its values and the whole node list
+    preset = get_preset("ct_phantom")
+    grid = preset.observation_grid
+    pts = rng.normal(0.0, 0.3, (2000, 2))
+    n_nodes = int(np.prod(grid.shape))
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(blocks, "_pool", pool)
+        reconvolve(pts, preset.kernel, grid)
+        tracemalloc.start()
+        reconvolve(pts, preset.kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 8 * n_nodes + 8 * 2 * n_nodes   # 0.21 + 0.41 MB
 
 
 def test_reconvolve_requires_matching_dims():

@@ -13,13 +13,13 @@ from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_pr
                                     preset_gaussian_mixture_1d, preset_highdim_mixture,
                                     preset_toy_gaussian)
 
-from conftest import gauss_pdf
+from conftest import gauss_pdf, grid_nodes
 
 
 def quadrature_convolution(preset, y, lo, hi, n=20001):
     xs = np.linspace(lo, hi, n)[:, None]
     dens = preset.truth_pdf(xs)
-    kvals = preset.kernel.eval_matrix(xs, np.atleast_2d(y))[:, 0]
+    kvals = preset.kernel.eval_matrix(xs, np.atleast_2d(y))[0]
     return np.trapezoid(dens * kvals, xs[:, 0])
 
 
@@ -43,7 +43,7 @@ def test_mixture_sampler_mean():
 def test_mixture_truth_normalized_on_grid():
     preset = preset_gaussian_mixture_1d()
     grid = preset.metric_grid
-    vals = preset.truth_pdf(grid.nodes())
+    vals = preset.truth_pdf(grid_nodes(grid))
     assert grid.trapezoid_weights() @ vals == pytest.approx(1.0, abs=1e-9)
 
 
@@ -90,7 +90,7 @@ def test_highdim_reference_is_fixed():
 
 def test_incidence_normalization():
     grid = EvaluationGrid(((0.0, 100.0, 20001),))
-    vals = incidence_pdf(grid.nodes())
+    vals = incidence_pdf(grid_nodes(grid))
     assert grid.trapezoid_weights() @ vals == pytest.approx(1.0, abs=1e-6)
 
 
@@ -157,7 +157,7 @@ def test_ct_observed_matches_2d_quadrature():
     nodes = np.column_stack([m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")])
     dens = preset.truth_pdf(nodes).reshape(n, n)
     for y in ([0.3, 0.1], [2.0, -0.4], [4.4, 0.0]):
-        kv = preset.kernel.eval_matrix(nodes, np.atleast_2d(y))[:, 0].reshape(n, n)
+        kv = preset.kernel.eval_matrix(nodes, np.atleast_2d(y))[0].reshape(n, n)
         quad = np.trapezoid(np.trapezoid(dens * kv, xs, axis=1), xs)
         assert quad == pytest.approx(preset.observed_pdf(np.atleast_2d(y))[0], rel=1e-5)
 
@@ -326,7 +326,7 @@ def test_ct_reconvolution_grid_covers_the_observations():
     from fredholm_flow.metrics import ise, reconvolve
     preset = preset_ct_phantom()
     grid = preset.observation_grid
-    truth = preset.observed_pdf(grid.nodes())
+    truth = preset.observed_pdf(grid_nodes(grid))
     assert grid.trapezoid_weights() @ truth == pytest.approx(1.0, abs=1e-9)
     scale = ise(grid, np.zeros_like(truth), truth)
     # reconvolved truth draws: Monte Carlo error only (0.0024 measured at N = 1000)
@@ -336,7 +336,7 @@ def test_ct_reconvolution_grid_covers_the_observations():
     # the preset docstring documents (about half the density at phi = 0)
     kde = GaussianKde(preset.sample_observations(20_000, 5).points).on_grid(grid)
     assert ise(grid, kde, truth) < 0.1 * scale
-    phi = grid.nodes()[:, 0]
+    phi = grid_nodes(grid)[:, 0]
     edge, middle = phi == 0.0, np.abs(phi - np.pi) < 0.05
     assert kde[edge].sum() < 0.7 * truth[edge].sum()
     assert kde[middle].sum() == pytest.approx(truth[middle].sum(), rel=0.05)
@@ -348,5 +348,5 @@ def test_truth_mass_on_metric_grids():
                preset_epidemiology_synthetic(False), preset_ct_phantom()]
     for preset in presets:
         grid = preset.metric_grid
-        mass = grid.trapezoid_weights() @ preset.truth_pdf(grid.nodes())
+        mass = grid.trapezoid_weights() @ preset.truth_pdf(grid_nodes(grid))
         assert abs(mass - 1.0) < 1e-2, preset.name

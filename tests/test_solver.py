@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,14 +23,12 @@ class ConstantInXKernel(KernelModel):
 
     def eval_matrix(self, xs, ys, out=None, plane=None):
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
-        if xs.ndim == ys.ndim == 2:   # particle-major
-            xs, ys = xs[:, None], ys[None]
-        dens = np.exp(-0.5 * np.sum(ys**2, axis=-1)) * (2 * np.pi) ** (-self.dim_y / 2)
-        out = np.empty(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])) if out is None else out
-        out[:] = dens
+        dens = np.exp(-0.5 * np.sum(ys**2, axis=1)) * (2 * np.pi) ** (-self.dim_y / 2)
+        out = np.empty((ys.shape[0], xs.shape[0])) if out is None else out
+        out[:] = dens[:, None]
         return out
 
-    def weighted_grad1(self, xs, ys, k, plane, w):
+    def weighted_grad1(self, ys, k, plane, w):
         return np.zeros((k.shape[1], self.dim_x))
 
 
@@ -271,8 +270,8 @@ def test_config_validation():
 
 def test_drift_failure_carries_particle_index():
     class BrokenKernel(ConstantInXKernel):
-        def weighted_grad1(self, xs, ys, k, plane, w):
-            out = super().weighted_grad1(xs, ys, k, plane, w)
+        def weighted_grad1(self, ys, k, plane, w):
+            out = super().weighted_grad1(ys, k, plane, w)
             out[2] = np.nan
             return out
 
@@ -300,3 +299,12 @@ def test_trace_columns_are_read_only_views():
         trace.column("g_hat")[0] = 0.0
     with pytest.raises(KeyError, match="mean_1"):
         trace.column("g_total")
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    # the trace's columns and last objective, then the variances
+    assert len(capsys.readouterr().out.splitlines()) == 2
