@@ -1,11 +1,12 @@
 """Blocks of pairwise work on one process-wide thread pool.
 
 Every O(N·m) pass of a solver step is cut by ``row_blocks`` into the
-fewest blocks of at most ``BLOCK_PAIRS`` pairs, cut evenly, or
-``BLOCK_PAIRS // planes`` for a sweep that also writes a kernel's gradient
-plane of ``planes`` arrays shaped like k (d for the Gaussian kernel, 1 for
-the others), so that the plane of a block fits one workspace.  The cut
-depends on the shape and the kernel only, never on the thread count.
+fewest blocks, cut evenly, whose arrays fit one thread's arena (see
+below), with at most ``BLOCK_PAIRS`` pairs and a gradient plane of at most
+``BLOCK_PAIRS`` entries.  A kernel states how many block-shaped arrays one
+sweep holds, without and with its plane (``KernelModel.arrays``): k, the
+plane and the temporaries.  The cut depends on the shape and the kernel
+only, never on the thread count.
 ``map_blocks`` runs one task per block and yields the results in block
 order, so a caller that adds them in that order gets the same bits for any
 number of threads.  A single task runs inline, with no pool call.
@@ -17,8 +18,8 @@ observation, so ``drift_rows`` cuts it into blocks of observations: a
 block holds w observations against every particle, the (w, N) k of one
 ``eval_matrix`` sweep, and each particle coordinate is one contiguous row.
 ``drift_blocks`` gives the cut: one task per ``BLOCK_PAIRS`` pairs of
-observations, like the KDE's, and within a task the blocks whose plane fits
-a workspace.  A task sweeps each of its blocks' k and gradient plane,
+observations, like the KDE's, and within a task the blocks whose arrays
+fit the arena.  A task sweeps each of its blocks' k and gradient plane,
 reduces each observation's mean along one contiguous row, weights the
 block's own means and adds the block's (N, d) share of the drift rows to
 its own in block order; the calling thread adds the tasks' shares in task
@@ -30,19 +31,23 @@ runs it: the monitor's denominators, the KDE at arbitrary queries (the
 queries as observations) and the reconvolution.  A mean reads one whole
 row, so it is the same bits for any cut.
 
-``scratch`` gives each thread reusable block-sized workspaces: a block costs
-the same whatever the allocator's state (a fresh 2 MB array sits at glibc's
-dynamic mmap threshold and may be mapped and unmapped on every call).  One
-step holds, per thread, the k block "k" (the KDE's workspace too) and the
-gradient plane "plane"; a KDE or Radon sweep without a plane keeps its
-temporary in "plane" (the coordinate differences, the Radon term), and a
-Radon sweep with one keeps the term in k.  So a thread holds two
-workspaces for the Radon kernel and the KDE, three for the Gaussian
-kernel's drift (k·w in "a") and four for the delay kernel ("a" and "b").
+``arena`` gives each thread one reusable arena of ``2 * BLOCK_PAIRS``
+floats (4 MB), allocated on its first block and kept, so a block costs the
+same whatever the allocator's state (a fresh 2 MB array sits at glibc's
+dynamic mmap threshold and may be mapped and unmapped on every call).  A
+block takes consecutive views of it: k first, then the gradient plane,
+then the kernel's temporaries, which the kernel receives as an argument.
+So a thread holds 4 MB whatever the kernel: two arrays of ``BLOCK_PAIRS``
+pairs for the Radon kernel, the KDE and every ``column_means`` of two
+arrays, and smaller blocks for a sweep of more arrays (the delay kernel's
+drift, with its plane and two temporaries, in blocks of ``BLOCK_PAIRS //
+2`` pairs).  A block whose arrays cannot fit the arena, one observation
+against more than ``2 * BLOCK_PAIRS / arrays`` particles, gets fresh
+arrays.
 
 The pool has one thread per core this process may run on.  It is shared by
 every caller, the jobs of ``map_jobs`` (replicates, cv cells) included, so
-no thread count is passed down and only pool threads hold workspaces.  A
+no thread count is passed down and only pool threads hold arenas.  A
 job marks its thread while it runs.  On a marked thread ``map_blocks``
 submits the blocks and then takes them in block order: it runs every block
 that no thread has started (``Future.cancel()`` succeeds) itself, and waits
@@ -59,9 +64,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# pairs per block: 2 MB of float64.  A step keeps two to four such
-# workspaces per thread (k, the plane, the kernel's temporaries "a" and "b"),
-# so a block's working set is beyond a 2 MB L2; blocks of 2**15 pairs or fewer
+# pairs per block at most: 2 MB of float64.  Each thread keeps one arena of
+# two such arrays, 4 MB, which holds a block's k, plane and temporaries, so a
+# block's working set is beyond a 2 MB L2; blocks of 2**15 pairs or fewer
 # were the same bits but slower end to end (ROADMAP, "Tried")
 BLOCK_PAIRS = 2**18
 
@@ -70,20 +75,23 @@ _pool_lock = threading.Lock()
 _local = threading.local()
 
 
-def row_blocks(n: int, m: int, planes: int = 1) -> list[slice]:
-    """Row slices of an (n, m) pairwise pass: the fewest blocks of at most
-    ``BLOCK_PAIRS // planes`` pairs (at least one row), cut evenly, so their
-    row counts differ by one at most."""
-    count = -(-n // max(1, BLOCK_PAIRS // (planes * m)))
+def row_blocks(n: int, m: int, arrays: int = 2, planes: int = 0) -> list[slice]:
+    """Row slices of an (n, m) pairwise pass: the fewest blocks (at least one
+    row each), cut evenly so that their row counts differ by one at most,
+    whose ``arrays`` arrays of (rows, m) fit the arena, with at most
+    ``BLOCK_PAIRS`` pairs and a plane of ``planes`` such arrays within
+    ``BLOCK_PAIRS`` entries."""
+    most = min(2 * BLOCK_PAIRS // arrays, BLOCK_PAIRS // max(1, planes))
+    count = -(-n // max(1, most // m))
     return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
-def drift_blocks(m: int, n: int, planes: int = 1) -> list[list[slice]]:
+def drift_blocks(m: int, n: int, arrays: int = 2, planes: int = 0) -> list[list[slice]]:
     """The drift's cut of m observations against n particles: one task per
     ``row_blocks(m, n)`` block, each cut by ``row_blocks`` again into
-    observation blocks whose ``planes`` gradient planes fit one workspace."""
+    observation blocks of ``arrays`` arrays and a plane of ``planes``."""
     return [[slice(task.start + c.start, task.start + c.stop)
-             for c in row_blocks(task.stop - task.start, n, planes)]
+             for c in row_blocks(task.stop - task.start, n, arrays, planes)]
             for task in row_blocks(m, n)]
 
 
@@ -171,18 +179,21 @@ def map_jobs(fn, jobs, workers: int) -> list:
     return [result for result, _ in outcomes]
 
 
-def scratch(key: str, *shape: int) -> np.ndarray:
-    """This thread's reusable float workspace ``key`` of ``shape``, contents undefined.
-
-    Workspaces of more than ``BLOCK_PAIRS`` entries are not kept."""
+def arena(shape: tuple, *counts: int) -> list[np.ndarray]:
+    """Consecutive float views of this thread's arena, one (count, *shape)
+    stack per count, contents undefined; fresh arrays if they do not fit it."""
     size = math.prod(shape)
-    if size > BLOCK_PAIRS:
-        return np.empty(shape)
-    buf = getattr(_local, key, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(BLOCK_PAIRS)
-        setattr(_local, key, buf)
-    return buf[:size].reshape(shape)
+    total = size * sum(counts)
+    buf = getattr(_local, "arena", None)
+    if total > 2 * BLOCK_PAIRS:
+        buf = np.empty(total)
+    elif buf is None or buf.size < total:
+        buf = _local.arena = np.empty(2 * BLOCK_PAIRS)
+    views, start = [], 0
+    for count in counts:
+        views.append(buf[start:start + count * size].reshape(count, *shape))
+        start += count * size
+    return views
 
 
 def column_means(kernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -197,7 +208,8 @@ def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights=None):
     ``w = weights(means)``, or None without ``weights``.
 
     Each block of observations is one ``eval_matrix`` sweep, (w, n), which
-    gives its k and, with ``weights``, the kernel's gradient plane.  The
+    gives its k and, with ``weights``, the kernel's gradient plane, all in
+    the thread's arena, the kernel's temporaries after them.  The
     particles are copied once, coordinate by coordinate, so each coordinate
     is one contiguous row and no block copies them.  A mean is
     ``np.add.reduce`` of one contiguous row of k, bit for bit
@@ -207,22 +219,23 @@ def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights=None):
     must be elementwise.  The rows are the sum, in task order, of each
     ``drift_blocks`` task's rows, its blocks' rows added in block order."""
     n = xs.shape[0]
-    planes = 1 if weights is None else kernel.planes
+    planes = 0 if weights is None else kernel.planes
+    arrays = kernel.arrays[weights is not None]
     xs = np.asfortranarray(xs)
 
     def block(c):
-        width = c.stop - c.start
-        plane = None if weights is None else scratch("plane", planes, width, n)
-        k = kernel.eval_matrix(xs, ys[c], scratch("k", width, n), plane)
+        k, plane, work = arena((c.stop - c.start, n), 1, planes, arrays - 1 - planes)
+        k = kernel.eval_matrix(xs, ys[c], out=k[0], plane=plane if planes else None,
+                               work=work)
         means = np.add.reduce(k, axis=1) / n
-        if plane is None:
+        if not planes:
             return means, None
-        return means, kernel.weighted_grad1(ys[c], k, plane, weights(means))
+        return means, kernel.weighted_grad1(ys[c], k, plane, weights(means), work)
 
     def task(cut):
         return _add_in_order(block(c) for c in cut)
 
-    return _add_in_order(map_blocks(task, drift_blocks(ys.shape[0], n, planes)))
+    return _add_in_order(map_blocks(task, drift_blocks(ys.shape[0], n, arrays, planes)))
 
 
 def _add_in_order(parts):

@@ -271,6 +271,17 @@ def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
     return rows
 
 
+def _starts_at_one_point(cfg: dict, mode: str, draw) -> bool:
+    """Whether every particle starts at one point: a point initialization, or
+    one from an observation file whose rows are all equal."""
+    if mode == "point":
+        return True
+    if mode != "observations" or "file" not in cfg.get("observations", {}):
+        return False
+    points = draw(None)[0].points
+    return bool((points == points[0]).all())
+
+
 def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
     if "problem" in cfg and "preset" in cfg:
         raise ConfigError("give either a preset or an inline problem, not both",
@@ -288,12 +299,12 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
     metric_names = _metric_names(cfg, preset)
     init = cfg.get("init", {})
     write_kde = cfg.get("kde_grid", True) and preset.metric_grid is not None and preset.dim <= 2
+    draw = _observations(cfg, preset, solver, metric_names)
     # without noise, particles that start at one point stay there
     if (write_kde or "ise" in metric_names) and solver.alpha == 0 \
-            and preset.init_mode(init.get("mode", "auto")) == "point":
-        raise ConfigError("0 leaves a point initialization at one point, which has no "
+            and _starts_at_one_point(cfg, preset.init_mode(init.get("mode", "auto")), draw):
+        raise ConfigError("0 leaves an initialization at one point there, which has no "
                           "KDE for kde_grid or ise", path="solver.alpha")
-    draw = _observations(cfg, preset, solver, metric_names)
 
     def replicate(r):   # every config error comes before the solve and any output
         seed = seed_base + r

@@ -5,8 +5,8 @@ bandwidth H is the particle mean of the Gaussian convolution kernel with
 variances diag(H), so all evaluation goes through its ``eval_matrix``, and
 no pairwise block holds more than ``BLOCK_PAIRS`` entries.  It asks for no
 gradient plane, so the kernel forms one coordinate difference at a time,
-the first in the k block and the others in the thread's workspace "plane":
-a block needs no d-plane workspace.  There are three evaluations:
+the first in the k block and the others in one temporary, both in the
+thread's arena: a block needs no d planes.  There are three evaluations:
 
 - ``evaluate(xs)``: arbitrary queries, as ``blocks.column_means`` of the
   kernel, the drift's mean sweep with the queries in place of the
@@ -24,7 +24,7 @@ a block needs no d-plane workspace.  There are three evaluations:
   axis's nodes swept as observations, is contracted by GEMM (in 2-D,
   A₁ A₂ᵀ / N) in place of one exp per (node, particle) pair, a particle
   chunk at a time, with every factor block and leading-node product within
-  an eighth of a workspace.
+  an eighth of a block.
 
 Direct summation (no binning) keeps the estimator exact relative to its
 definition; the three paths differ only in summation order.
@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK_PAIRS, column_means, map_blocks, row_blocks, scratch
+from .blocks import BLOCK_PAIRS, arena, column_means, map_blocks, row_blocks
 from .kernels import GaussianConvolutionKernel
 
 # entries of each 1-D factor block and leading-node product of the grid
-# readout: an eighth of a workspace, so the readout adds a few small arrays
+# readout: an eighth of a block, so the readout adds a few small arrays
 # to a run's peak, not blocks as large as a step's
 _GRID_PAIRS = BLOCK_PAIRS // 8
 # coordinates of each row block of ``EvaluationGrid.map_nodes``: 32 KB of
@@ -155,11 +155,11 @@ class GaussianKde:
             tasks = [[slice(0, n // 2), slice(n // 2, n)]]
 
         def sums(task):
-            # this thread's workspace "k", which the drift's k blocks share
+            # k and the kernel's temporary in this thread's arena
             parts = []
             for r in task:
-                k = self._kernel.eval_matrix(pts[r.start:], pts[r],
-                                             out=scratch("k", r.stop - r.start, n - r.start))
+                k, work = arena((r.stop - r.start, n - r.start), 1, self._kernel.arrays[0] - 1)
+                k = self._kernel.eval_matrix(pts[r.start:], pts[r], out=k[0], work=work)
                 parts.append((r, k.sum(axis=1), k[:, r.stop - r.start:].sum(axis=0)))
             return parts
 

@@ -3,13 +3,30 @@
 A kernel implements two batched methods over every pair of particles xs
 (n, d) and observations ys (m, p):
 
-- ``eval_matrix(xs, ys, out=None, plane=None)``: the (m, n) matrix
-  k(x_i, y_j), one row per observation, written into ``out`` when one is
-  given; when ``plane`` is given, the same sweep also writes the kernel's
-  gradient plane into it, a stack of ``planes`` arrays shaped like k;
-- ``weighted_grad1(ys, k, plane, w)``: the (n, d) rows
+- ``eval_matrix(xs, ys, out=None, plane=None, work=None)``: the (m, n)
+  matrix k(x_i, y_j), one row per observation, written into ``out`` when
+  one is given; when ``plane`` is given, the same sweep also writes the
+  kernel's gradient plane into it, a stack of ``planes`` arrays shaped like
+  k;
+- ``weighted_grad1(ys, k, plane, w, work=None)``: the (n, d) rows
   Σ_j w_j ∇₁k(x_i, y_j) from the k and plane of that sweep and weights
   ``w`` of shape (m,).
+
+Both take their temporaries from ``work``, a stack of arrays shaped like k
+that the caller gives, distinct from ``out`` and ``plane``, or allocate
+fresh ones without it.  A kernel states in ``arrays`` how many arrays
+shaped like k one sweep holds, without and with its plane: k, the plane
+and ``work``, so a sweep with a plane gets ``arrays[1] − 1 − planes``
+temporaries, and one without ``arrays[0] − 1``.  The Radon kernel holds
+2 and 2, the Gaussian kernel 2 and d + 2, and the delay kernel 2 and 4,
+one more each with three components or more (3 with a plane for one
+component).  A Radon or Gaussian sweep without a plane keeps one
+temporary: the Radon term x₂sinφ/σ and the Gaussian differences after the
+first.  With a plane the Radon term goes to ``out`` and the Gaussian
+kernel's ``weighted_grad1`` forms k·w in its one temporary; the delay
+kernel forms y − x in the first and, with a plane, its later densities in
+the second (a middle component of three or more takes one more for its
+z).
 
 A sweep forms every pair by broadcasting a coordinate of the observations,
 a column (m, 1), against the same coordinate of the particles, a row
@@ -45,19 +62,10 @@ blocks, the drift in blocks of observations.  ``weighted_grad1`` adds each
 particle's terms over the observations in order, so its rows are the same
 bits whichever other particles (at least one) come with them; the drift
 passes all of them to every block.
-Temporaries go to the calling thread's reusable ``blocks.scratch``
-workspaces.  A Radon or Gaussian sweep without a plane keeps its
-temporary in "plane": the Radon term x₂sinφ/σ and the Gaussian differences
-after the first, so a KDE block, or a Radon block of ``column_means``,
-touches "k" and "plane" alone.  A sweep with a plane puts the Radon term in
-``out``; the delay kernel forms y − x in "a" and, with a plane, its later
-densities in "b" (a middle component of three or more takes "b" or "c"
-for its z), and the Gaussian kernel's ``weighted_grad1`` forms k·w in "a".
-So ``out`` may not be "plane", and neither ``out`` nor ``plane`` may be
-"a", "b" or "c".  Pointwise ``eval`` and ``grad1`` are derived from the
-two (one pair, unit weight).  Every kernel is immutable after
-construction, and every constructor rejects a parameter that is not
-finite, or whose normaliser or ``bound_M`` is not, with a ValueError.
+Pointwise ``eval`` and ``grad1`` are derived from the two (one pair, unit
+weight).  Every kernel is immutable after construction, and every
+constructor rejects a parameter that is not finite, or whose normaliser
+or ``bound_M`` is not, with a ValueError.
 ``bound_M`` is an analytic uniform bound on both k and ``‖∇₁k‖`` (second
 derivatives are bounded too but nothing downstream consumes them).
 """
@@ -66,8 +74,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-
-from .blocks import scratch
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # nodes of the Radon normalizing quadrature past which xi_max / sigma is rejected
@@ -88,6 +94,11 @@ def _pairs(kernel, xs, ys):
     xs = _as_points(xs, kernel.dim_x, "x")
     ys = _as_points(ys, kernel.dim_y, "y")
     return xs.T[:, None], ys.T[:, :, None], (ys.shape[0], xs.shape[0])
+
+
+def _work(work, count: int, shape: tuple) -> np.ndarray:
+    """The caller's temporaries ``work``, or ``count`` fresh arrays of ``shape``."""
+    return np.empty((count, *shape)) if work is None else work
 
 
 def _finite(value, name: str, positive: bool = False) -> np.ndarray:
@@ -120,19 +131,24 @@ class KernelModel(abc.ABC):
     dim_y: int
     bound_M: float
     planes = 1   # arrays shaped like k in the gradient plane
+    # arrays shaped like k one sweep holds, without and with its plane: k, the
+    # plane and the temporaries
+    arrays = (1, 2)
 
     @abc.abstractmethod
     def eval_matrix(self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None,
-                    plane: np.ndarray | None = None) -> np.ndarray:
+                    plane: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
         """The (m, n) matrix k(x_i, y_j) of particles xs (n, d) and observations
         ys (m, p); returns ``out`` if given, and writes the (planes, m, n)
-        gradient plane into ``plane`` if given."""
+        gradient plane into ``plane`` if given, with the temporaries ``work``."""
 
     @abc.abstractmethod
     def weighted_grad1(self, ys: np.ndarray, k: np.ndarray, plane: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
+                       w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """Σ_j w_j ∇₁k(x_i, y_j) for the (m, n) k and gradient plane of
-        eval_matrix(xs, ys) and w (m,); returns (n, d)."""
+        eval_matrix(xs, ys) and w (m,), with that sweep's temporaries ``work``;
+        returns (n, d)."""
 
     def eval(self, x, y) -> float:
         return float(self.eval_matrix(x, y)[0, 0])
@@ -151,6 +167,7 @@ class GaussianConvolutionKernel(KernelModel):
         sd = _finite(noise_sd, "noise_sd", positive=True)
         self.noise_sd = sd
         self.dim_x = self.dim_y = self.planes = sd.size
+        self.arrays = (2, sd.size + 2)
         with np.errstate(all="ignore"):
             self._var = sd**2
             self._exponent_scale = -0.5 / self._var   # −1/(2σᵢ²)
@@ -160,22 +177,23 @@ class GaussianConvolutionKernel(KernelModel):
         _finite([self._norm, self.bound_M, *self._var, *-self._exponent_scale],
                 "noise_sd's normaliser, bound_M, variances and their reciprocals", positive=True)
 
-    def eval_matrix(self, xs, ys, out=None, plane=None):
+    def eval_matrix(self, xs, ys, out=None, plane=None, work=None):
         """k into ``out`` and, when ``plane`` is given, the differences
         D_i = y_i − x_i into its d planes, formed as one broadcast copy of y
         less x (the same bits as one broadcast subtract, and cheaper); the
         exponent Σ_i D_i²·(−1/(2σᵢ²)) is then one einsum over the planes, the
         same bits as squaring, scaling and adding them in order.  Without a
         plane, k is formed one difference at a time, the first in ``out`` and
-        each later one in the workspace "plane", so a KDE block needs no
-        d-plane workspace (and at d = 1 the einsum would be slower than a
-        square and a scale)."""
+        each later one in the temporary, so a KDE block needs no d planes
+        (and at d = 1 the einsum would be slower than a square and a
+        scale)."""
         X, Y, shape = _pairs(self, xs, ys)
         sq = np.empty(shape) if out is None else out
         with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
             if plane is None:
+                later = None if self.dim_x == 1 else _work(work, 1, shape)[0]
                 for i in range(self.dim_x):
-                    diff = sq if i == 0 else scratch("plane", *shape)
+                    diff = sq if i == 0 else later
                     np.copyto(diff, Y[i])
                     diff -= X[i]
                     np.square(diff, out=diff)
@@ -190,10 +208,10 @@ class GaussianConvolutionKernel(KernelModel):
         sq *= self._norm
         return sq
 
-    def weighted_grad1(self, ys, k, plane, w):
+    def weighted_grad1(self, ys, k, plane, w, work=None):
         # per-coordinate differences, not Yᵀ(k∘w) − x∘colsum, which cancels
         # when the cloud sits far from the origin
-        kw = np.multiply(k, w[:, None], out=scratch("a", *k.shape))
+        kw = np.multiply(k, w[:, None], out=_work(work, 1, k.shape)[0])
         if k.shape[1] == 1:
             # einsum would add a lone particle's terms pairwise, not in order
             sums = np.add.accumulate(plane[:, :, 0] * kw[:, 0], axis=1)[:, -1:].T
@@ -216,6 +234,10 @@ class GaussianMixtureDelayKernel(KernelModel):
             raise ValueError("weights must be a probability vector")
         self.weights, self.means, self.sds = w, m, s
         self.dim_x = self.dim_y = 1
+        # temporaries: y − x, with a plane the later densities, and from three
+        # components on a middle component's z
+        many = m.size >= 3
+        self.arrays = (2 + many, 3 + (m.size >= 2) + many)
         with np.errstate(all="ignore"):
             peak = float(np.sum(w / (s * _SQRT_2PI)))
             grad_peak = float(np.sum(w * np.exp(-0.5) / (s**2 * _SQRT_2PI)))
@@ -228,24 +250,24 @@ class GaussianMixtureDelayKernel(KernelModel):
         _finite([peak, self.bound_M, *self._precision], "sds' normaliser, bound_M and "
                 "precisions", positive=True)
 
-    def eval_matrix(self, xs, ys, out=None, plane=None):
+    def eval_matrix(self, xs, ys, out=None, plane=None, work=None):
         """Σ_c w_c N(y − x; m_c, s_c²) into ``out`` and, when ``plane`` is given, its
         x-derivative Σ_c w_c N(y − x; m_c, s_c²)(y − x − m_c)/s_c² into its one
         plane, in one pass over the components.  The first component writes
         ``out`` and the plane directly, and each later one is added in.  y − x
-        is formed once, in the workspace "a", and like the Gaussian kernel's
+        is formed once, in the first temporary, and like the Gaussian kernel's
         it is a broadcast copy of y less x.  Component c subtracts m_c from it
         in one pass into its z = (y − x) − m_c, the same bits as y − x − m_c
         formed anew for each component: the first component's z is its own
-        output (``out``, or the plane when one is given), the last's is "a"
-        itself and any other's a workspace of its own.  Without a plane z is
-        the component's density; with one, the later densities go to "b".
-        So a block of a two-component kernel touches "a" alone without a
-        plane, and "a" and "b" with one."""
+        output (``out``, or the plane when one is given), the last's is y − x's
+        temporary itself and any other's the last temporary.  Without a plane
+        z is the component's density; with one, the later densities go to the
+        second temporary."""
         X, Y, shape = _pairs(self, xs, ys)
         out = np.empty(shape) if out is None else out
         grad = None if plane is None else plane[0]
-        diff = scratch("a", *shape)
+        work = _work(work, self.arrays[grad is not None] - 1 - (grad is not None), shape)
+        diff = work[0]
         np.copyto(diff, Y[0])
         diff -= X[0]
         last = self.means.size - 1
@@ -256,9 +278,9 @@ class GaussianMixtureDelayKernel(KernelModel):
             elif c == last:
                 z = diff
             else:
-                z = scratch("b" if grad is None else "c", *shape)
+                z = work[1] if grad is None else work[2]
             # k alone needs no z apart from its density
-            dens = z if grad is None else out if c == 0 else scratch("b", *shape)
+            dens = z if grad is None else out if c == 0 else work[1]
             np.subtract(diff, m, out=z)
             with np.errstate(over="ignore"):   # an exponent of -inf is k = 0
                 np.square(z, out=dens)
@@ -274,7 +296,7 @@ class GaussianMixtureDelayKernel(KernelModel):
                     grad += z
         return out
 
-    def weighted_grad1(self, ys, k, plane, w):
+    def weighted_grad1(self, ys, k, plane, w, work=None):
         return plane_rows(plane[0], w, np.ones((w.size, 1)))
 
 
@@ -294,6 +316,7 @@ class RadonAlignmentKernel(KernelModel):
         _finite(self.xi_max, "xi_max", positive=True)
         self.dim_x = 2
         self.dim_y = 2
+        self.arrays = (2, 2)   # without a plane, u's term x₂sinφ/σ in the temporary
         self.norm_const = self._quadrature_norm()
         with np.errstate(all="ignore"):
             self._inv_sigma = 1.0 / self.sigma
@@ -315,12 +338,12 @@ class RadonAlignmentKernel(KernelModel):
         inner = np.trapezoid(vals, xi)          # independent of phi and of the line offset
         return float(2.0 * np.pi * inner)
 
-    def eval_matrix(self, xs, ys, out=None, plane=None):
+    def eval_matrix(self, xs, ys, out=None, plane=None, work=None):
         """k into ``out`` and, when ``plane`` is given, G = k·u into its one plane,
         for the scaled residual u = x₁(cosφ/σ) + x₂(sinφ/σ) − ξ/σ formed once
         from observations scaled by 1/σ.  With a plane, u is formed there and
         its term x₂(sinφ/σ) in ``out``, which squaring u overwrites; without
-        one, u is ``out`` and the term goes to the workspace "plane"."""
+        one, u is ``out`` and the term goes to the temporary."""
         X, Y, shape = _pairs(self, xs, ys)
         out = np.empty(shape) if out is None else out
         u = out if plane is None else plane[0]
@@ -329,7 +352,7 @@ class RadonAlignmentKernel(KernelModel):
             # broadcast copies scaled in place: the same bits as broadcast products
             np.copyto(u, cos)
             u *= X[0]
-            term = scratch("plane", *shape) if plane is None else out
+            term = _work(work, 1, shape)[0] if plane is None else out
             np.copyto(term, sin)
             term *= X[1]
             u += term
@@ -346,5 +369,5 @@ class RadonAlignmentKernel(KernelModel):
         """cosφ/σ and sinφ/σ, each shaped like φ."""
         return np.cos(phi) * self._inv_sigma, np.sin(phi) * self._inv_sigma
 
-    def weighted_grad1(self, ys, k, plane, w):
+    def weighted_grad1(self, ys, k, plane, w, work=None):
         return plane_rows(plane[0], w, -np.column_stack(self._direction(ys[:, 0])))

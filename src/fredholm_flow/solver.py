@@ -16,8 +16,8 @@ plane (for the Gaussian kernel, its d planes of coordinate differences),
 and the weights of those means give its share of the drift rows; the
 calling thread adds the shares in block order.  The monitor reads only the
 means.  Every result is the same bits for any thread count and any
-``--workers``, and a step holds no N×m matrix, only a few block workspaces
-per thread.
+``--workers``, and a step holds no N×m matrix, only one 4 MB arena per
+thread.
 """
 from __future__ import annotations
 

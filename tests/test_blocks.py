@@ -45,6 +45,9 @@ def kernel_batch(name, rng, n, m, d=3):
     if name == "delay":
         kernel = GaussianMixtureDelayKernel((0.595, 0.405), (8.63, 15.24), (2.56, 5.39))
         return kernel, rng.normal(0.0, 3.0, (n, 1)), rng.normal(11.0, 5.0, (m, 1))
+    if name == "delay3":
+        kernel = GaussianMixtureDelayKernel((0.5, 0.3, 0.2), (8.63, 12.0, 15.24), (2.56, 3.1, 5.39))
+        return kernel, rng.normal(0.0, 3.0, (n, 1)), rng.normal(11.0, 5.0, (m, 1))
     kernel = GaussianConvolutionKernel(np.resize([0.3, 0.5, 0.8], d))
     return kernel, rng.normal(0.0, 0.5, (n, d)), rng.normal(0.0, 0.5, (m, d))
 
@@ -64,7 +67,8 @@ def blocked_rows(kernel, xs, ys, k, plane, w, cut=None):
         return kernel.weighted_grad1(ys[c], k[c], np.ascontiguousarray(plane[:, c]), w[c])
 
     rows = None
-    for task in cut or blocks.drift_blocks(ys.shape[0], xs.shape[0], kernel.planes):
+    for task in cut or blocks.drift_blocks(ys.shape[0], xs.shape[0], kernel.arrays[1],
+                                           kernel.planes):
         part = block_rows(task[0])
         for c in task[1:]:
             part = part + block_rows(c)
@@ -119,8 +123,8 @@ def test_eval_matrix_is_the_k_rows_of_the_drift_blocks(name, rng, monkeypatch):
     swept = []
     eval_matrix = kernel.eval_matrix
 
-    def recording(xs, ys, out=None, plane=None):
-        k = eval_matrix(xs, ys, out=out, plane=plane)
+    def recording(xs, ys, out=None, plane=None, work=None):
+        k = eval_matrix(xs, ys, out=out, plane=plane, work=work)
         swept.append(k.copy())
         return k
 
@@ -141,7 +145,7 @@ def pools():
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(["gauss", "delay", "radon"]), n=st.integers(1, 60),
+@given(name=st.sampled_from(["gauss", "delay", "delay3", "radon"]), n=st.integers(1, 60),
        m=st.integers(1, 40), d=st.integers(1, 3), block_pairs=st.integers(1, 300),
        seed=st.integers(0, 2**32 - 1))
 def test_block_contract(pools, name, n, m, d, block_pairs, seed):
@@ -161,13 +165,17 @@ def test_block_contract(pools, name, n, m, d, block_pairs, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blocks, "BLOCK_PAIRS", block_pairs)
         # tasks of at most BLOCK_PAIRS pairs, cut evenly, and within each the
-        # blocks whose plane fits one workspace, unless one observation's does not
-        cut = blocks.drift_blocks(m, n, kernel.planes)
-        assert [slice(task[0].start, task[-1].stop) for task in cut] == \
-            even_cut(0, m, max(1, block_pairs // n))
-        for task in cut:
-            assert task == even_cut(task[0].start, task[-1].stop,
-                                    max(1, block_pairs // (kernel.planes * n)))
+        # blocks whose k, plane and temporaries fit the arena of 2·BLOCK_PAIRS
+        # floats, with a plane of at most BLOCK_PAIRS entries, unless one
+        # observation's do not; column_means cuts its tasks by k and the
+        # temporaries alone
+        for arrays, planes in ((kernel.arrays[1], kernel.planes), (kernel.arrays[0], 0)):
+            cut = blocks.drift_blocks(m, n, arrays, planes)
+            assert [slice(task[0].start, task[-1].stop) for task in cut] == \
+                even_cut(0, m, max(1, block_pairs // n))
+            most = min(block_pairs, 2 * block_pairs // arrays, block_pairs // max(1, planes))
+            for task in cut:
+                assert task == even_cut(task[0].start, task[-1].stop, max(1, most // n))
         want = blocked_rows(kernel, xs, ys, k, plane, weights(want_mean))
         assert_near_single_block(want, single)
         for pool in pools:
@@ -182,6 +190,38 @@ def test_block_contract(pools, name, n, m, d, block_pairs, seed):
                     want_kde = got_kde
                     np.testing.assert_allclose(want_kde, kde.evaluate(xs), rtol=1e-12, atol=0)
                 assert np.array_equal(got_kde, want_kde)
+
+
+@pytest.mark.parametrize("name, d, pairs", [("delay", 1, 2**17), ("delay3", 1, 2**19 // 5),
+                                             ("gauss", 1, 2**19 // 3)])
+def test_moved_cuts_are_the_one_block_drift_up_to_summation_order(name, d, pairs, rng,
+                                                                   monkeypatch):
+    # a drift sweep of more than two arrays is cut into blocks smaller than a
+    # task: the means are the same bits, and the rows differ from one block's
+    # only in the order of their sums
+    n, m = 1001, 700
+    kernel, xs, ys = kernel_batch(name, rng, n, m, d)
+    cut = blocks.drift_blocks(m, n, kernel.arrays[1], kernel.planes)
+    assert len(cut) == 3 and all(len(task) > 1 for task in cut)
+    assert all(task == even_cut(task[0].start, task[-1].stop, pairs // n) for task in cut)
+    k, plane = sweep(kernel, xs, ys)
+    k_mean = k.mean(axis=1)
+
+    def weights(means):
+        return 1.0 / (m * np.maximum(means + 0.01, 1e-30))
+    single = kernel.weighted_grad1(ys, k, plane, weights(k_mean))
+    # Σ_j |w_j ∇₁k(x_i, y_j)| of each row
+    scale = kernel.weighted_grad1(ys, k, np.abs(plane), weights(k_mean))
+    want = blocked_rows(kernel, xs, ys, k, plane, weights(k_mean))
+    for threads in (1, 3):
+        with ThreadPoolExecutor(threads) as pool:
+            monkeypatch.setattr(blocks, "_pool", pool)
+            got_mean, got = blocks.drift_rows(kernel, xs, ys, weights)
+            assert np.array_equal(blocks.column_means(kernel, xs, ys), k_mean)
+        assert np.array_equal(got_mean, k_mean)
+        assert np.array_equal(got, want)
+        # measured: at most 8 ulp of the row's absolute sum
+        assert np.all(np.abs(got - single) <= 16 * np.finfo(float).eps * scale)
 
 
 def gaussian_step(rng, n, m, d=2):
@@ -199,7 +239,8 @@ def assert_blocked_step_is_the_same_bits_for_any_thread_count(d, rng, monkeypatc
     n, m = 1001, 700
     kernel, xs, ys, ref = gaussian_step(rng, n, m, d)
     # a task of BLOCK_PAIRS pairs is cut into blocks of w observations whose d
-    # planes of differences, d·w·n entries, fit one workspace
+    # planes of differences, d·w·n entries, fit BLOCK_PAIRS (and, with k and
+    # k·w, the arena)
     cut = [even_cut(task.start, task.stop, blocks.BLOCK_PAIRS // (d * n))
            for task in even_cut(0, m, blocks.BLOCK_PAIRS // n)]
     assert len(cut) > 1 and all(len(task) > 1 for task in cut)
@@ -240,16 +281,16 @@ def test_fused_drift_is_the_two_method_drift(name, rng, monkeypatch):
     want = blocked_rows(kernel, xs, ys, k, plane, weights) - 0.3 * ref.grad_u(xs)
     assert_near_single_block(want, kernel.weighted_grad1(ys, k, plane, weights)
                              - 0.3 * ref.grad_u(xs))
-    block_cols = sorted(c.stop - c.start for task in blocks.drift_blocks(m, n, kernel.planes)
-                        for c in task)
+    block_cols = sorted(c.stop - c.start for task in blocks.drift_blocks(
+        m, n, kernel.arrays[1], kernel.planes) for c in task)
     assert len(block_cols) > 1
     sweeps = []
     eval_matrix = kernel.eval_matrix
 
-    def counted(xs, ys, out=None, plane=None):
+    def counted(xs, ys, out=None, plane=None, work=None):
         assert plane is not None, "the drift swept k without its gradient plane"
         sweeps.append(ys.shape[0])
-        return eval_matrix(xs, ys, out=out, plane=plane)
+        return eval_matrix(xs, ys, out=out, plane=plane, work=work)
 
     monkeypatch.setattr(kernel, "eval_matrix", counted)
     pools = [InlinePool(), ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
@@ -370,10 +411,9 @@ def test_drift_holds_a_few_blocks_per_thread(name, rng, monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         # k, the gradient plane (all d planes of the Gaussian kernel's block
-        # together) and the kernel's temporaries, one block each per pool
-        # thread, whatever N·m and d: no N×m matrix; the Radon kernel's
-        # temporaries live in k and the plane, two workspaces per thread
-        assert peak <= (5 if name == "radon" else 12) * 8 * blocks.BLOCK_PAIRS
+        # together) and the kernel's temporaries, in one arena of two blocks
+        # per pool thread, whatever N·m and d: no N×m matrix
+        assert peak <= (5 if name in ("radon", "delay") else 12) * 8 * blocks.BLOCK_PAIRS
 
 
 def test_particle_reconvolution_memory_does_not_grow_with_the_cloud(rng, monkeypatch):
@@ -391,42 +431,41 @@ def test_particle_reconvolution_memory_does_not_grow_with_the_cloud(rng, monkeyp
         assert peak <= 8 * 8 * blocks.BLOCK_PAIRS
 
 
-@pytest.mark.parametrize("name, names", [("radon", ["k", "plane"]),
-                                         ("delay", ["a", "b", "k", "plane"]),
-                                         ("kde-d2", ["k", "plane"]),
-                                         ("kde-d3", ["k", "plane"])])
-def test_a_pool_thread_holds_k_the_plane_and_the_temporaries(name, names, rng, monkeypatch):
-    # a drift, then the KDE at the particles, on a pool of one thread: two
-    # jobs, each running every block of its own; a sweep without a plane
-    # takes its first temporary from "plane", so the KDE's differences and
-    # the Radon kernel's term need no workspace of their own, while the
-    # delay kernel takes "a" and "b"; the KDE alone also evaluates queries
+ARENA_CASES = {"radon": ("radon", 3), "gauss-d1": ("gauss", 1), "gauss-d3": ("gauss", 3),
+               "gauss-d10": ("gauss", 10), "delay": ("delay", 3), "delay3": ("delay3", 3)}
+
+
+@pytest.mark.parametrize("case", ARENA_CASES)
+def test_a_pool_thread_keeps_one_arena(case, rng, monkeypatch):
+    # a drift, then the KDE at the particles and a column_means pass, on a
+    # pool of one thread: two jobs, each running every block of its own; k,
+    # the plane and every temporary of every block are views of the thread's
+    # one arena, whatever the kernel
     monkeypatch.setattr(blocks, "_cores", lambda: 1)
     monkeypatch.setattr(blocks, "_pool", None)
-    kde_only = name.startswith("kde")
-    kernel, xs, ys = kernel_batch("gauss" if kde_only else name, rng, 2000, 2000,
-                                  d=int(name[-1]) if kde_only else 3)
+    name, d = ARENA_CASES[case]
+    kernel, xs, ys = kernel_batch(name, rng, 2000, 2000, d)
     assert len(blocks.drift_blocks(2000, 2000)) > 1 and len(blocks.row_blocks(2000, 2000)) > 1
 
     def job(_):
-        if kde_only:
-            GaussianKde(xs).evaluate(ys)
-        else:
-            blocks.drift_rows(kernel, xs, ys, weights=np.sqrt)
+        blocks.drift_rows(kernel, xs, ys, weights=np.sqrt)
         GaussianKde(xs).at_particles()
-        return sorted(key for key, value in vars(blocks._local).items()
-                      if isinstance(value, np.ndarray))
+        blocks.column_means(kernel, xs, ys)
+        return {key: value.size for key, value in vars(blocks._local).items()
+                if isinstance(value, np.ndarray)}
 
     try:
-        assert blocks.map_jobs(job, range(2), workers=2) == [names, names]
+        arenas = blocks.map_jobs(job, range(2), workers=2)
     finally:
         blocks._shared_pool().shutdown()
+    assert arenas == [{"arena": 2 * blocks.BLOCK_PAIRS}] * 2
 
 
 def test_one_block_runs_inline(rng, monkeypatch):
     n, m = 300, 200
     kernel, xs, ys, ref = gaussian_step(rng, n, m)
-    assert len(blocks.drift_blocks(m, n, kernel.planes)) == len(blocks.row_blocks(n, n)) == 1
+    assert len(blocks.drift_blocks(m, n, kernel.arrays[1], kernel.planes)) == 1
+    assert len(blocks.row_blocks(n, n)) == 1
     monkeypatch.setattr(blocks, "_pool", NoPool())
     k_mean, _ = _drift(kernel, xs, ys, ref, 0.3, 0.0, step=0)
     assert np.array_equal(k_mean, sweep(kernel, xs, ys)[0].mean(axis=1))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fredholm_flow
-from fredholm_flow import artifacts, blocks, cli, density, kernels, metrics
+from fredholm_flow import artifacts, blocks, cli, density, metrics
 from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
 from fredholm_flow.state import ParticleCloud
@@ -419,6 +419,10 @@ def _probe(command, config, key, case):
            "negative-cv-solver-seed"),
     _probe("run", dict(SMALL_RUN, solver={"alpha": 0}, init={"mode": "point", "point": [0.4]}),
            "solver.alpha", "point-init-without-noise"),
+    _probe("run", {"preset": "highdim_mixture", "preset_options": {"dim": 1},
+                   "observations": {"file": CONSTANT_FILE}, "init": {"mode": "observations"},
+                   "solver": {"alpha": 0, "n_particles": 10, "minibatch": 4, "n_steps": 2},
+                   "replicates": 2}, "solver.alpha", "constant-observations-init-without-noise"),
     _probe("run", dict(SMALL_RUN, observations={"seed": 2**63}), "observations.seed",
            "observation-seed-too-large"),
     _probe("run", {"preset": "toy_gaussian", "preset_options": {"dim": 3}}, "preset_options",
@@ -691,16 +695,16 @@ def test_inline_problem_equals_its_preset(tmp_path, rng):
 @pytest.mark.parametrize("workers", ["2", str(os.cpu_count() + 3)])
 def test_replicates_hold_workspaces_on_pool_threads_only(tmp_path, monkeypatch, workers):
     # replicates run on the block pool, whatever --workers is, so only its
-    # threads hold workspaces and a --workers above the core count starts no thread
+    # threads hold arenas and a --workers above the core count starts no thread
     threads = set()
-    scratch = blocks.scratch
+    arena = blocks.arena
 
-    def recorded(*shape):
+    def recorded(*args):
         threads.add(threading.get_ident())
-        return scratch(*shape)
+        return arena(*args)
 
-    for module in (blocks, density, kernels):
-        monkeypatch.setattr(module, "scratch", recorded)
+    for module in (blocks, density):
+        monkeypatch.setattr(module, "arena", recorded)
     cfg = write_config(tmp_path, "c.json", dict(SMALL_RUN, replicates=4))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]) == 0
     assert threads and threads <= {thread.ident for thread in blocks._shared_pool()._threads}

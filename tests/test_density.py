@@ -158,8 +158,8 @@ def test_kde_at_particles_cuts_a_one_block_square_in_two(n, rng, monkeypatch):
     pairs = []
     eval_matrix = GaussianConvolutionKernel.eval_matrix
 
-    def counting(self, xs, ys, out=None, plane=None):
-        k = eval_matrix(self, xs, ys, out, plane)
+    def counting(self, xs, ys, out=None, plane=None, work=None):
+        k = eval_matrix(self, xs, ys, out, plane, work)
         pairs.append(k.size)
         return k
 
@@ -176,8 +176,8 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
     sizes = []
     eval_matrix = GaussianConvolutionKernel.eval_matrix
 
-    def recording(self, xs, ys, out=None, plane=None):
-        k = eval_matrix(self, xs, ys, out, plane)
+    def recording(self, xs, ys, out=None, plane=None, work=None):
+        k = eval_matrix(self, xs, ys, out, plane, work)
         sizes.append(k.size)
         return k
 

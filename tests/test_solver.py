@@ -21,14 +21,14 @@ class ConstantInXKernel(KernelModel):
         self.dim_y = dim
         self.bound_M = (2 * np.pi) ** (-dim / 2)
 
-    def eval_matrix(self, xs, ys, out=None, plane=None):
+    def eval_matrix(self, xs, ys, out=None, plane=None, work=None):
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
         dens = np.exp(-0.5 * np.sum(ys**2, axis=1)) * (2 * np.pi) ** (-self.dim_y / 2)
         out = np.empty((ys.shape[0], xs.shape[0])) if out is None else out
         out[:] = dens[:, None]
         return out
 
-    def weighted_grad1(self, ys, k, plane, w):
+    def weighted_grad1(self, ys, k, plane, w, work=None):
         return np.zeros((k.shape[1], self.dim_x))
 
 
@@ -176,9 +176,9 @@ class ColumnCountingKernel(GaussianConvolutionKernel):
         super().__init__(noise_sd)
         self.columns = []
 
-    def eval_matrix(self, xs, ys, out=None, plane=None):
+    def eval_matrix(self, xs, ys, out=None, plane=None, work=None):
         self.columns.append(np.atleast_2d(ys).shape[0])
-        return super().eval_matrix(xs, ys, out, plane)
+        return super().eval_matrix(xs, ys, out, plane, work)
 
 
 def test_run_zero_steps_scores_the_step_zero_batch():
@@ -270,8 +270,8 @@ def test_config_validation():
 
 def test_drift_failure_carries_particle_index():
     class BrokenKernel(ConstantInXKernel):
-        def weighted_grad1(self, ys, k, plane, w):
-            out = super().weighted_grad1(ys, k, plane, w)
+        def weighted_grad1(self, ys, k, plane, w, work=None):
+            out = super().weighted_grad1(ys, k, plane, w, work)
             out[2] = np.nan
             return out
 
