@@ -2,11 +2,12 @@
 
 Every O(N·m) pass of a solver step is cut by ``row_blocks`` into the
 fewest blocks, cut evenly, whose arrays fit one thread's arena (see
-below), with at most ``BLOCK_PAIRS`` pairs and a gradient plane of at most
-``BLOCK_PAIRS`` entries.  A kernel states how many block-shaped arrays one
-sweep holds, without and with its plane (``KernelModel.arrays``): k, the
-plane and the temporaries.  The cut depends on the shape and the kernel
-only, never on the thread count.
+below): a block of a sweep that holds ``arrays`` block-shaped arrays has
+at most ``BLOCK_PAIRS // arrays`` pairs.  A kernel states how many such
+arrays one sweep holds, without and with its plane (``KernelModel.arrays``):
+k, the plane and the temporaries.  Every kernel's sweep holds more arrays
+than its plane, so the plane fits ``BLOCK_PAIRS`` entries too.  The cut
+depends on the shape and the kernel only, never on the thread count.
 ``map_blocks`` runs one task per block and yields the results in block
 order, so a caller that adds them in that order gets the same bits for any
 number of threads.  A single task runs inline, with no pool call.
@@ -31,19 +32,19 @@ runs it: the monitor's denominators, the KDE at arbitrary queries (the
 queries as observations) and the reconvolution.  A mean reads one whole
 row, so it is the same bits for any cut.
 
-``arena`` gives each thread one reusable arena of ``2 * BLOCK_PAIRS``
-floats (4 MB), allocated on its first block and kept, so a block costs the
-same whatever the allocator's state (a fresh 2 MB array sits at glibc's
-dynamic mmap threshold and may be mapped and unmapped on every call).  A
-block takes consecutive views of it: k first, then the gradient plane,
-then the kernel's temporaries, which the kernel receives as an argument.
-So a thread holds 4 MB whatever the kernel: two arrays of ``BLOCK_PAIRS``
-pairs for the Radon kernel, the KDE and every ``column_means`` of two
-arrays, and smaller blocks for a sweep of more arrays (the delay kernel's
-drift, with its plane and two temporaries, in blocks of ``BLOCK_PAIRS //
-2`` pairs).  A block whose arrays cannot fit the arena, one observation
-against more than ``2 * BLOCK_PAIRS / arrays`` particles, gets fresh
-arrays.
+``arena`` gives each thread one reusable arena of ``BLOCK_PAIRS`` floats
+(2 MB, one core's L2 on the hosts this was tuned on), allocated on its
+first block and kept, so a block costs the same whatever the allocator's
+state (a fresh 2 MB array sits at glibc's dynamic mmap threshold and may be
+mapped and unmapped on every call).  A block takes consecutive views of
+it: k first, then the gradient plane, then the kernel's temporaries, which
+the kernel receives as an argument.  So a thread holds 2 MB whatever the
+kernel, and a block of a sweep of ``arrays`` arrays has ``BLOCK_PAIRS //
+arrays`` pairs at most: 2^17 for the Radon drift and for the KDE and every
+``column_means`` of two arrays, 2^16 for the delay drift, with its plane
+and two temporaries, and ``BLOCK_PAIRS // (d + 2)`` for the Gaussian drift.
+A block whose arrays cannot fit the arena, one observation against more
+than ``BLOCK_PAIRS // arrays`` particles, gets fresh arrays.
 
 The pool has one thread per core this process may run on.  It is shared by
 every caller, the jobs of ``map_jobs`` (replicates, cv cells) included, so
@@ -64,10 +65,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# pairs per block at most: 2 MB of float64.  Each thread keeps one arena of
-# two such arrays, 4 MB, which holds a block's k, plane and temporaries, so a
-# block's working set is beyond a 2 MB L2; blocks of 2**15 pairs or fewer
-# were the same bits but slower end to end (ROADMAP, "Tried")
+# pairs per pool task, and floats in each thread's arena: 2 MB of float64,
+# which holds a block's k, plane and temporaries, so a block's working set
+# fits a 2 MB L2.  An arena of 1 MB, or blocks of 2**15 pairs or fewer, were
+# the same bits but slower end to end (ROADMAP, "Tried")
 BLOCK_PAIRS = 2**18
 
 _pool = None
@@ -75,23 +76,21 @@ _pool_lock = threading.Lock()
 _local = threading.local()
 
 
-def row_blocks(n: int, m: int, arrays: int = 2, planes: int = 0) -> list[slice]:
+def row_blocks(n: int, m: int, arrays: int = 1) -> list[slice]:
     """Row slices of an (n, m) pairwise pass: the fewest blocks (at least one
     row each), cut evenly so that their row counts differ by one at most,
-    whose ``arrays`` arrays of (rows, m) fit the arena, with at most
-    ``BLOCK_PAIRS`` pairs and a plane of ``planes`` such arrays within
-    ``BLOCK_PAIRS`` entries."""
-    most = min(2 * BLOCK_PAIRS // arrays, BLOCK_PAIRS // max(1, planes))
-    count = -(-n // max(1, most // m))
+    whose ``arrays`` arrays of (rows, m) fit the arena, so at most
+    ``BLOCK_PAIRS // arrays`` pairs each."""
+    count = -(-n // max(1, BLOCK_PAIRS // arrays // m))
     return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
-def drift_blocks(m: int, n: int, arrays: int = 2, planes: int = 0) -> list[list[slice]]:
+def drift_blocks(m: int, n: int, arrays: int = 1) -> list[list[slice]]:
     """The drift's cut of m observations against n particles: one task per
-    ``row_blocks(m, n)`` block, each cut by ``row_blocks`` again into
-    observation blocks of ``arrays`` arrays and a plane of ``planes``."""
+    ``row_blocks(m, n)`` block of ``BLOCK_PAIRS`` pairs, each cut by
+    ``row_blocks`` again into observation blocks of ``arrays`` arrays."""
     return [[slice(task.start + c.start, task.start + c.stop)
-             for c in row_blocks(task.stop - task.start, n, arrays, planes)]
+             for c in row_blocks(task.stop - task.start, n, arrays)]
             for task in row_blocks(m, n)]
 
 
@@ -185,10 +184,10 @@ def arena(shape: tuple, *counts: int) -> list[np.ndarray]:
     size = math.prod(shape)
     total = size * sum(counts)
     buf = getattr(_local, "arena", None)
-    if total > 2 * BLOCK_PAIRS:
+    if total > BLOCK_PAIRS:
         buf = np.empty(total)
     elif buf is None or buf.size < total:
-        buf = _local.arena = np.empty(2 * BLOCK_PAIRS)
+        buf = _local.arena = np.empty(BLOCK_PAIRS)
     views, start = [], 0
     for count in counts:
         views.append(buf[start:start + count * size].reshape(count, *shape))
@@ -235,7 +234,7 @@ def drift_rows(kernel, xs: np.ndarray, ys: np.ndarray, weights=None):
     def task(cut):
         return _add_in_order(block(c) for c in cut)
 
-    return _add_in_order(map_blocks(task, drift_blocks(ys.shape[0], n, arrays, planes)))
+    return _add_in_order(map_blocks(task, drift_blocks(ys.shape[0], n, arrays)))
 
 
 def _add_in_order(parts):

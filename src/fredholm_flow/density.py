@@ -2,11 +2,11 @@
 
 Diagonal bandwidths only; the rule of thumb is Silverman's.  The KDE with
 bandwidth H is the particle mean of the Gaussian convolution kernel with
-variances diag(H), so all evaluation goes through its ``eval_matrix``, and
-no pairwise block holds more than ``BLOCK_PAIRS`` entries.  It asks for no
-gradient plane, so the kernel forms one coordinate difference at a time,
-the first in the k block and the others in one temporary, both in the
-thread's arena: a block needs no d planes.  There are three evaluations:
+variances diag(H), so all evaluation goes through its ``eval_matrix``.  It
+asks for no gradient plane, so the kernel forms one coordinate difference
+at a time, the first in the k block and the others in one temporary, both
+in the thread's arena of ``BLOCK_PAIRS`` floats: a block needs no d planes,
+and holds ``BLOCK_PAIRS // 2`` pairs at most.  There are three evaluations:
 
 - ``evaluate(xs)``: arbitrary queries, as ``blocks.column_means`` of the
   kernel, the drift's mean sweep with the queries in place of the
@@ -14,10 +14,11 @@ thread's arena: a block needs no d planes.  There are three evaluations:
 - ``at_particles()``: the cloud at its own points, summing the symmetric N×N
   matrix by upper-triangular row blocks (at least two), each block's rows
   swept as the observations of ``eval_matrix``, so about half the exps are
-  computed (3/4 when the square fits one block); the blocks run on the
-  shared pool of ``blocks``, and the calling thread adds their row sums and
-  the column sums below the diagonal in block order, so the result is the
-  same bits for any thread count;
+  computed (3/4 when the square is one band); a pool task of ``blocks``
+  sweeps the row blocks of one band of ``BLOCK_PAIRS`` pairs, and the
+  calling thread adds their row sums and the column sums below the
+  diagonal in block order, so the result is the same bits for any thread
+  count;
 - ``on_grid(grid)``: a tensor-product grid; at d = 1 it is ``evaluate`` of
   the nodes, a node block at a time, and at d ≥ 2 the diagonal Gaussian
   factorizes over coordinates, so one 1-D (n_i, N) factor per axis, the
@@ -148,9 +149,15 @@ class GaussianKde:
         first row on."""
         pts = self.points
         n = pts.shape[0]
-        tasks = [[r] for r in row_blocks(n, n)]
+        arrays = self._kernel.arrays[0]
+        # a task per row band of BLOCK_PAIRS pairs, swept in row blocks whose k
+        # and temporary, against the particles from the band's first row on,
+        # fit the arena
+        tasks = [[slice(band.start + r.start, band.start + r.stop)
+                  for r in row_blocks(band.stop - band.start, n - band.start, arrays)]
+                 for band in row_blocks(n, n)]
         if len(tasks) == 1 and n > 1:
-            # a square of one block still sweeps its triangle in two row blocks,
+            # a square of one band still sweeps its triangle in two row blocks,
             # 3/4 of the pairs, in one task
             tasks = [[slice(0, n // 2), slice(n // 2, n)]]
 
@@ -158,7 +165,7 @@ class GaussianKde:
             # k and the kernel's temporary in this thread's arena
             parts = []
             for r in task:
-                k, work = arena((r.stop - r.start, n - r.start), 1, self._kernel.arrays[0] - 1)
+                k, work = arena((r.stop - r.start, n - r.start), 1, arrays - 1)
                 k = self._kernel.eval_matrix(pts[r.start:], pts[r], out=k[0], work=work)
                 parts.append((r, k.sum(axis=1), k[:, r.stop - r.start:].sum(axis=0)))
             return parts

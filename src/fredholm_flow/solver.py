@@ -6,7 +6,7 @@ averaged over a batch of observations, a restoring force −α∇U from the
 reference measure, and isotropic noise with diffusion coefficient √(2α).
 The deterministic part of every step is tamed, γb/(1 + γ‖b‖), so its length
 never exceeds min(1, γ‖b‖) regardless of how large the drift gets when the
-denominator is small.
+denominator is small; where γ‖b‖ overflows, it is the limit b/‖b‖.
 
 The drift runs in fixed observation-major blocks on the shared pool of
 ``blocks`` (``blocks.drift_rows``).  A block holds a slice of the batch
@@ -16,8 +16,8 @@ plane (for the Gaussian kernel, its d planes of coordinate differences),
 and the weights of those means give its share of the drift rows; the
 calling thread adds the shares in block order.  The monitor reads only the
 means.  Every result is the same bits for any thread count and any
-``--workers``, and a step holds no N×m matrix, only one 4 MB arena per
-thread.
+``--workers``, and a step holds no N×m matrix, only one 2 MB arena per
+pool thread.
 """
 from __future__ import annotations
 
@@ -156,14 +156,22 @@ def drift_empirical(cloud: ParticleCloud, batch: ObservationSample,
 
 def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: float,
                noise: np.ndarray) -> ParticleCloud:
-    """One tamed update: X + γb/(1 + γ‖b‖) + √(2αγ)·Z, Z standard normal rows."""
+    """One tamed update: X + γb/(1 + γ‖b‖) + √(2αγ)·Z, Z standard normal rows.
+
+    A row whose γ‖b‖ overflows, ‖b‖ itself included, takes the limit b/‖b‖,
+    formed from b over its largest entry so that the norm cannot overflow."""
     drift = np.asarray(drift, dtype=float)
     noise = np.asarray(noise, dtype=float)
     if drift.shape != cloud.points.shape or noise.shape != cloud.points.shape:
         raise ValueError("drift and noise must have the cloud's shape")
-    norms = np.hypot.reduce(drift, axis=1, keepdims=True)
-    new_points = (cloud.points + gamma * drift / (1.0 + gamma * norms)
-                  + np.sqrt(2.0 * alpha * gamma) * noise)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflowed rows are replaced
+        scaled = gamma * np.hypot.reduce(drift, axis=1, keepdims=True)
+        increment = gamma * drift / (1.0 + scaled)
+    over = np.isinf(scaled[:, 0])
+    if over.any():
+        unit = drift[over] / np.abs(drift[over]).max(axis=1, keepdims=True)
+        increment[over] = unit / np.hypot.reduce(unit, axis=1, keepdims=True)
+    new_points = cloud.points + increment + np.sqrt(2.0 * alpha * gamma) * noise
     return ParticleCloud(new_points, cloud.step_index + 1)
 
 

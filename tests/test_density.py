@@ -116,14 +116,15 @@ def test_kde_normalization(d, rng):
 
 
 def test_kde_blocks_cover_every_query(rng):
-    # queries spanning two and a half blocks: both edge rows of every block
+    # queries spanning two and a half tasks, each swept in two blocks whose k
+    # and temporary fit the arena: both edge rows of every block
     pts = rng.normal(size=(3000, 2))
     rows = blocks.BLOCK_PAIRS // pts.shape[0]
     bw = [0.3, 0.5]
     xs = rng.normal(size=(2 * rows + rows // 2, 2))
     vals = GaussianKde(pts, bw).evaluate(xs)
-    cut = blocks.row_blocks(xs.shape[0], pts.shape[0])
-    assert len(cut) == 3
+    cut = [r for task in blocks.drift_blocks(xs.shape[0], pts.shape[0], 2) for r in task]
+    assert len(cut) == 6 and max(r.stop - r.start for r in cut) <= rows // 2
     for r in cut:
         for i in (r.start, r.stop - 1):
             assert vals[i] == GaussianKde(ParticleCloud(pts), bw).evaluate(xs[i])[0]
@@ -132,12 +133,13 @@ def test_kde_blocks_cover_every_query(rng):
 @pytest.mark.parametrize("shift", [0.0, 1e3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kde_evaluate_is_the_row_mean_of_one_matrix(d, shift, rng):
-    # three blocks of queries: every query's mean is the same bits as the
-    # mean of its row of the whole (queries, N) matrix
+    # three tasks of two blocks of queries: every query's mean is the same
+    # bits as the mean of its row of the whole (queries, N) matrix
     pts = rng.normal(size=(1000, d)) + shift
     xs = 1.5 * rng.normal(size=(700, d)) + shift
-    assert len(blocks.row_blocks(700, 1000)) == 3
     kde = GaussianKde(pts)
+    assert [len(task) for task in blocks.drift_blocks(700, 1000, kde._kernel.arrays[0])] == \
+        [2, 2, 2]
     assert np.array_equal(kde.evaluate(xs), kde._kernel.eval_matrix(kde.points, xs).mean(axis=1))
     assert kde.evaluate(xs[:0]).shape == (0,)
 
@@ -152,7 +154,7 @@ def test_kde_at_particles_matches_evaluate(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 500])
 def test_kde_at_particles_cuts_a_one_block_square_in_two(n, rng, monkeypatch):
-    # N² fits one block, yet the triangle is swept in two row blocks: at
+    # N² fits one task, yet the triangle is swept in two row blocks: at
     # N = 500 three quarters of the square, not all of it
     assert len(blocks.row_blocks(n, n)) == 1
     pairs = []
@@ -194,7 +196,8 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
             call()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert sizes and max(sizes) <= blocks.BLOCK_PAIRS
+            # a block's k and its temporary fit the arena of BLOCK_PAIRS floats
+            assert sizes and max(sizes) <= blocks.BLOCK_PAIRS // 2
             # a few blocks' worth of temporaries, not a whole (nodes, N) product
             assert peak <= 8 * 8 * blocks.BLOCK_PAIRS
         # the grid readout at d >= 2 holds a few factor blocks and leading-node

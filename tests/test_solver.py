@@ -130,6 +130,36 @@ def test_taming_bound_property(drift, gamma):
     assert np.allclose(inc, gamma * norms / (1.0 + gamma * norms), rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_tamed_step_takes_the_limit_where_gamma_norm_overflows(d, rng):
+    # rows 0-2: γ‖b‖ overflows at γ = 1e300, rows 3-5: ‖b‖ itself overflows (at
+    # d ≥ 2), the rest: γ‖b‖ finite; the suite turns every overflow warning
+    # into an error
+    drift = rng.normal(size=(9, d))
+    drift[:3] *= 1e10
+    drift[3:6] = np.sign(drift[3:6]) * 1.5e308
+    drift[6:] *= [[1e-200], [1.0], [1e-310]]
+    for gamma in (1e300, 0.5):
+        cloud = ParticleCloud(rng.normal(size=(9, d)))
+        out = tamed_step(cloud, drift, gamma, alpha=0.0, noise=np.zeros((9, d)))
+        inc = out.points - cloud.points
+        assert np.all(np.isfinite(inc))
+        # the limit b/‖b‖ is a unit vector up to the rounding of its entries
+        norms = np.hypot.reduce(inc, axis=1)
+        assert np.all(norms <= 1.0 + 4 * np.finfo(float).eps)
+        over = [i for i in range(9) if i < 6 and (gamma > 1.0 or d > 1 and i >= 3)]
+        for i in over:
+            b = drift[i] / 1e300
+            np.testing.assert_allclose(inc[i], b / np.hypot.reduce(b), rtol=1e-14, atol=0)
+        with np.errstate(over="ignore"):
+            fine = np.isfinite(gamma * np.hypot.reduce(drift, axis=1))
+        assert np.array_equal(np.flatnonzero(~fine), over)
+        # where γ‖b‖ is finite, the formula and its bits are today's
+        want = cloud.points[fine] + gamma * drift[fine] / (
+            1.0 + gamma * np.hypot.reduce(drift[fine], axis=1, keepdims=True))
+        assert np.array_equal(out.points[fine], want)
+
+
 def test_minibatch_full_sample_when_m_large(rng):
     full = ObservationSample(rng.normal(size=(4, 1)))
     out = draw_minibatch(full, 10, stream(0, 99))
