@@ -40,8 +40,9 @@ mapped and unmapped on every call).  A block takes consecutive views of
 it: k first, then the gradient plane, then the kernel's temporaries, which
 the kernel receives as an argument.  So a thread holds 2 MB whatever the
 kernel, and a block of a sweep of ``arrays`` arrays has ``BLOCK_PAIRS //
-arrays`` pairs at most: 2^17 for the Radon drift and for the KDE and every
-``column_means`` of two arrays, 2^16 for the delay drift, with its plane
+arrays`` pairs at most: 2^18 for a 1-D KDE or Gaussian ``column_means``
+(k alone), 2^17 for the Radon drift and for every other KDE and
+``column_means`` (two arrays), 2^16 for the delay drift, with its plane
 and two temporaries, and ``BLOCK_PAIRS // (d + 2)`` for the Gaussian drift.
 A block whose arrays cannot fit the arena, one observation against more
 than ``BLOCK_PAIRS // arrays`` particles, gets fresh arrays.

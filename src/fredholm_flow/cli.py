@@ -9,7 +9,10 @@ name the dotted key.  An inline ``problem`` is a preset with no truth and no
 sampler.  Each replicate writes its ``repNNN/`` when it finishes, and
 ``metrics.csv`` and ``config_resolved.json`` (the config and what it
 resolved to) follow once all have.  Numeric outputs are CSV with
-17-significant-digit floats, byte-identical for any ``--workers``.
+17-significant-digit floats, byte-identical for any ``--workers`` and any
+core count: the module pins BLAS to one thread before numpy loads (see the
+comment at its imports).  ``cv`` and ``baseline`` import ``crossval`` and
+``baselines`` themselves, so a ``run`` loads neither.
 """
 from __future__ import annotations
 
@@ -18,16 +21,20 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import typing
 from pathlib import Path
 
+# One BLAS thread, set before the first import below loads numpy: the block pool
+# owns every core, no BLAS call runs in a solver step, and OpenBLAS's own pool
+# (one thread per core) would change the bits of the 2-D grid readout with the
+# core count.  A caller that loaded numpy first keeps its BLAS as it is.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+
 from . import __version__, artifacts, rng as _rng
 from .blocks import map_jobs
-from .baselines import (ToyGaussianSpec, discrete_objective,
-                        grid_problem_from_continuous, oslem_solve,
-                        resolve_toy_sigma0_sq, toy_sweep)
-from .crossval import CvPlan, cv_score, make_folds
 from .density import GaussianKde
 from .errors import ConfigError, NumericalFailure
 from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
@@ -342,6 +349,8 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
 
 
 def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
+    from . import crossval
+
     preset = _preset(cfg)
     with _at("solver"):
         solver = dataclasses.replace(preset.solver, **cfg.get("solver", {}))
@@ -349,8 +358,8 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     cv = cfg.get("cv", {})
     seed = seed_override if seed_override is not None else _seed(cv.get("seed", 0), "cv.seed")
     with _at("cv"):
-        plan = CvPlan(**{"n_folds" if key == "folds" else key: value
-                         for key, value in cv.items()} | {"seed": seed})
+        plan = crossval.CvPlan(**{"n_folds" if key == "folds" else key: value
+                                  for key, value in cv.items()} | {"seed": seed})
     init = cfg.get("init", {})
     observations, _ = _observations(cfg, preset, solver)(plan.seed)
     if plan.n_folds > observations.n_observations:
@@ -360,9 +369,9 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     with _at_init(init), _allocated("solver.n_particles", solver.n_particles):
         build_initial_cloud(preset, solver, observations, preset.make_reference(observations),
                             **init)
-    folds = make_folds(observations.n_observations, plan.n_folds, plan.seed)
-    result = cv_score(plan, preset, observations, solver, workers=workers, folds=folds,
-                      init=init)
+    folds = crossval.make_folds(observations.n_observations, plan.n_folds, plan.seed)
+    result = crossval.cv_score(plan, preset, observations, solver, workers=workers,
+                               folds=folds, init=init)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_cv_csv(out / "cv_table.csv", result)
     print(f"selected alpha: {artifacts.fmt(result.selected_alpha())}")
@@ -373,15 +382,17 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
 
 
 def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
+    from . import baselines
+
     if cfg["baseline"] == "toy":
         sigma_pi_sq = cfg.get("sigma_pi_sq", TOY_SIGMA_PI_SQ)
         sigma_k_sq = cfg.get("sigma_k_sq", TOY_SIGMA_K_SQ)
         with _at(""):   # the messages name the key
             sigma0_sq = cfg.get("sigma0_sq", 0.0) \
-                or resolve_toy_sigma0_sq(0.44, 1.0, sigma_pi_sq, sigma_k_sq)
-            spec = ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
+                or baselines.resolve_toy_sigma0_sq(0.44, 1.0, sigma_pi_sq, sigma_k_sq)
+            spec = baselines.ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
         with _at("alpha_grid"):
-            rows = toy_sweep(spec, cfg.get("alpha_grid", [0.0, 0.5, 1.0]))
+            rows = baselines.toy_sweep(spec, cfg.get("alpha_grid", [0.0, 0.5, 1.0]))
         out.mkdir(parents=True, exist_ok=True)
         artifacts.write_toy_sweep_csv(out / "toy_sweep.csv", rows)
         for alpha, beta, value in rows:
@@ -406,13 +417,13 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
     with _at("observations"):   # a reference may be the sample's moments
         ref = preset.make_reference(observations)
     with _at(bound), _allocated("n_bins", n_bins):
-        problem = grid_problem_from_continuous(preset.kernel, preset.observed_pdf, ref,
-                                               n_bins, lo, hi)
+        problem = baselines.grid_problem_from_continuous(preset.kernel, preset.observed_pdf,
+                                                         ref, n_bins, lo, hi)
     with _at("iterations"):
-        state = oslem_solve(problem, alpha, cfg.get("iterations", 500))
+        state = baselines.oslem_solve(problem, alpha, cfg.get("iterations", 500))
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)
-    print(f"objective: {artifacts.fmt(discrete_objective(state, problem, alpha))}")
+    print(f"objective: {artifacts.fmt(baselines.discrete_objective(state, problem, alpha))}")
     return {"seed_base": 0}
 
 

@@ -6,7 +6,8 @@ variances diag(H), so all evaluation goes through its ``eval_matrix``.  It
 asks for no gradient plane, so the kernel forms one coordinate difference
 at a time, the first in the k block and the others in one temporary, both
 in the thread's arena of ``BLOCK_PAIRS`` floats: a block needs no d planes,
-and holds ``BLOCK_PAIRS // 2`` pairs at most.  There are three evaluations:
+and holds ``BLOCK_PAIRS // 2`` pairs at most, ``BLOCK_PAIRS`` at d = 1,
+where there is no temporary.  There are three evaluations:
 
 - ``evaluate(xs)``: arbitrary queries, as ``blocks.column_means`` of the
   kernel, the drift's mean sweep with the queries in place of the

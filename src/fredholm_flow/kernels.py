@@ -18,15 +18,15 @@ fresh ones without it.  A kernel states in ``arrays`` how many arrays
 shaped like k one sweep holds, without and with its plane: k, the plane
 and ``work``, so a sweep with a plane gets ``arrays[1] − 1 − planes``
 temporaries, and one without ``arrays[0] − 1``.  The Radon kernel holds
-2 and 2, the Gaussian kernel 2 and d + 2, and the delay kernel 2 and 4,
-one more each with three components or more (3 with a plane for one
-component).  A Radon or Gaussian sweep without a plane keeps one
-temporary: the Radon term x₂sinφ/σ and the Gaussian differences after the
-first.  With a plane the Radon term goes to ``out`` and the Gaussian
-kernel's ``weighted_grad1`` forms k·w in its one temporary; the delay
-kernel forms y − x in the first and, with a plane, its later densities in
-the second (a middle component of three or more takes one more for its
-z).
+2 and 2, the Gaussian kernel 2 and d + 2 (1 and 3 at d = 1), and the
+delay kernel 2 and 4, one more each with three components or more (3 with
+a plane for one component).  A Radon sweep without a plane keeps one
+temporary, the term x₂sinφ/σ, and a Gaussian one its differences after the
+first, so none at d = 1.  With a plane the Radon term goes to ``out`` and
+the Gaussian kernel's ``weighted_grad1`` forms k·w in its one temporary;
+the delay kernel forms y − x in the first and, with a plane, its later
+densities in the second (a middle component of three or more takes one
+more for its z).
 
 A sweep forms every pair by broadcasting a coordinate of the observations,
 a column (m, 1), against the same coordinate of the particles, a row
@@ -167,7 +167,7 @@ class GaussianConvolutionKernel(KernelModel):
         sd = _finite(noise_sd, "noise_sd", positive=True)
         self.noise_sd = sd
         self.dim_x = self.dim_y = self.planes = sd.size
-        self.arrays = (2, sd.size + 2)
+        self.arrays = (1 + (sd.size > 1), sd.size + 2)   # no temporary without a plane at d = 1
         with np.errstate(all="ignore"):
             self._var = sd**2
             self._exponent_scale = -0.5 / self._var   # −1/(2σᵢ²)

@@ -5,12 +5,13 @@ the observed sample and default solver settings; a shipped one adds a truth
 density (for metrics) and an observation sampler, which the CLI's inline
 problem lacks.  Samplers are deterministic given their seed; all randomness
 flows through the keyed streams.  The normal CDF and its inverse come from
-``math.erfc`` and ``statistics.NormalDist``, so the module needs numpy alone.
+``math.erfc`` and ``statistics.NormalDist``, so the module needs numpy alone;
+``statistics`` is imported only when the incidence sampler runs, so a run of
+another preset does not load it.
 """
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Callable
 
@@ -231,8 +232,11 @@ def _ndtr(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-# standard normal quantile, elementwise: CPython's C port of Wichura's AS241
-_ndtri = np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)
+def _ndtri(q) -> np.ndarray:
+    """Standard normal quantile, elementwise: CPython's C port of Wichura's AS241."""
+    import statistics
+
+    return np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)(q).astype(float)
 
 # CDF values at the ends of the support, and the branch masses, exact
 _INC_Q_LO = _ndtr((0.0 - _INC_PEAK) / _INC_SD1)
@@ -257,7 +261,7 @@ def _sample_incidence(m, gen) -> np.ndarray:
     u = gen.random(m)
     q = np.where(take_left, _INC_Q_LO + u * (0.5 - _INC_Q_LO), 0.5 + u * (_INC_Q_HI - 0.5))
     sd = np.where(take_left, _INC_SD1, _INC_SD2)
-    return (_INC_PEAK + sd * _ndtri(q).astype(float))[:, None]
+    return (_INC_PEAK + sd * _ndtri(q))[:, None]
 
 
 def _affected_days(last_day: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fredholm_flow
-from fredholm_flow import artifacts, blocks, cli, density, metrics
+from fredholm_flow import artifacts, baselines, blocks, cli, density, metrics
 from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
 from fredholm_flow.state import ParticleCloud
@@ -536,13 +536,13 @@ def _sampler_without_memory(name, **options):
 # sampler, the cloud builder or the grid builder raises in its place
 @pytest.mark.parametrize("command, config, target, key", [
     ("run", {"preset": "toy_gaussian", "observations": {"n_samples": 10**13}},
-     ("get_preset", _sampler_without_memory), "observations.n_samples"),
+     (cli, "get_preset", _sampler_without_memory), "observations.n_samples"),
     ("run", {"preset": "toy_gaussian", "solver": {"n_particles": 10**13}},
-     ("build_initial_cloud", _no_memory), "solver.n_particles"),
+     (cli, "build_initial_cloud", _no_memory), "solver.n_particles"),
     ("cv", dict(CV, solver={"n_particles": 10**13, "minibatch": 20, "n_steps": 2}),
-     ("build_initial_cloud", _no_memory), "solver.n_particles"),
+     (cli, "build_initial_cloud", _no_memory), "solver.n_particles"),
     ("baseline", {"baseline": "oslem", "preset": "gaussian_mixture_1d", "n_bins": 10**13},
-     ("grid_problem_from_continuous", _no_memory), "n_bins"),
+     (baselines, "grid_problem_from_continuous", _no_memory), "n_bins"),
     # real requests past numpy's int64 index range: numpy rejects the shape before
     # it allocates, and np.arange(2**63) would be empty
     ("run", {"preset": "toy_gaussian", "observations": {"n_samples": 10**30}}, None,
@@ -561,7 +561,7 @@ def _sampler_without_memory(name, **options):
     ("baseline", {"baseline": "oslem", "preset": "gaussian_mixture_1d", "n_bins": 2**63},
      None, "n_bins"),
     ("run", {"preset": "highdim_mixture", "preset_options": {"dim": 10**13}},
-     ("get_preset", _no_memory), "preset_options.dim"),
+     (cli, "get_preset", _no_memory), "preset_options.dim"),
     ("cv", dict(CV, preset="highdim_mixture", preset_options={"dim": 2**63}), None,
      "preset_options.dim"),
 ], ids=["observations", "run-cloud", "cv-cloud", "oslem-bins", "observations-1e30",
@@ -570,7 +570,7 @@ def _sampler_without_memory(name, **options):
 def test_size_too_large_to_allocate_exits_2_at_its_key(tmp_path, capsys, monkeypatch,
                                                        command, config, target, key):
     if target is not None:
-        monkeypatch.setattr(cli, *target)
+        monkeypatch.setattr(*target)
     cfg = write_config(tmp_path, "c.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: too large to allocate")
@@ -662,14 +662,64 @@ def test_cv_resolved_config_records_the_minibatch_of_each_fold(tmp_path):
     assert resolved["minibatch"] == [400, 400, 400]
 
 
-def test_cli_import_loads_numpy_random_and_no_scipy():
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh_interpreter(code: str, env: dict | None = None) -> list[str]:
+    """The lines that ``code`` prints in a new interpreter with the package's source on
+    its path and no ``*_NUM_THREADS`` variable in its environment but those of ``env``."""
     src = str(Path(fredholm_flow.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fredholm_flow.cli; "
+    base = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, sys.argv[1]); "
+                           f"{code}", src], capture_output=True, text=True, check=True,
+                          timeout=120, env={**base, **(env or {})}).stdout.splitlines()
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    code = ("import fredholm_flow.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print('numpy.random' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         check=True, timeout=120).stdout.splitlines()
-    assert out == ["[]", "True"]
+    assert fresh_interpreter(code) == ["[]", "True"]
+
+
+def test_package_import_loads_no_numpy():
+    assert fresh_interpreter("import fredholm_flow; print('numpy' in sys.modules)") == ["False"]
+
+
+def test_cli_import_pins_blas_to_one_thread_and_loads_no_baselines_or_crossval():
+    # set in the environment, 4 is overridden: what the CLI writes depends on no variable
+    code = ("import os, fredholm_flow.cli; "
+            "print(sorted(m for m in ('fredholm_flow.baselines', 'fredholm_flow.crossval') "
+            "if m in sys.modules)); "
+            f"print([os.environ[name] for name in {_BLAS_VARIABLES!r}])")
+    assert fresh_interpreter(code, {"OPENBLAS_NUM_THREADS": "4"}) == ["[]", "['1', '1', '1']"]
+
+
+def test_public_names_resolve_lazily_and_are_listed():
+    names = dir(fredholm_flow)
+    for name in fredholm_flow.__all__:
+        assert name in names
+        assert getattr(fredholm_flow, name) is not None
+    assert fredholm_flow.oslem_solve is baselines.oslem_solve
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fredholm_flow.no_such_name
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # ct_phantom's 2-D grid readout contracts its factors by GEMM, whose bits
+    # would follow the size of OpenBLAS's own pool
+    cfg = write_config(tmp_path, "c.json", {
+        "preset": "ct_phantom", "solver": {"n_steps": 2}, "kde_grid": True,
+        "metrics": ["ise", "w1_marginal1"]})
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        fresh_interpreter(f"import fredholm_flow.cli as cli; sys.exit(cli.main(['run', "
+                          f"'--config', {cfg!r}, '--out', {str(out)!r}]))",
+                          {"OPENBLAS_NUM_THREADS": threads})
+        trees.append(tree_bytes(out))
+    assert "rep000/kde_grid.csv" in trees[0]
+    assert trees[0] == trees[1]
 
 
 def test_inline_problem_equals_its_preset(tmp_path, rng):

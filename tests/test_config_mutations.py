@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fredholm_flow import ParticleCloud, artifacts, cli, crossval
+from fredholm_flow import ParticleCloud, artifacts, baselines, cli, crossval
 from fredholm_flow.cli import main
 from fredholm_flow.problems import TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, get_preset
 
@@ -169,9 +169,9 @@ def exit_of(command, cfg, clouds):
             patch.setattr(module, "build_initial_cloud", capped_cloud(module.build_initial_cloud))
         patch.setattr(cli, "run_solver", capped_steps(cli.run_solver))
         patch.setattr(crossval, "run", capped_steps(crossval.run))
-        patch.setattr(cli, "grid_problem_from_continuous",
-                      capped_bins(cli.grid_problem_from_continuous))
-        patch.setattr(cli, "oslem_solve", capped_iterations(cli.oslem_solve))
+        patch.setattr(baselines, "grid_problem_from_continuous",
+                      capped_bins(baselines.grid_problem_from_continuous))
+        patch.setattr(baselines, "oslem_solve", capped_iterations(baselines.oslem_solve))
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(cfg))
         code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])

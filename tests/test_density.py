@@ -133,13 +133,18 @@ def test_kde_blocks_cover_every_query(rng):
 @pytest.mark.parametrize("shift", [0.0, 1e3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kde_evaluate_is_the_row_mean_of_one_matrix(d, shift, rng):
-    # three tasks of two blocks of queries: every query's mean is the same
-    # bits as the mean of its row of the whole (queries, N) matrix
+    # three tasks of queries, each cut into as many blocks as a block holds
+    # arrays (k, and at d >= 2 one temporary), so that they fit the arena:
+    # every query's mean is the same bits as the mean of its row of the
+    # whole (queries, N) matrix
     pts = rng.normal(size=(1000, d)) + shift
     xs = 1.5 * rng.normal(size=(700, d)) + shift
     kde = GaussianKde(pts)
-    assert [len(task) for task in blocks.drift_blocks(700, 1000, kde._kernel.arrays[0])] == \
-        [2, 2, 2]
+    arrays = kde._kernel.arrays[0]
+    cut = blocks.drift_blocks(700, 1000, arrays)
+    assert [len(task) for task in cut] == [arrays] * 3
+    assert all((r.stop - r.start) * 1000 * arrays <= blocks.BLOCK_PAIRS
+               for task in cut for r in task)
     assert np.array_equal(kde.evaluate(xs), kde._kernel.eval_matrix(kde.points, xs).mean(axis=1))
     assert kde.evaluate(xs[:0]).shape == (0,)
 
@@ -196,8 +201,9 @@ def test_kde_blocks_stay_within_the_pair_cap(rng, monkeypatch):
             call()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            # a block's k and its temporary fit the arena of BLOCK_PAIRS floats
-            assert sizes and max(sizes) <= blocks.BLOCK_PAIRS // 2
+            # a block's k and its temporary (none at d = 1) fit the arena of
+            # BLOCK_PAIRS floats
+            assert sizes and max(sizes) * kde._kernel.arrays[0] <= blocks.BLOCK_PAIRS
             # a few blocks' worth of temporaries, not a whole (nodes, N) product
             assert peak <= 8 * 8 * blocks.BLOCK_PAIRS
         # the grid readout at d >= 2 holds a few factor blocks and leading-node
