@@ -30,7 +30,7 @@ _MODULES = {
     "ReferenceMeasure": "reference",
     **dict.fromkeys(("SolverConfig", "SolverTrace", "draw_minibatch", "drift_empirical", "run",
                      "tamed_step"), "solver"),
-    **dict.fromkeys(("ObservationSample", "ParticleCloud"), "state"),
+    "ParticleCloud": "state",
 }
 
 __all__ = sorted(_MODULES)

@@ -10,7 +10,7 @@ sampler.  Each replicate writes its ``repNNN/`` when it finishes, and
 ``metrics.csv`` and ``config_resolved.json`` (the config and what it
 resolved to) follow once all have.  Numeric outputs are CSV with
 17-significant-digit floats, byte-identical for any ``--workers`` and any
-core count: the module pins BLAS to one thread before numpy loads (see the
+core count: the module pins BLAS to one thread while numpy loads (see the
 comment at its imports).  ``cv`` and ``baseline`` import ``crossval`` and
 ``baselines`` themselves, so a ``run`` loads neither.
 """
@@ -26,12 +26,14 @@ import sys
 import typing
 from pathlib import Path
 
-# One BLAS thread, set before the first import below loads numpy: the block pool
-# owns every core, no BLAS call runs in a solver step, and OpenBLAS's own pool
-# (one thread per core) would change the bits of the 2-D grid readout with the
-# core count.  A caller that loaded numpy first keeps its BLAS as it is.
-os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                 "MKL_NUM_THREADS"), "1"))
+# One BLAS thread while the imports below load numpy, the only time OpenBLAS reads
+# these variables, and the caller's values back after them, for the processes it
+# starts (a caller that loaded numpy first keeps its BLAS): the block pool owns every
+# core, no BLAS call runs in a solver step, and OpenBLAS's own pool (one thread per
+# core) would change the bits of the 2-D grid readout with the core count.
+_BLAS_LAUNCH = {name: os.environ.get(name)
+                for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+os.environ.update(dict.fromkeys(_BLAS_LAUNCH, "1"))
 
 from . import __version__, artifacts, rng as _rng
 from .blocks import map_jobs
@@ -44,7 +46,13 @@ from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, ExperimentPrese
                        build_initial_cloud, get_preset)
 from .reference import ReferenceMeasure
 from .solver import SolverConfig, run as run_solver
-from .state import ObservationSample, ParticleCloud
+from .state import ParticleCloud
+
+for _name, _value in _BLAS_LAUNCH.items():
+    if _value is None:
+        os.environ.pop(_name)
+    else:
+        os.environ[_name] = _value
 
 # key tables: key -> type or section table; (key, tables) picks tables[the value of key]
 _SOLVER = typing.get_type_hints(SolverConfig)
@@ -212,11 +220,11 @@ def _observations(cfg: dict, preset, solver=None, metrics=()):
         if not path.is_file():
             raise ConfigError(f"file not found: {path}", path="observations.file")
         with _at("observations.file"):
-            sample = ObservationSample(artifacts.read_points_csv(path))
-        if sample.dim != preset.kernel.dim_y:
-            raise ConfigError(f"observations have dimension {sample.dim}, kernel "
+            sample = artifacts.read_points_csv(path)
+        if sample.shape[1] != preset.kernel.dim_y:
+            raise ConfigError(f"observations have dimension {sample.shape[1]}, kernel "
                               f"expects {preset.kernel.dim_y}", path="observations")
-        n, draw, key = sample.n_observations, lambda _: (sample, None), "observations.file"
+        n, draw, key = len(sample), lambda _: (sample, None), "observations.file"
     elif preset.sample_observations is None:
         raise ConfigError("inline problems need observations from a file",
                           path="observations.file")
@@ -234,7 +242,7 @@ def _observations(cfg: dict, preset, solver=None, metrics=()):
         raise ConfigError(f"{n} observations, at least {least} needed", path=key)
     if "file" in obs and "reconvolution_ise" in metrics:   # and a file's KDE must be defined
         with _at(key):
-            GaussianKde(sample.points)
+            GaussianKde(sample)
     if solver is not None and solver.minibatch is not None and solver.minibatch > n:
         raise ConfigError("minibatch exceeds the observation count", path="solver.minibatch")
     return draw
@@ -273,7 +281,7 @@ def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
             rows.append((name, wasserstein1_1d(cloud.points[:, 0], truth[:, 0])))
         else:  # reconvolution_ise
             grid = preset.observation_grid or preset.metric_grid
-            observed = GaussianKde(observations.points).on_grid(grid)
+            observed = GaussianKde(observations).on_grid(grid)
             rows.append((name, ise(grid, reconvolve(cloud.points, preset.kernel, grid), observed)))
     return rows
 
@@ -285,7 +293,7 @@ def _starts_at_one_point(cfg: dict, mode: str, draw) -> bool:
         return True
     if mode != "observations" or "file" not in cfg.get("observations", {}):
         return False
-    points = draw(None)[0].points
+    points = draw(None)[0]
     return bool((points == points[0]).all())
 
 
@@ -333,10 +341,10 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         artifacts.write_cloud_csv(rep_dir / "cloud_final.csv", cloud)
         if write_kde:
             artifacts.write_density_csv(rep_dir / "kde_grid.csv", preset.metric_grid, grid_kde)
-        rows = [(preset.name, "particle_flow", solver.n_particles, observations.n_observations,
-                 seed, metric, value) for metric, value in
+        rows = [(preset.name, "particle_flow", solver.n_particles, len(observations), seed,
+                 metric, value) for metric, value in
                 compute_metrics(preset, cloud, observations, metric_names, seed, grid_kde)]
-        return rows, observations.n_observations, obs_seed
+        return rows, len(observations), obs_seed
 
     rows, n_samples, obs_seeds = zip(*map_jobs(replicate, range(replicates), workers))
     artifacts.write_metrics_csv(out / "metrics.csv", [row for rep in rows for row in rep])
@@ -362,14 +370,14 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
                                   for key, value in cv.items()} | {"seed": seed})
     init = cfg.get("init", {})
     observations, _ = _observations(cfg, preset, solver)(plan.seed)
-    if plan.n_folds > observations.n_observations:
+    if plan.n_folds > len(observations):
         raise ConfigError(f"{plan.n_folds} folds need at least as many observations, "
-                          f"got {observations.n_observations}", path="cv.folds")
+                          f"got {len(observations)}", path="cv.folds")
     # as every cell builds it
     with _at_init(init), _allocated("solver.n_particles", solver.n_particles):
         build_initial_cloud(preset, solver, observations, preset.make_reference(observations),
                             **init)
-    folds = crossval.make_folds(observations.n_observations, plan.n_folds, plan.seed)
+    folds = crossval.make_folds(len(observations), plan.n_folds, plan.seed)
     result = crossval.cv_score(plan, preset, observations, solver, workers=workers,
                                folds=folds, init=init)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,7 +385,7 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     print(f"selected alpha: {artifacts.fmt(result.selected_alpha())}")
     return {"seed_base": plan.seed, "resolved": {
         "solver": dataclasses.asdict(solver), "cv": dataclasses.asdict(plan),
-        "minibatch": [solver.batch_size(observations.n_observations - len(fold))
+        "minibatch": [solver.batch_size(len(observations) - len(fold))
                       for fold in folds]}}
 
 
@@ -451,7 +459,7 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
     seed = seed_override if seed_override is not None else _seed(cfg.get("seed", 0), "seed")
     observations = _observations(cfg, preset, metrics=names)(seed)[0] \
         if "reconvolution_ise" in names or "observations" in cfg else None
-    n_observations = observations.n_observations if observations else 0
+    n_observations = len(observations) if observations is not None else 0
     rows = [(preset.name, "stored_cloud", cloud.n_particles, n_observations, seed, metric, value)
             for i, cloud in enumerate(clouds)
             for metric, value in compute_metrics(preset, cloud, observations, names,

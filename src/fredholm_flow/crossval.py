@@ -19,7 +19,7 @@ from .errors import NumericalFailure
 from .functional import g_hat
 from .problems import ExperimentPreset, build_initial_cloud
 from .solver import SolverConfig, run
-from .state import ObservationSample
+from .state import _finite_matrix
 
 SCORE_KINDS = ("penalized", "data_only")
 
@@ -85,39 +85,38 @@ def _run_cell(plan, preset, observations, base_config, folds, alpha_index, fold_
               init):
     alpha = plan.alpha_grid[alpha_index]
     fold = folds[fold_index]
-    mask = np.ones(observations.n_observations, dtype=bool)
-    mask[fold] = False
-    train = ObservationSample(observations.points[mask])
-    heldout = ObservationSample(observations.points[fold])
+    train, heldout = np.delete(observations, fold, axis=0), observations[fold]
     config = replace(base_config, alpha=alpha,
                      seed=_rng.derive_seed(plan.seed, alpha_index))
     try:
         ref = preset.make_reference(train)
         start = build_initial_cloud(preset, config, train, ref, **init)
         cloud, _ = run(config, preset.kernel, ref, start, train)
-        est = g_hat(cloud, heldout, preset.kernel, ref, alpha, config.eta)
+        est = g_hat(cloud.points, heldout, preset.kernel, ref, alpha, config.eta)
         value = est.total if plan.score == "penalized" else est.data_term
         return CvCell(alpha, fold_index, float(value), "ok")
     except NumericalFailure as failure:
         return CvCell(alpha, fold_index, float("nan"), f"failed: {failure}")
 
 
-def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: ObservationSample,
+def cv_score(plan: CvPlan, preset: ExperimentPreset, observations: np.ndarray,
              base_config: SolverConfig | None = None, workers: int = 1,
              folds: list | None = None, init: dict | None = None) -> CvResult:
-    """Score every (α, fold) cell and collect the table.
+    """Score every (α, fold) cell of the (M, p) ``observations`` and collect the table.
 
-    ``folds`` may be given explicitly (index arrays forming a partition);
-    otherwise a seeded near-equal partition is drawn.  ``init`` holds the
-    initialization keys ``mode`` (default "auto"), ``point`` and ``box``, as
+    The sample is checked finite before any cell runs.  ``folds`` may be
+    given explicitly (index arrays forming a partition); otherwise a seeded
+    near-equal partition is drawn.  ``init`` holds the initialization keys
+    ``mode`` (default "auto"), ``point`` and ``box``, as
     ``build_initial_cloud`` takes them.  Cells run as jobs on the block pool,
     at most ``workers`` at a time (``blocks.map_jobs``); results are identical
     for any worker count.
     """
+    observations = _finite_matrix(observations, "observation sample")
     base_config = preset.solver if base_config is None else base_config
     init = init or {}
     if folds is None:
-        folds = make_folds(observations.n_observations, plan.n_folds, plan.seed)
+        folds = make_folds(len(observations), plan.n_folds, plan.seed)
     if len(folds) != plan.n_folds:
         raise ValueError("number of folds does not match the plan")
     jobs = [(ai, fi) for ai in range(len(plan.alpha_grid)) for fi in range(plan.n_folds)]

@@ -50,11 +50,6 @@ _GRID_PAIRS = BLOCK_PAIRS // 8
 _NODE_BLOCK = _GRID_PAIRS // 8
 
 
-def _points_of(cloud_or_points) -> np.ndarray:
-    pts = getattr(cloud_or_points, "points", cloud_or_points)
-    return np.atleast_2d(np.asarray(pts, dtype=float))
-
-
 @dataclass(frozen=True)
 class EvaluationGrid:
     """Tensor-product grid, per-dimension (lo, hi, n_points), nodes row-major."""
@@ -107,10 +102,10 @@ class EvaluationGrid:
         return w.ravel()
 
 
-def silverman_bandwidth(cloud) -> np.ndarray:
-    """Rule-of-thumb diagonal of H, the variances h_i² with
+def silverman_bandwidth(points) -> np.ndarray:
+    """Rule-of-thumb diagonal of H for (N, d) ``points``, the variances h_i² with
     h_i = (4/(d+2))^{1/(d+4)} N^{-1/(d+4)} σ̂_i."""
-    pts = _points_of(cloud)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     if n < 2:
         raise ValueError("bandwidth selection needs at least 2 particles")
@@ -126,12 +121,12 @@ def silverman_bandwidth(cloud) -> np.ndarray:
 
 
 class GaussianKde:
-    """Fitted KDE handle: the cloud, the diagonal of its bandwidth H (Silverman's
-    by default), and evaluation at arbitrary queries, at the particles themselves
-    and on a tensor-product grid."""
+    """Fitted KDE handle: the (N, d) points, the diagonal of their bandwidth H
+    (Silverman's by default), and evaluation at arbitrary queries, at the
+    points themselves and on a tensor-product grid."""
 
-    def __init__(self, cloud, bandwidth=None):
-        self.points = _points_of(cloud)
+    def __init__(self, points, bandwidth=None):
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
         diag = silverman_bandwidth(self.points) if bandwidth is None else \
             np.atleast_1d(np.asarray(bandwidth, dtype=float))
         if not np.all(diag > 0):   # NaN too; the kernel rejects an infinite entry

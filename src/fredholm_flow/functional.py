@@ -35,20 +35,19 @@ class FunctionalEstimate:
         return self.data_term + self.kl_term
 
 
-def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
+def g_hat(points, observations, kernel: KernelModel, ref: ReferenceMeasure,
           alpha: float, eta: float = 0.0, k_mean: np.ndarray | None = None) -> FunctionalEstimate:
-    """Objective estimate for a cloud against an observation sample.
+    """Objective estimate for (N, d) particle ``points`` against (M, p) ``observations``.
 
     For ``alpha > 0`` the penalty needs a gaussian reference; the KDE is
-    fitted on ``cloud`` with the default bandwidth rule.  A zero mean-kernel
+    fitted on ``points`` with the default bandwidth rule.  A zero mean-kernel
     at η = 0 is clamped at ``DENOM_FLOOR`` and the estimate is flagged as
     floored.  ``k_mean`` may carry the precomputed column means
     (1/N) Σ_i k(X_i, y_j) for these exact inputs.
     """
-    x = np.atleast_2d(getattr(cloud, "points", cloud))
-    y = np.atleast_2d(getattr(observations, "points", observations))
+    points = np.atleast_2d(points)
     if k_mean is None:
-        k_mean = column_means(kernel, x, y)
+        k_mean = column_means(kernel, points, np.atleast_2d(observations))
     mean_k = k_mean + eta
     floored = bool(np.any(mean_k < DENOM_FLOOR))
     data_term = float(-np.mean(np.log(np.maximum(mean_k, DENOM_FLOOR))))
@@ -57,6 +56,6 @@ def g_hat(cloud, observations, kernel: KernelModel, ref: ReferenceMeasure,
         return FunctionalEstimate(data_term, 0.0, floored)
     if ref.kind != "gaussian":
         raise ValueError("the penalty term needs a proper (gaussian) reference")
-    log_density = np.log(GaussianKde(x).at_particles())
-    kl = float(np.mean(log_density - ref.log_density(x)))
+    log_density = np.log(GaussianKde(points).at_particles())
+    kl = float(np.mean(log_density - ref.log_density(points)))
     return FunctionalEstimate(data_term, alpha * kl, floored)

@@ -24,7 +24,7 @@ from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       KernelModel, RadonAlignmentKernel)
 from .reference import ReferenceMeasure
 from .solver import SolverConfig
-from .state import ObservationSample, ParticleCloud
+from .state import ParticleCloud, _finite_matrix
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -111,7 +111,7 @@ class ExperimentPreset:
 
 
 def build_initial_cloud(preset: ExperimentPreset, config: SolverConfig,
-                        observations: ObservationSample, ref: ReferenceMeasure,
+                        observations: np.ndarray, ref: ReferenceMeasure,
                         mode: str = "auto", point=None, box=None) -> ParticleCloud:
     """Initial particle positions in ``preset.init_mode(mode)``: "observations",
     "reference", "point" or "uniform"."""
@@ -119,10 +119,10 @@ def build_initial_cloud(preset: ExperimentPreset, config: SolverConfig,
     n = config.n_particles
     mode = preset.init_mode(mode)
     if mode == "observations":
-        if observations.dim != ref.dim:
+        if observations.shape[1] != ref.dim:
             raise ValueError("cannot initialize from observations when p differs from d")
-        idx = gen.integers(0, observations.n_observations, size=n)
-        return ParticleCloud(observations.points[idx] + (preset.init_shift or 0.0))
+        idx = gen.integers(0, len(observations), size=n)
+        return ParticleCloud(observations[idx] + (preset.init_shift or 0.0))
     if mode == "reference":
         return ParticleCloud(ref.sample(n, gen))
     if mode == "point":
@@ -158,7 +158,7 @@ def _additive_noise_preset(name, weights, means, sds, noise_sd, dim=1,
             noise *= noise_sd
             x[r] += noise
             del noise   # before the next block's draw
-        return ObservationSample(x)
+        return _finite_matrix(x, "observation sample")
 
     return ExperimentPreset(
         name=name,
@@ -291,7 +291,7 @@ def preset_epidemiology_synthetic(misspecified: bool = False) -> ExperimentPrese
                 on_day = day == d
                 moved = on_day & (mgen.random(y.size) < fraction)
                 y = np.where(moved, y + 2.0, y)
-        return ObservationSample(y[:, None])
+        return _finite_matrix(y[:, None], "observation sample")
 
     return ExperimentPreset(
         name="epidemiology_synthetic" + ("_misspecified" if misspecified else ""),
@@ -304,7 +304,7 @@ def preset_epidemiology_synthetic(misspecified: bool = False) -> ExperimentPrese
         sample_truth=lambda m, seed: _sample_incidence(
             m, _rng.stream(seed, _rng.ROLE_OBSERVATIONS)),
         make_reference=lambda observations: ReferenceMeasure.from_sample(
-            observations.points, mean_shift=-REPORTING_SHIFT_DAYS),
+            observations, mean_shift=-REPORTING_SHIFT_DAYS),
         metric_grid=EvaluationGrid(((0.0, 100.0, 2001),)),
         init_shift=-REPORTING_SHIFT_DAYS,
         default_metrics=("ise", "reconvolution_ise"),
@@ -346,7 +346,7 @@ def preset_ct_phantom() -> ExperimentPreset:
         phi = gen.uniform(0.0, 2.0 * np.pi, m)
         xi = (x[:, 0] * np.cos(phi) + x[:, 1] * np.sin(phi)
               + kernel.sigma * gen.standard_normal(m))
-        return ObservationSample(np.column_stack([phi, xi]))
+        return _finite_matrix(np.column_stack([phi, xi]), "observation sample")
 
     return ExperimentPreset(
         name="ct_phantom",

@@ -58,7 +58,7 @@ class ReferenceMeasure:
     @classmethod
     def from_sample(cls, points, mean_shift=0.0) -> "ReferenceMeasure":
         """Gaussian reference with the sample's moments, optionally mean-shifted."""
-        pts = np.atleast_2d(np.asarray(getattr(points, "points", points), dtype=float))
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] < 2:
             raise ValueError("a reference from a sample needs at least 2 points")
         with np.errstate(all="ignore"):   # an overflow is a non-finite moment, rejected below

@@ -31,7 +31,7 @@ from .errors import NumericalFailure
 from .functional import DENOM_FLOOR, FunctionalEstimate, g_hat
 from .kernels import KernelModel
 from .reference import ReferenceMeasure
-from .state import ObservationSample, ParticleCloud
+from .state import ParticleCloud, _finite_matrix
 
 
 @dataclass(frozen=True)
@@ -137,21 +137,22 @@ def _drift(kernel, points, batch_points, ref, alpha, eta, step):
     return k_mean, drift
 
 
-def drift_empirical(cloud: ParticleCloud, batch: ObservationSample,
-                    kernel: KernelModel, ref: ReferenceMeasure,
+def drift_empirical(cloud: ParticleCloud, batch, kernel: KernelModel, ref: ReferenceMeasure,
                     alpha: float, eta: float) -> np.ndarray:
-    """Empirical drift matrix, one row per particle.
+    """Empirical drift matrix, one row per particle, for a finite (m, p) ``batch``.
 
     Row k is (1/m) Σ_j ∇₁k(X_k, y_j) / (λ[k(·, y_j)] + η) − α ∇U(X_k) with
     λ[k(·, y_j)] = (1/N) Σ_l k(X_l, y_j).  The denominator is clamped below at
     ``functional.DENOM_FLOOR`` so that η = 0 never divides by zero; taming caps
     whatever magnitude results.
     """
-    if batch.dim != kernel.dim_y:
-        raise ValueError(f"batch dimension {batch.dim} does not match kernel output {kernel.dim_y}")
+    batch = _finite_matrix(batch, "observation sample")
+    if batch.shape[1] != kernel.dim_y:
+        raise ValueError(f"batch dimension {batch.shape[1]} does not match kernel output "
+                         f"{kernel.dim_y}")
     if cloud.dim != kernel.dim_x:
         raise ValueError(f"cloud dimension {cloud.dim} does not match kernel input {kernel.dim_x}")
-    return _drift(kernel, cloud.points, batch.points, ref, alpha, eta, cloud.step_index)[1]
+    return _drift(kernel, cloud.points, batch, ref, alpha, eta, cloud.step_index)[1]
 
 
 def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: float,
@@ -175,22 +176,21 @@ def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: flo
     return ParticleCloud(new_points, cloud.step_index + 1)
 
 
-def draw_minibatch(full: ObservationSample, m: int, rng: np.random.Generator) -> ObservationSample:
-    """m distinct rows of the sample, drawn without replacement; the whole
-    sample when m ≥ M (no RNG consumed)."""
+def draw_minibatch(full: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m distinct rows of the checked (M, p) sample ``full`` as an (m, p) array, drawn
+    without replacement and not checked again; ``full`` itself when m ≥ M (no RNG)."""
     if m < 1:
         raise ValueError("minibatch size must be at least 1")
-    big_m = full.n_observations
-    if m >= big_m:
+    if m >= len(full):
         return full
-    idx = rng.choice(big_m, size=m, replace=False)
-    return ObservationSample(full.points[idx])
+    idx = rng.choice(len(full), size=m, replace=False)
+    return full[idx]
 
 
 def _monitor_estimate(cloud, batch, kernel, ref, config,
                       k_mean=None) -> FunctionalEstimate | None:
     try:
-        return g_hat(cloud, batch, kernel, ref, config.alpha, config.eta, k_mean=k_mean)
+        return g_hat(cloud.points, batch, kernel, ref, config.alpha, config.eta, k_mean=k_mean)
     except ValueError:
         # degenerate bandwidth (e.g. point-mass cloud) or improper reference:
         # the monitor is undefined there, the dynamics are not
@@ -209,12 +209,15 @@ def _should_stop(g_values: np.ndarray, tol: float, window: int) -> bool:
 
 
 def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
-        init: ParticleCloud, observations: ObservationSample,
-        monitor=None, noise_source=None) -> tuple[ParticleCloud, SolverTrace]:
+        init: ParticleCloud, observations, monitor=None,
+        noise_source=None) -> tuple[ParticleCloud, SolverTrace]:
     """Execute the solver for ``config.n_steps`` steps (or fewer on early stop).
 
     Parameters
     ----------
+    observations : array_like
+        The (M, p) sample, checked finite before any step (a non-finite row is
+        a ``NumericalFailure`` with its index); each step draws its batch.
     monitor : callable, optional
         Called as ``monitor(step, cloud, estimate)`` after each state is
         recorded; the estimate may be None when it is undefined.  It is the
@@ -236,11 +239,12 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
         raise ValueError(f"init has {init.n_particles} particles, config wants {config.n_particles}")
     if init.dim != kernel.dim_x or ref.dim != init.dim:
         raise ValueError("dimension mismatch between init cloud, kernel and reference")
-    if observations.dim != kernel.dim_y:
+    observations = _finite_matrix(observations, "observation sample")
+    if observations.shape[1] != kernel.dim_y:
         raise ValueError("dimension mismatch between observations and kernel")
 
     n, d = init.n_particles, init.dim
-    m_eff = config.batch_size(observations.n_observations)
+    m_eff = config.batch_size(len(observations))
     cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
     batch = None
@@ -252,8 +256,8 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
 
     for step in range(config.n_steps):
         batch = draw(step)
-        k_mean, drift = _drift(kernel, cloud.points, batch.points, ref, config.alpha,
-                               config.eta, step)
+        k_mean, drift = _drift(kernel, cloud.points, batch, ref, config.alpha, config.eta,
+                               step)
         estimate = _monitor_estimate(cloud, batch, kernel, ref, config, k_mean)
         trace.append(cloud.step_index, estimate, np.hypot.reduce(drift, axis=1), cloud.points)
         if monitor is not None:

@@ -1,7 +1,8 @@
-"""Particle-cloud and observation-sample containers."""
+"""The particle cloud, and the finiteness check of every point set.  An
+observation sample is a plain (M, p) float array, checked where it enters."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +33,6 @@ class ParticleCloud:
 
     @property
     def n_particles(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class ObservationSample:
-    """M draws from the observed measure, one row per observation."""
-
-    points: np.ndarray = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _finite_matrix(self.points, "observation sample"))
-
-    @property
-    def n_observations(self) -> int:
         return self.points.shape[0]
 
     @property

@@ -124,8 +124,7 @@ def test_criterion_5_oracle_equivalences():
         xs = gen.normal(size=(4, 2))
         ys = gen.normal(size=(3, 2))
         alpha, eta = gen.uniform(0.01, 0.5), gen.uniform(0.0, 0.1)
-        drift = ff.drift_empirical(ff.ParticleCloud(xs), ff.ObservationSample(ys),
-                                   kernel, ref, alpha, eta)
+        drift = ff.drift_empirical(ff.ParticleCloud(xs), ys, kernel, ref, alpha, eta)
         for k in range(4):
             row = np.zeros(2)
             for j in range(3):
@@ -139,7 +138,7 @@ def test_criterion_5_oracle_equivalences():
         pts = gen.normal(size=(int(gen.integers(2, 7)), d))
         diag = gen.uniform(0.1, 1.5, size=d)
         x = gen.normal(size=d)
-        mine = ff.GaussianKde(ff.ParticleCloud(pts), diag).evaluate(x)[0]
+        mine = ff.GaussianKde(pts, diag).evaluate(x)[0]
         ok = ok and np.isclose(mine, naive_kde(pts, diag, x), rtol=1e-12, atol=0)
 
     kernel1 = ff.GaussianConvolutionKernel([0.3])
@@ -192,9 +191,9 @@ def test_criterion_6_gradients_normalization_taming():
         ok = ok and np.max(diff) < 1e-6
 
     pts = gen.normal(size=(60, 1)) * 0.4
-    bw = ff.silverman_bandwidth(ff.ParticleCloud(pts))
+    bw = ff.silverman_bandwidth(pts)
     grid = ff.EvaluationGrid(((-6.0, 6.0, 3001),))
-    vals = ff.GaussianKde(ff.ParticleCloud(pts), bw).on_grid(grid)
+    vals = ff.GaussianKde(pts, bw).on_grid(grid)
     ok = ok and abs(grid.trapezoid_weights() @ vals - 1.0) <= 1e-3
     rec = ff.reconvolve(pts, ff.GaussianConvolutionKernel([0.3]), grid)
     ok = ok and abs(grid.trapezoid_weights() @ rec - 1.0) <= 1e-3
@@ -226,13 +225,11 @@ def test_criterion_7_observation_count_stability_trend():
         config = dataclasses.replace(preset.solver, n_particles=100, n_steps=40,
                                      seed=seed, minibatch=m_total)
         init = ff.ParticleCloud(ref.sample(100, stream(seed, ROLE_INIT)))
-        cloud, _ = ff.run(config, preset.kernel, ref, init,
-                          ff.ObservationSample(pool_points))
+        cloud, _ = ff.run(config, preset.kernel, ref, init, pool_points)
         return cloud.points
 
     def discrepancies(seed):
-        pool = preset.sample_observations(reference_size,
-                                          seed=derive_seed(700, seed)).points
+        pool = preset.sample_observations(reference_size, seed=derive_seed(700, seed))
         target = final_cloud(pool, seed)
         return [np.mean(np.abs(final_cloud(pool[:m], seed) - target)) for m in sizes]
 

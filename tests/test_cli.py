@@ -687,12 +687,17 @@ def test_package_import_loads_no_numpy():
 
 
 def test_cli_import_pins_blas_to_one_thread_and_loads_no_baselines_or_crossval():
-    # set in the environment, 4 is overridden: what the CLI writes depends on no variable
-    code = ("import os, fredholm_flow.cli; "
+    # OpenBLAS reads its variables only when numpy loads: the import loads it on one
+    # thread, then hands the caller's 4 and two unset variables back, so the
+    # processes it starts keep them; on Linux a GEMM then runs on the main thread alone
+    code = ("import os, fredholm_flow.cli, numpy as np; "
             "print(sorted(m for m in ('fredholm_flow.baselines', 'fredholm_flow.crossval') "
             "if m in sys.modules)); "
-            f"print([os.environ[name] for name in {_BLAS_VARIABLES!r}])")
-    assert fresh_interpreter(code, {"OPENBLAS_NUM_THREADS": "4"}) == ["[]", "['1', '1', '1']"]
+            f"print([os.environ.get(name) for name in {_BLAS_VARIABLES!r}]); "
+            "a = np.ones((400, 400)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)")
+    assert fresh_interpreter(code, {"OPENBLAS_NUM_THREADS": "4"}) == [
+        "[]", "['4', None, None]", "1"]
 
 
 def test_public_names_resolve_lazily_and_are_listed():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fredholm_flow import CvPlan, ObservationSample, crossval, cv_score, make_folds
+from fredholm_flow import CvPlan, NumericalFailure, crossval, cv_score, make_folds
 from fredholm_flow.functional import g_hat
 from fredholm_flow.problems import preset_toy_gaussian
 
@@ -36,8 +36,8 @@ def _desk_preset():
 
 def test_symmetric_folds_give_equal_scores():
     preset = _desk_preset()
-    half = preset.sample_observations(300, seed=8).points
-    doubled = ObservationSample(np.concatenate([half, half]))
+    half = preset.sample_observations(300, seed=8)
+    doubled = np.concatenate([half, half])
     folds = [np.arange(300), np.arange(300, 600)]
     plan = CvPlan(alpha_grid=(0.02,), n_folds=2, seed=1)
     result = cv_score(plan, preset, doubled, preset.solver, folds=folds)
@@ -60,6 +60,17 @@ def test_data_only_score_is_the_data_term(monkeypatch):
     result = cv_score(plan, preset, obs, preset.solver)
     assert [c.value for c in result.cells] == [est.data_term for est in estimates]
     assert all(est.kl_term != 0.0 for est in estimates)
+
+
+def test_non_finite_observation_fails_before_any_cell():
+    # checked on entry, as in solver.run: a held-out row is never checked by a cell's run
+    preset = _desk_preset()
+    obs = preset.sample_observations(240, seed=2)
+    obs[7, 0] = np.nan
+    plan = CvPlan(alpha_grid=(0.05,), n_folds=2, seed=0)
+    with pytest.raises(NumericalFailure, match="observation sample") as err:
+        cv_score(plan, preset, obs, preset.solver)
+    assert err.value.index == 7
 
 
 def test_single_alpha_grid_selects_it():

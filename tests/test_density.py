@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm_flow import (EvaluationGrid, GaussianConvolutionKernel,
-                           GaussianKde, ParticleCloud, blocks, density, silverman_bandwidth)
+from fredholm_flow import (EvaluationGrid, GaussianConvolutionKernel, GaussianKde, blocks,
+                           density, silverman_bandwidth)
 
 from conftest import grid_nodes
 
@@ -22,42 +22,42 @@ def naive_kde(points, diag, x):
 
 def test_silverman_needs_two_points():
     with pytest.raises(ValueError):
-        silverman_bandwidth(ParticleCloud(np.zeros((1, 1))))
+        silverman_bandwidth(np.zeros((1, 1)))
 
 
 def test_silverman_degenerate_coordinate_names_it(rng):
     pts = np.column_stack([rng.normal(size=10), np.full(10, 3.0)])
     with pytest.raises(ValueError, match="coordinate 1"):
-        silverman_bandwidth(ParticleCloud(pts))
+        silverman_bandwidth(pts)
 
 
 def test_silverman_formula_d1(rng):
     pts = rng.normal(size=(100, 1))
     pts = pts / pts.std(ddof=1)          # unit sample sd
     h = (4.0 / 3.0) ** 0.2 * 100 ** (-0.2)
-    bw = silverman_bandwidth(ParticleCloud(pts))
+    bw = silverman_bandwidth(pts)
     assert bw[0] == pytest.approx(h**2, rel=1e-12)
 
 
 def test_silverman_scaling(rng):
     pts = rng.normal(size=(50, 2))
-    a = silverman_bandwidth(ParticleCloud(pts))
-    b = silverman_bandwidth(ParticleCloud(2.0 * pts))
+    a = silverman_bandwidth(pts)
+    b = silverman_bandwidth(2.0 * pts)
     assert np.allclose(b, 4.0 * a, rtol=1e-12)
 
 
 def test_kde_single_particle_at_origin():
     for d in (1, 2, 3):
-        cloud = ParticleCloud(np.zeros((1, d)))
+        pts = np.zeros((1, d))
         bw = np.ones(d)
-        assert GaussianKde(cloud, bw).evaluate(np.zeros(d))[0] == pytest.approx(
+        assert GaussianKde(pts, bw).evaluate(np.zeros(d))[0] == pytest.approx(
             (2 * np.pi) ** (-d / 2), rel=1e-14)
 
 
 def test_kde_far_query_is_zero():
-    cloud = ParticleCloud(np.zeros((3, 1)))
+    pts = np.zeros((3, 1))
     bw = [0.01]
-    assert GaussianKde(cloud, bw).evaluate([50.0])[0] <= 1e-300
+    assert GaussianKde(pts, bw).evaluate([50.0])[0] <= 1e-300
 
 
 def test_kde_matches_naive_oracle(rng):
@@ -66,7 +66,7 @@ def test_kde_matches_naive_oracle(rng):
         pts = rng.normal(size=(rng.integers(2, 9), d))
         diag = rng.uniform(0.1, 2.0, size=d)
         x = rng.normal(size=d)
-        val = GaussianKde(ParticleCloud(pts), diag).evaluate(x)[0]
+        val = GaussianKde(pts, diag).evaluate(x)[0]
         assert val == pytest.approx(naive_kde(pts, diag, x), rel=1e-12)
 
 
@@ -75,19 +75,19 @@ def test_kde_grid_matches_pointwise_1d(rng):
     pts = rng.normal(size=(6, 1))
     bw = [0.3]
     grid = EvaluationGrid(((-2.0, 2.0, 7),))
-    vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
+    vals = GaussianKde(pts, bw).on_grid(grid)
     nodes = grid_nodes(grid)
     for i in range(nodes.shape[0]):
-        assert vals[i] == GaussianKde(ParticleCloud(pts), bw).evaluate(nodes[i])[0]
+        assert vals[i] == GaussianKde(pts, bw).evaluate(nodes[i])[0]
 
 
 def test_kde_grid_matches_pointwise(rng):
     pts = rng.normal(size=(6, 2))
     bw = [0.3, 0.5]
     grid = EvaluationGrid(((-2.0, 2.0, 7), (-1.0, 1.0, 5)))
-    vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
+    vals = GaussianKde(pts, bw).on_grid(grid)
     nodes = grid_nodes(grid)
-    pointwise = [GaussianKde(ParticleCloud(pts), bw).evaluate(x)[0] for x in nodes]
+    pointwise = [GaussianKde(pts, bw).evaluate(x)[0] for x in nodes]
     naive = [naive_kde(pts, bw, x) for x in nodes]
     np.testing.assert_allclose(vals, pointwise, rtol=1e-12, atol=0)
     np.testing.assert_allclose(vals, naive, rtol=1e-12, atol=0)
@@ -97,20 +97,19 @@ def test_kde_grid_two_point_grid_hits_endpoints(rng):
     pts = rng.normal(size=(4, 1))
     bw = [0.4]
     grid = EvaluationGrid(((-1.0, 1.0, 2),))
-    vals = GaussianKde(ParticleCloud(pts), bw).on_grid(grid)
-    assert vals[0] == GaussianKde(ParticleCloud(pts), bw).evaluate([-1.0])[0]
-    assert vals[1] == GaussianKde(ParticleCloud(pts), bw).evaluate([1.0])[0]
+    vals = GaussianKde(pts, bw).on_grid(grid)
+    assert vals[0] == GaussianKde(pts, bw).evaluate([-1.0])[0]
+    assert vals[1] == GaussianKde(pts, bw).evaluate([1.0])[0]
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_kde_normalization(d, rng):
     pts = rng.normal(size=(40, d)) * 0.5
-    cloud = ParticleCloud(pts)
-    bw = silverman_bandwidth(cloud)
+    bw = silverman_bandwidth(pts)
     half = 8 * np.sqrt(bw.max()) + np.abs(pts).max()
     n = 1201 if d == 1 else 301
     grid = EvaluationGrid(tuple((-half, half, n) for _ in range(d)))
-    vals = GaussianKde(cloud, bw).on_grid(grid)
+    vals = GaussianKde(pts, bw).on_grid(grid)
     assert grid.trapezoid_weights() @ vals == pytest.approx(1.0, abs=1e-3)
     assert np.all(vals >= 0.0)
 
@@ -127,7 +126,7 @@ def test_kde_blocks_cover_every_query(rng):
     assert len(cut) == 6 and max(r.stop - r.start for r in cut) <= rows // 2
     for r in cut:
         for i in (r.start, r.stop - 1):
-            assert vals[i] == GaussianKde(ParticleCloud(pts), bw).evaluate(xs[i])[0]
+            assert vals[i] == GaussianKde(pts, bw).evaluate(xs[i])[0]
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e3])
@@ -254,8 +253,8 @@ def test_kde_permutation_invariance(rng):
     perm = rng.permutation(15)
     bw = [0.2, 0.7]
     x = rng.normal(size=2)
-    assert GaussianKde(ParticleCloud(pts), bw).evaluate(x)[0] == pytest.approx(
-        GaussianKde(ParticleCloud(pts[perm]), bw).evaluate(x)[0], rel=1e-12)
+    assert GaussianKde(pts, bw).evaluate(x)[0] == pytest.approx(
+        GaussianKde(pts[perm], bw).evaluate(x)[0], rel=1e-12)
 
 
 def test_grid_validation():

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fredholm_flow import (GaussianConvolutionKernel, ObservationSample, ParticleCloud,
-                           ReferenceMeasure, ToyGaussianSpec, g_hat, run,
-                           toy_closed_form_g, toy_optimal_beta)
+from fredholm_flow import (GaussianConvolutionKernel, ReferenceMeasure, ToyGaussianSpec,
+                           g_hat, run, toy_closed_form_g, toy_optimal_beta)
 from fredholm_flow.problems import (TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ,
                                     build_initial_cloud, preset_gaussian_mixture_1d)
 from fredholm_flow.rng import stream
@@ -14,8 +13,7 @@ from fredholm_flow.rng import stream
 def test_alpha_zero_total_is_data_term(rng):
     kernel = GaussianConvolutionKernel([0.3])
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
-    est = g_hat(ParticleCloud(rng.normal(size=(5, 1))),
-                ObservationSample(rng.normal(size=(7, 1))), kernel, ref, alpha=0.0)
+    est = g_hat(rng.normal(size=(5, 1)), rng.normal(size=(7, 1)), kernel, ref, alpha=0.0)
     assert est.kl_term == 0.0
     assert est.total == est.data_term
 
@@ -24,15 +22,14 @@ def test_degenerate_sums():
     kernel = GaussianConvolutionKernel([0.3])
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
     x, y = 0.2, 0.9
-    est = g_hat(ParticleCloud([[x]]), ObservationSample([[y]]), kernel, ref, alpha=0.0)
+    est = g_hat(np.asarray([[x]]), np.asarray([[y]]), kernel, ref, alpha=0.0)
     assert est.data_term == pytest.approx(-np.log(kernel.eval([x], [y])), rel=1e-14)
 
 
 def test_total_is_sum_of_terms(rng):
     kernel = GaussianConvolutionKernel([0.3])
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
-    est = g_hat(ParticleCloud(rng.normal(size=(50, 1))),
-                ObservationSample(rng.normal(size=(30, 1))), kernel, ref, alpha=0.2)
+    est = g_hat(rng.normal(size=(50, 1)), rng.normal(size=(30, 1)), kernel, ref, alpha=0.2)
     assert est.total == est.data_term + est.kl_term
 
 
@@ -42,25 +39,23 @@ def test_matches_toy_closed_form_at_minimizer(rng):
     kernel = GaussianConvolutionKernel([np.sqrt(TOY_SIGMA_K_SQ)])
     ref = ReferenceMeasure.gaussian([0.0], [spec.sigma0_sq])
     n, m = 4000, 4000
-    cloud = ParticleCloud(np.sqrt(beta) * rng.standard_normal((n, 1)))
-    obs = ObservationSample(np.sqrt(spec.sigma_mu_sq) * rng.standard_normal((m, 1)))
-    est = g_hat(cloud, obs, kernel, ref, spec.alpha)
+    points = np.sqrt(beta) * rng.standard_normal((n, 1))
+    obs = np.sqrt(spec.sigma_mu_sq) * rng.standard_normal((m, 1))
+    est = g_hat(points, obs, kernel, ref, spec.alpha)
     assert est.total == pytest.approx(toy_closed_form_g(spec, beta), rel=0.05)
 
 
 def test_flat_reference_with_penalty_raises(rng):
     kernel = GaussianConvolutionKernel([0.3])
     with pytest.raises(ValueError):
-        g_hat(ParticleCloud(rng.normal(size=(5, 1))),
-              ObservationSample(rng.normal(size=(5, 1))),
+        g_hat(rng.normal(size=(5, 1)), rng.normal(size=(5, 1)),
               kernel, ReferenceMeasure.flat(1), alpha=0.1)
 
 
 def test_floored_flag_on_distant_observations():
     kernel = GaussianConvolutionKernel([0.01])
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
-    est = g_hat(ParticleCloud([[0.0]]), ObservationSample([[100.0]]), kernel, ref,
-                alpha=0.0, eta=0.0)
+    est = g_hat(np.asarray([[0.0]]), np.asarray([[100.0]]), kernel, ref, alpha=0.0, eta=0.0)
     assert est.floored
     assert np.isfinite(est.data_term)
 
@@ -72,8 +67,7 @@ def test_kl_term_vanishes_on_reference_draws():
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
     kernel = GaussianConvolutionKernel([0.3])
     pts = ref.sample(10_000, stream(99, 1))
-    cloud = ParticleCloud(pts)
-    est = g_hat(cloud, ObservationSample(pts[:100]), kernel, ref, alpha)
+    est = g_hat(pts, pts[:100], kernel, ref, alpha)
     assert abs(est.kl_term) <= 0.05 * alpha
 
 

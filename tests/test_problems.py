@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm_flow import EvaluationGrid, NumericalFailure, ObservationSample, ReferenceMeasure
+from fredholm_flow import EvaluationGrid, NumericalFailure, ParticleCloud, ReferenceMeasure
 from fredholm_flow import artifacts, blocks, problems
 from fredholm_flow import rng as _rng
 from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_preset,
@@ -34,7 +34,7 @@ def test_mixture_observed_density_is_the_convolution():
 def test_mixture_sampler_mean():
     preset = preset_gaussian_mixture_1d()
     n = 1_000_000
-    sample = preset.sample_observations(n, seed=5).points
+    sample = preset.sample_observations(n, seed=5)
     expected = 13.0 / 30.0
     mc_sd = sample.std() / np.sqrt(n)
     assert abs(sample.mean() - expected) < 3 * mc_sd
@@ -127,15 +127,15 @@ def test_epidemiology_observation_mean_shift():
     n = 200_000
     xs = preset.sample_truth(n, seed=9)
     ys = preset.sample_observations(n, seed=9)
-    mc_sd = ys.points.std() / np.sqrt(n)
+    mc_sd = ys.std() / np.sqrt(n)
     assert DELAY_MEAN_DAYS == pytest.approx(11.30705, abs=1e-9)
-    assert abs(ys.points.mean() - (xs.mean() + DELAY_MEAN_DAYS)) < 4 * mc_sd
+    assert abs(ys.mean() - (xs.mean() + DELAY_MEAN_DAYS)) < 4 * mc_sd
 
 
 def test_epidemiology_misspecified_moves_cases_later():
     well = preset_epidemiology_synthetic(False).sample_observations(50_000, seed=4)
     mis = preset_epidemiology_synthetic(True).sample_observations(50_000, seed=4)
-    moved = mis.points - well.points
+    moved = mis - well
     assert set(np.round(np.unique(moved), 9)) <= {0.0, 2.0}
     frac = (moved == 2.0).mean()
     assert 0.02 < frac < 0.25
@@ -145,8 +145,8 @@ def test_epidemiology_reference_rule():
     preset = preset_epidemiology_synthetic(False)
     obs = preset.sample_observations(5000, seed=1)
     ref = preset.make_reference(obs)
-    assert ref.mean[0] == pytest.approx(obs.points.mean() - 9.0, rel=1e-12)
-    assert ref.variances[0] == pytest.approx(obs.points.var(ddof=1), rel=1e-12)
+    assert ref.mean[0] == pytest.approx(obs.mean() - 9.0, rel=1e-12)
+    assert ref.variances[0] == pytest.approx(obs.var(ddof=1), rel=1e-12)
 
 
 def test_ct_observed_matches_2d_quadrature():
@@ -165,12 +165,12 @@ def test_ct_observed_matches_2d_quadrature():
 def test_samplers_deterministic():
     for preset in (preset_gaussian_mixture_1d(), preset_epidemiology_synthetic(True),
                    preset_ct_phantom()):
-        a = preset.sample_observations(200, seed=11).points
-        b = preset.sample_observations(200, seed=11).points
+        a = preset.sample_observations(200, seed=11)
+        b = preset.sample_observations(200, seed=11)
         assert np.array_equal(a, b)
 
 
-# sha256 of sample_observations(4, seed=2209).points as little-endian float64 bytes;
+# sha256 of sample_observations(4, seed=2209) as little-endian float64 bytes;
 # a changed hash is a changed observation stream, and every artifact moves with it
 PINNED_STREAMS = [
     ("gaussian_mixture_1d", {}, "c4c3f39ecb10797dc8109dc1c96a69d80dd5f67904ca650331e4176ed4d3cdde"),
@@ -194,7 +194,7 @@ PINNED_STREAMS = [
                          ids=["-".join([n, *(f"{k}={v}" for k, v in o.items())])
                               for n, o, _ in PINNED_STREAMS])
 def test_preset_observation_streams_are_pinned(name, options, digest):
-    points = get_preset(name, **options).sample_observations(4, seed=2209).points
+    points = get_preset(name, **options).sample_observations(4, seed=2209)
     data = np.ascontiguousarray(points, dtype="<f8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
 
@@ -234,7 +234,7 @@ def test_row_blocked_draws_match_one_call(preset, mixture, noise_sd):
     assert np.array_equal(preset.sample_truth(m, 2209), truth)
     if noise_sd is not None:
         observed = truth + noise_sd * one_call_noise(m, dim, 2209)
-        assert np.array_equal(preset.sample_observations(m, 2209).points, observed)
+        assert np.array_equal(preset.sample_observations(m, 2209), observed)
 
 
 def test_highdim_observations_hold_their_output_and_one_row_block():
@@ -242,7 +242,7 @@ def test_highdim_observations_hold_their_output_and_one_row_block():
     block = max(r.stop - r.start for r in blocks.row_blocks(m, 10))
     preset.sample_observations(10, seed=1)
     tracemalloc.start()
-    points = preset.sample_observations(m, seed=2209).points
+    points = preset.sample_observations(m, seed=2209)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     # the (m, 10) result and one (block, 10) draw of noise, with a few small
@@ -253,14 +253,14 @@ def test_highdim_observations_hold_their_output_and_one_row_block():
 def test_finite_check_holds_no_whole_array_temporary(rng):
     points = rng.normal(size=(100_000, 10))
     tracemalloc.start()
-    ObservationSample(points)
+    ParticleCloud(points)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 2**16   # a bool mask of the sample would take 1 MB
     for bad in (np.nan, np.inf, -np.inf):
         points[4321, 7] = bad
         with pytest.raises(NumericalFailure, match="index=4321"):
-            ObservationSample(points)
+            ParticleCloud(points)
 
 
 def test_init_modes():
@@ -284,7 +284,7 @@ def test_epidemiology_init_applies_shift():
     obs = preset.sample_observations(3000, seed=2)
     ref = preset.make_reference(obs)
     cloud = build_initial_cloud(preset, preset.solver, obs, ref)
-    assert cloud.points.mean() == pytest.approx(obs.points.mean() - 9.0, abs=1.0)
+    assert cloud.points.mean() == pytest.approx(obs.mean() - 9.0, abs=1.0)
 
 
 def test_ct_init_draws_from_reference():
@@ -334,7 +334,7 @@ def test_ct_reconvolution_grid_covers_the_observations():
         < 0.01 * scale
     # observation KDE: 0.045 measured at M = 20000, most of it the phi-edge bias
     # the preset docstring documents (about half the density at phi = 0)
-    kde = GaussianKde(preset.sample_observations(20_000, 5).points).on_grid(grid)
+    kde = GaussianKde(preset.sample_observations(20_000, 5)).on_grid(grid)
     assert ise(grid, kde, truth) < 0.1 * scale
     phi = grid_nodes(grid)[:, 0]
     edge, middle = phi == 0.0, np.abs(phi - np.pi) < 0.05

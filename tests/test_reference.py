@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fredholm_flow import ObservationSample, ReferenceMeasure
+from fredholm_flow import ReferenceMeasure
 
 from conftest import central_difference
 
@@ -69,7 +69,7 @@ def test_flat_log_density_raises():
 
 def test_from_sample_moments_and_shift(rng):
     pts = rng.normal(loc=5.0, scale=2.0, size=(4000, 1))
-    ref = ReferenceMeasure.from_sample(ObservationSample(pts), mean_shift=-9.0)
+    ref = ReferenceMeasure.from_sample(pts, mean_shift=-9.0)
     assert ref.mean[0] == pytest.approx(pts.mean() - 9.0, rel=1e-12)
     assert ref.variances[0] == pytest.approx(pts.var(ddof=1), rel=1e-12)
 

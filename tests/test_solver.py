@@ -7,9 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fredholm_flow import (GaussianConvolutionKernel, KernelModel, NumericalFailure,
-                           ObservationSample, ParticleCloud, ReferenceMeasure,
-                           SolverConfig, draw_minibatch, drift_empirical, run,
-                           tamed_step)
+                           ParticleCloud, ReferenceMeasure, SolverConfig, draw_minibatch,
+                           drift_empirical, run, tamed_step)
 from fredholm_flow.rng import ROLE_NOISE, stream
 
 
@@ -36,7 +35,7 @@ def test_drift_reduces_to_reference_pull(rng):
     kernel = ConstantInXKernel(2)
     ref = ReferenceMeasure.gaussian([0.0, 0.0], [1.0, 1.0])
     cloud = ParticleCloud(rng.normal(size=(7, 2)))
-    batch = ObservationSample(rng.normal(size=(5, 2)))
+    batch = rng.normal(size=(5, 2))
     alpha = 0.37
     drift = drift_empirical(cloud, batch, kernel, ref, alpha, eta=0.0)
     assert np.allclose(drift, -alpha * cloud.points, rtol=1e-14)
@@ -48,7 +47,7 @@ def test_single_particle_score_identity(rng):
     ref = ReferenceMeasure.flat(1)
     x, y = 0.4, 1.1
     cloud = ParticleCloud([[x]])
-    batch = ObservationSample([[y]])
+    batch = np.asarray([[y]])
     drift = drift_empirical(cloud, batch, kernel, ref, alpha=0.5, eta=0.0)
     assert drift[0, 0] == pytest.approx((y - x) / sigma**2, rel=1e-12)
 
@@ -59,7 +58,7 @@ def test_drift_at_zero_eta_where_every_k_underflows_is_the_reference_pull():
     kernel = GaussianConvolutionKernel([0.01])
     ref = ReferenceMeasure.gaussian([0.2], [1.0])
     cloud = ParticleCloud(np.zeros((4, 1)))
-    batch = ObservationSample(np.full((3, 1), 100.0))
+    batch = np.full((3, 1), 100.0)
     drift = drift_empirical(cloud, batch, kernel, ref, alpha=0.3, eta=0.0)
     assert np.all(np.isfinite(drift))
     assert np.array_equal(drift, -0.3 * ref.grad_u(cloud.points))
@@ -71,8 +70,7 @@ def test_drift_matches_triple_loop_oracle(rng):
     alpha, eta = 0.15, 0.01
     xs = rng.normal(size=(5, 2))
     ys = rng.normal(size=(4, 2))
-    drift = drift_empirical(ParticleCloud(xs), ObservationSample(ys), kernel, ref,
-                            alpha, eta)
+    drift = drift_empirical(ParticleCloud(xs), ys, kernel, ref, alpha, eta)
     for k in range(5):
         row = np.zeros(2)
         for j in range(4):
@@ -90,8 +88,7 @@ def test_drift_linear_growth_bound(rng):
     for _ in range(50):
         xs = rng.normal(size=(6, 1)) * 3
         ys = rng.normal(size=(5, 1)) * 3
-        drift = drift_empirical(ParticleCloud(xs), ObservationSample(ys), kernel, ref,
-                                alpha, eta)
+        drift = drift_empirical(ParticleCloud(xs), ys, kernel, ref, alpha, eta)
         bound = (kernel.bound_M / eta
                  + alpha * ref.lipschitz * np.linalg.norm(xs, axis=1)
                  + alpha * np.linalg.norm(ref.grad_u(np.zeros(1))))
@@ -161,7 +158,7 @@ def test_tamed_step_takes_the_limit_where_gamma_norm_overflows(d, rng):
 
 
 def test_minibatch_full_sample_when_m_large(rng):
-    full = ObservationSample(rng.normal(size=(4, 1)))
+    full = rng.normal(size=(4, 1))
     out = draw_minibatch(full, 10, stream(0, 99))
     assert out is full
     out = draw_minibatch(full, 4, stream(0, 99))
@@ -169,17 +166,19 @@ def test_minibatch_full_sample_when_m_large(rng):
 
 
 def test_minibatch_without_replacement_distinct(rng):
-    full = ObservationSample(np.arange(20.0)[:, None])
+    full = np.arange(20.0)[:, None]
     batch = draw_minibatch(full, 8, stream(3, 99))
-    assert batch.n_observations == 8
-    assert len(np.unique(batch.points)) == 8
+    assert len(batch) == 8
+    assert len(np.unique(batch)) == 8
+    # an (m, p) array of rows of the sample
+    assert batch.shape == (8, 1) and np.isin(batch, full).all()
 
 
 def test_minibatch_reproducible():
-    full = ObservationSample(np.arange(50.0)[:, None])
+    full = np.arange(50.0)[:, None]
     a = draw_minibatch(full, 10, stream(7, 123))
     b = draw_minibatch(full, 10, stream(7, 123))
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def _small_setup(seed=0, n=30, steps=8):
@@ -188,7 +187,7 @@ def _small_setup(seed=0, n=30, steps=8):
     config = SolverConfig(alpha=0.1, gamma=0.01, n_particles=n, n_steps=steps, seed=seed)
     gen = np.random.default_rng(11)
     init = ParticleCloud(gen.normal(size=(n, 1)))
-    obs = ObservationSample(gen.normal(size=(60, 1)))
+    obs = gen.normal(size=(60, 1))
     return config, kernel, ref, init, obs
 
 
@@ -216,7 +215,7 @@ def test_run_zero_steps_scores_the_step_zero_batch():
     config, kernel, ref, init, obs = _small_setup(steps=0)
     counting = ColumnCountingKernel(kernel.noise_sd)
     _, trace_0 = run(config, counting, ref, init, obs)
-    assert counting.columns == [config.batch_size(obs.n_observations)] == [30]
+    assert counting.columns == [config.batch_size(len(obs))] == [30]
     _, trace_1 = run(dataclasses.replace(config, n_steps=1), kernel, ref, init, obs)
     for name in ("g_hat", "g_hat_data", "g_hat_kl"):
         assert np.isfinite(trace_0.column(name)[0])
@@ -274,6 +273,29 @@ def test_non_finite_cloud_is_hard_failure():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observation_fails_at_entry_with_its_row(bad):
+    # a library caller's sample is checked where it enters, before any step
+    config, kernel, ref, init, obs = _small_setup(steps=3)
+    counting = ColumnCountingKernel(kernel.noise_sd)
+    poisoned = obs.copy()
+    poisoned[37, 0] = bad
+    with pytest.raises(NumericalFailure, match="observation sample") as err:
+        run(config, counting, ref, init, poisoned,
+            noise_source=lambda step: pytest.fail("a step ran"))
+    assert err.value.index == 37 and counting.columns == []
+    with pytest.raises(NumericalFailure, match="observation sample") as err:
+        drift_empirical(init, poisoned, kernel, ref, alpha=0.1, eta=0.0)
+    assert err.value.index == 37
+    # a nested list is a sample too
+    cloud, trace = run(config, kernel, ref, init, obs.tolist())
+    want_cloud, want_trace = run(config, kernel, ref, init, obs)
+    assert np.array_equal(cloud.points, want_cloud.points)
+    assert np.array_equal(trace.rows, want_trace.rows, equal_nan=True)
+    assert np.array_equal(drift_empirical(init, obs[:5].tolist(), kernel, ref, 0.1, 0.0),
+                          drift_empirical(init, obs[:5], kernel, ref, 0.1, 0.0))
+
+
 def test_ou_stationary_variance():
     # kernel constant in x: the dynamics is an OU process with drift -alpha x
     # and diffusion sqrt(2 alpha); its stationary variance is 1 for a unit
@@ -283,7 +305,7 @@ def test_ou_stationary_variance():
     config = SolverConfig(alpha=0.5, gamma=0.02, n_particles=600, n_steps=1500, seed=5)
     gen = np.random.default_rng(2)
     init = ParticleCloud(gen.normal(size=(600, 1)))
-    obs = ObservationSample(gen.normal(size=(50, 1)))
+    obs = gen.normal(size=(50, 1))
     variances = []
     run(config, kernel, ref, init, obs,
         monitor=lambda step, cloud, est: variances.append(cloud.points.var())
@@ -308,7 +330,7 @@ def test_drift_failure_carries_particle_index():
     kernel = BrokenKernel(1)
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
     cloud = ParticleCloud(np.zeros((5, 1)))
-    batch = ObservationSample(np.zeros((3, 1)))
+    batch = np.zeros((3, 1))
     with pytest.raises(NumericalFailure) as err:
         drift_empirical(cloud, batch, kernel, ref, alpha=0.1, eta=0.0)
     assert err.value.index == 2
