@@ -17,8 +17,8 @@ from .solver import SolverTrace
 from .state import ParticleCloud
 
 
-# array rows turned into Python floats at a time
-_CHUNK_LINES = 1024
+# array entries turned into Python floats at a time (whole rows, at least one)
+_CHUNK_FLOATS = 1024
 
 
 def fmt(x: float) -> str:
@@ -33,9 +33,10 @@ def _write_lines(path, lines):
 
 def _as_listed(values: np.ndarray):
     """The rows (or entries) of ``values`` as Python lists (or floats), converted
-    ``_CHUNK_LINES`` rows at a time."""
-    for start in range(0, len(values), _CHUNK_LINES):
-        yield from values[start:start + _CHUNK_LINES].tolist()
+    in chunks of at most ``_CHUNK_FLOATS`` floats, or one row where a row is longer."""
+    rows = max(1, _CHUNK_FLOATS // math.prod(values.shape[1:]))
+    for start in range(0, len(values), rows):
+        yield from values[start:start + rows].tolist()
 
 
 def _write_table(path, header, rows, comments=()) -> None:

@@ -150,14 +150,20 @@ def _additive_noise_preset(name, weights, means, sds, noise_sd, dim=1,
 
     def sample_observations(m, seed):
         """The truth plus noise_sd times its own standard-normal stream, added in
-        the truth's row blocks: the same bits as adding one (m, dim) draw."""
+        the truth's row blocks: the same bits as adding one (m, dim) draw.
+
+        Every block is drawn into one buffer of the largest block's rows (the
+        blocks differ by a row at most): one allocation, handed back to the
+        system when freed, where a fresh array per block leaves the freed
+        blocks resident on the heap."""
         x = sample_truth(m, seed)
         gen = _rng.stream(_rng.derive_seed(seed, 1), _rng.ROLE_OBSERVATIONS)
-        for r in row_blocks(m, dim):
-            noise = gen.standard_normal((r.stop - r.start, dim))
+        blocks = row_blocks(m, dim)
+        buf = np.empty((max((r.stop - r.start for r in blocks), default=0), dim))
+        for r in blocks:
+            noise = gen.standard_normal(out=buf[:r.stop - r.start])
             noise *= noise_sd
             x[r] += noise
-            del noise   # before the next block's draw
         return _finite_matrix(x, "observation sample")
 
     return ExperimentPreset(

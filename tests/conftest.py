@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import fredholm_flow
 from fredholm_flow import EvaluationGrid
 
 # every @given test draws the same examples on every run, and no example
@@ -59,3 +65,13 @@ def read_metrics_csv(path):
             exp, method, n, m, seed, metric, value = line.strip().split(",")
             rows.append((exp, method, int(n), int(m), int(seed), metric, float(value)))
     return rows
+
+
+def fresh_interpreter(code: str, env: dict | None = None) -> list[str]:
+    """The lines that ``code`` prints in a new interpreter with the package's source on
+    its path and no ``*_NUM_THREADS`` variable in its environment but those of ``env``."""
+    src = str(Path(fredholm_flow.__file__).resolve().parents[1])
+    base = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, sys.argv[1]); "
+                           f"{code}", src], capture_output=True, text=True, check=True,
+                          timeout=120, env={**base, **(env or {})}).stdout.splitlines()

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -95,14 +97,29 @@ def test_density_csv_streams_its_lines(tmp_path, rng):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     lines = path.read_text().splitlines()
-    assert len(lines) == 2 + 161 * 161 > 20 * artifacts._CHUNK_LINES
+    assert len(lines) == 2 + 161 * 161 > 20 * artifacts._CHUNK_FLOATS
     # one chunk of values as Python floats and the file's buffer, not the whole file's text
-    chunk_bytes = artifacts._CHUNK_LINES * (1 + max(len(line) for line in lines))
+    chunk_bytes = artifacts._CHUNK_FLOATS * (1 + max(len(line) for line in lines))
     assert peak <= 8 * chunk_bytes < path.stat().st_size / 2
     # every node and value as one write of the whole file writes them
     nodes = grid_nodes(grid)
     assert lines[2:] == [",".join(artifacts.fmt(v) for v in (*node, value))
                          for node, value in zip(nodes, values)]
+
+
+def test_cloud_csv_converts_one_chunk_of_floats_at_a_time(tmp_path, rng):
+    cloud = ParticleCloud(rng.normal(size=(1000, 10)))
+    path = tmp_path / "cloud.csv"
+    tracemalloc.start()
+    artifacts.write_cloud_csv(path, cloud)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the rows of one chunk of _CHUNK_FLOATS floats as lists of Python floats, and
+    # the file's byte buffer and pending lines; 1024 rows a chunk held 405 KB
+    rows = artifacts._CHUNK_FLOATS // 10
+    row_bytes = sys.getsizeof([0.0] * 10) + 10 * sys.getsizeof(1.0)
+    assert peak <= rows * row_bytes + 4 * io.DEFAULT_BUFFER_SIZE
+    assert np.array_equal(artifacts.read_points_csv(path), cloud.points)
 
 
 def test_density_csv_of_too_few_values_writes_nothing(tmp_path):

@@ -3,8 +3,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -18,7 +16,7 @@ from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
 from fredholm_flow.state import ParticleCloud
 
-from conftest import grid_nodes, read_density_csv, read_metrics_csv
+from conftest import fresh_interpreter, grid_nodes, read_density_csv, read_metrics_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -663,16 +661,6 @@ def test_cv_resolved_config_records_the_minibatch_of_each_fold(tmp_path):
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def fresh_interpreter(code: str, env: dict | None = None) -> list[str]:
-    """The lines that ``code`` prints in a new interpreter with the package's source on
-    its path and no ``*_NUM_THREADS`` variable in its environment but those of ``env``."""
-    src = str(Path(fredholm_flow.__file__).resolve().parents[1])
-    base = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
-    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, sys.argv[1]); "
-                           f"{code}", src], capture_output=True, text=True, check=True,
-                          timeout=120, env={**base, **(env or {})}).stdout.splitlines()
 
 
 def test_cli_import_loads_numpy_random_and_no_scipy():

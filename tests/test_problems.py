@@ -1,4 +1,5 @@
 import hashlib
+import os
 import re
 import tracemalloc
 
@@ -13,7 +14,7 @@ from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_pr
                                     preset_gaussian_mixture_1d, preset_highdim_mixture,
                                     preset_toy_gaussian)
 
-from conftest import gauss_pdf, grid_nodes
+from conftest import fresh_interpreter, gauss_pdf, grid_nodes
 
 
 def quadrature_convolution(preset, y, lo, hi, n=20001):
@@ -248,6 +249,23 @@ def test_highdim_observations_hold_their_output_and_one_row_block():
     # the (m, 10) result and one (block, 10) draw of noise, with a few small
     # arrays and objects: no whole-sample temporary
     assert peak <= points.nbytes + 8 * 10 * block + 2**16
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmRSS")
+def test_highdim_observations_leave_no_freed_noise_block_resident():
+    # tracemalloc sees a freed block go, not whether the allocator hands its pages
+    # back: a fresh array per noise block left the later blocks resident on the
+    # heap (2.1 MB past the sample).  A new interpreter, so that no earlier test
+    # has moved the allocator's thresholds
+    code = ("import pathlib, re; "
+            "from fredholm_flow.problems import preset_highdim_mixture; "
+            "rss = lambda: 1024 * int(re.search(r'VmRSS:\\s+(\\d+) kB', "
+            "pathlib.Path('/proc/self/status').read_text()).group(1)); "
+            "before = rss(); "
+            "points = preset_highdim_mixture(10).sample_observations(100_000, 2209); "
+            "print(rss() - before, points.nbytes)")
+    grown, sample = map(int, fresh_interpreter(code)[0].split())
+    assert grown <= sample + 2**20
 
 
 def test_finite_check_holds_no_whole_array_temporary(rng):
