@@ -10,15 +10,18 @@ sampler.  Each replicate writes its ``repNNN/`` when it finishes, and
 ``metrics.csv`` and ``config_resolved.json`` (the config and what it
 resolved to) follow once all have.  Numeric outputs are CSV with
 17-significant-digit floats, byte-identical for any ``--workers`` and any
-core count: the module pins BLAS to one thread while numpy loads (see the
-comment at its imports).  ``cv`` and ``baseline`` import ``crossval`` and
-``baselines`` themselves, so a ``run`` loads neither.
+core count.  What loads with numpy follows one policy, set only while the
+module's imports load it (see the comment there): BLAS on one thread, and no
+OpenSSL, which no run calls.  ``cv`` and ``baseline`` import ``crossval`` and
+``baselines`` themselves, so a ``run`` loads neither.  ``--out`` is checked
+before any compute: its nearest existing ancestor must be a directory.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -26,33 +29,47 @@ import sys
 import typing
 from pathlib import Path
 
-# One BLAS thread while the imports below load numpy, the only time OpenBLAS reads
-# these variables, and the caller's values back after them, for the processes it
-# starts (a caller that loaded numpy first keeps its BLAS): the block pool owns every
-# core, no BLAS call runs in a solver step, and OpenBLAS's own pool (one thread per
-# core) would change the bits of the 2-D grid readout with the core count.
+# What loads with numpy is set here, only while the imports below load it, and a caller
+# that loaded it first keeps what it has:
+# - One BLAS thread, the only time OpenBLAS reads these variables, and the caller's
+#   values back after them, for the processes it starts: the block pool owns every
+#   core, no BLAS call runs in a solver step, and OpenBLAS's own pool (one thread per
+#   core) would change the bits of the 2-D grid readout with the core count.
+# - No OpenSSL: numpy.random imports secrets, hmac and so _hashlib, which maps
+#   libcrypto (3.4 MB resident) that no run calls, for every stream is a keyed Philox.
+#   With _hashlib hidden, hashlib, hmac and random take the interpreter's builtin
+#   digests, the same values.  It is hidden only where the builtin SHA-2 modules exist
+#   (random imports SHA-512 from them, and hashlib logs each digest it lacks), and only
+#   while these imports run, so a later ``import _hashlib`` (ssl's, say) loads it.
 _BLAS_LAUNCH = {name: os.environ.get(name)
                 for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+_HIDE_OPENSSL = "_hashlib" not in sys.modules and all(
+    importlib.util.find_spec(name) for name in
+    (("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")))
 os.environ.update(dict.fromkeys(_BLAS_LAUNCH, "1"))
-
-from . import __version__, artifacts, rng as _rng
-from .blocks import map_jobs
-from .density import GaussianKde
-from .errors import ConfigError, NumericalFailure
-from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
-                      RadonAlignmentKernel)
-from .metrics import ise, reconvolve, wasserstein1_1d
-from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, ExperimentPreset,
-                       build_initial_cloud, get_preset)
-from .reference import ReferenceMeasure
-from .solver import SolverConfig, run as run_solver
-from .state import ParticleCloud
-
-for _name, _value in _BLAS_LAUNCH.items():
-    if _value is None:
-        os.environ.pop(_name)
-    else:
-        os.environ[_name] = _value
+if _HIDE_OPENSSL:
+    sys.modules["_hashlib"] = None   # import _hashlib raises ImportError
+try:
+    from . import __version__, artifacts, rng as _rng
+    from .blocks import map_jobs
+    from .density import GaussianKde
+    from .errors import ConfigError, NumericalFailure
+    from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
+                          RadonAlignmentKernel)
+    from .metrics import ise, reconvolve, wasserstein1_1d
+    from .problems import (PRESETS, TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, ExperimentPreset,
+                           build_initial_cloud, get_preset)
+    from .reference import ReferenceMeasure
+    from .solver import SolverConfig, run as run_solver
+    from .state import ParticleCloud
+finally:
+    if _HIDE_OPENSSL:
+        del sys.modules["_hashlib"]
+    for _name, _value in _BLAS_LAUNCH.items():
+        if _value is None:
+            os.environ.pop(_name)
+        else:
+            os.environ[_name] = _value
 
 # key tables: key -> type or section table; (key, tables) picks tables[the value of key]
 _SOLVER = typing.get_type_hints(SolverConfig)
@@ -297,6 +314,24 @@ def _starts_at_one_point(cfg: dict, mode: str, draw) -> bool:
     return bool((points == points[0]).all())
 
 
+def _check_out(out: Path) -> None:
+    """A config error at ``--out`` unless its nearest existing ancestor is a directory,
+    so that the artifacts' directories can be made; the check itself makes none."""
+    ancestor = next(path for path in (out, *out.parents) if path.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"{ancestor} is not a directory", path="--out")
+
+
+def _write(path: Path, writer, *args) -> None:
+    """``writer(path, *args)`` once ``path``'s directory is made; an error of the file
+    system (a full disk, say) is a config error at ``--out``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        writer(path, *args)
+    except OSError as err:
+        raise ConfigError(f"cannot write the artifacts: {err}", path="--out") from err
+
+
 def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dict:
     if "problem" in cfg and "preset" in cfg:
         raise ConfigError("give either a preset or an inline problem, not both",
@@ -336,18 +371,18 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         grid_kde = GaussianKde(cloud.points).on_grid(preset.metric_grid) \
             if write_kde or "ise" in metric_names else None
         rep_dir = out / f"rep{r:03d}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        artifacts.write_trace_csv(rep_dir / "trace.csv", trace)
-        artifacts.write_cloud_csv(rep_dir / "cloud_final.csv", cloud)
+        _write(rep_dir / "trace.csv", artifacts.write_trace_csv, trace)
+        _write(rep_dir / "cloud_final.csv", artifacts.write_cloud_csv, cloud)
         if write_kde:
-            artifacts.write_density_csv(rep_dir / "kde_grid.csv", preset.metric_grid, grid_kde)
+            _write(rep_dir / "kde_grid.csv", artifacts.write_density_csv, preset.metric_grid,
+                   grid_kde)
         rows = [(preset.name, "particle_flow", solver.n_particles, len(observations), seed,
                  metric, value) for metric, value in
                 compute_metrics(preset, cloud, observations, metric_names, seed, grid_kde)]
         return rows, len(observations), obs_seed
 
     rows, n_samples, obs_seeds = zip(*map_jobs(replicate, range(replicates), workers))
-    artifacts.write_metrics_csv(out / "metrics.csv", [row for rep in rows for row in rep])
+    _write(out / "metrics.csv", artifacts.write_metrics_csv, [row for rep in rows for row in rep])
     return {"seed_base": seed_base, "resolved": {
         "solver": dataclasses.asdict(dataclasses.replace(solver, seed=seed_base)),
         "minibatch": solver.batch_size(n_samples[0]),
@@ -380,8 +415,7 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
     folds = crossval.make_folds(len(observations), plan.n_folds, plan.seed)
     result = crossval.cv_score(plan, preset, observations, solver, workers=workers,
                                folds=folds, init=init)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts.write_cv_csv(out / "cv_table.csv", result)
+    _write(out / "cv_table.csv", artifacts.write_cv_csv, result)
     print(f"selected alpha: {artifacts.fmt(result.selected_alpha())}")
     return {"seed_base": plan.seed, "resolved": {
         "solver": dataclasses.asdict(solver), "cv": dataclasses.asdict(plan),
@@ -401,8 +435,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
             spec = baselines.ToyGaussianSpec(sigma_pi_sq, sigma_k_sq, sigma0_sq, alpha=1.0)
         with _at("alpha_grid"):
             rows = baselines.toy_sweep(spec, cfg.get("alpha_grid", [0.0, 0.5, 1.0]))
-        out.mkdir(parents=True, exist_ok=True)
-        artifacts.write_toy_sweep_csv(out / "toy_sweep.csv", rows)
+        _write(out / "toy_sweep.csv", artifacts.write_toy_sweep_csv, rows)
         for alpha, beta, value in rows:
             print(f"alpha={artifacts.fmt(alpha)} beta={artifacts.fmt(beta)} "
                   f"objective={artifacts.fmt(value)}")
@@ -429,8 +462,7 @@ def cmd_baseline(cfg: dict, out: Path, workers: int, seed_override: int | None) 
                                                          ref, n_bins, lo, hi)
     with _at("iterations"):
         state = baselines.oslem_solve(problem, alpha, cfg.get("iterations", 500))
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts.write_grid_state_csv(out / "grid_state.csv", problem.bin_centers, state)
+    _write(out / "grid_state.csv", artifacts.write_grid_state_csv, problem.bin_centers, state)
     print(f"objective: {artifacts.fmt(baselines.discrete_objective(state, problem, alpha))}")
     return {"seed_base": 0}
 
@@ -464,8 +496,7 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
             for i, cloud in enumerate(clouds)
             for metric, value in compute_metrics(preset, cloud, observations, names,
                                                  _rng.derive_seed(seed, i))]
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts.write_metrics_csv(out / "metrics.csv", rows)
+    _write(out / "metrics.csv", artifacts.write_metrics_csv, rows)
     return {"seed_base": seed}
 
 
@@ -477,7 +508,7 @@ def main(argv=None) -> int:
     for name in ("run", "cv", "baseline", "metrics"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", type=Path, default="out", help="output directory")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's base seed")
@@ -489,10 +520,11 @@ def main(argv=None) -> int:
             _seed(args.seed, "--seed")
         if args.workers < 1:
             raise ConfigError(f"{args.workers} must be at least 1", path="--workers")
+        _check_out(args.out)
         cfg = _load_config(args.config)
-        echo = handlers[args.command](_section(cfg, "", _TOP[args.command]), Path(args.out),
+        echo = handlers[args.command](_section(cfg, "", _TOP[args.command]), args.out,
                                       args.workers, args.seed)
-        artifacts.write_resolved_config(Path(args.out) / "config_resolved.json", {
+        _write(args.out / "config_resolved.json", artifacts.write_resolved_config, {
             "command": args.command, "config": cfg, "version": __version__, **echo})
         return 0
     except ConfigError as err:

@@ -9,7 +9,9 @@ noise by construction, which is what couples the stability comparisons.
 from __future__ import annotations
 
 # numpy loads numpy.random on first use; importing it here keeps that cost in
-# the package import rather than in the first draw of a run
+# the package import rather than in the first draw of a run, and inside the
+# CLI's imports, which load it without OpenSSL: numpy.random imports secrets,
+# whose hmac would map libcrypto, and no keyed Philox stream needs it (see cli)
 from numpy.random import Generator, Philox
 
 ROLE_NOISE = 1

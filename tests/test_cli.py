@@ -1,4 +1,6 @@
 import dataclasses
+import hmac
+import importlib.util
 import json
 import math
 import os
@@ -247,6 +249,40 @@ def test_toy_closed_form_that_is_not_finite_exits_3(tmp_path, capsys, config):
     assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure: toy closed form is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_OUT_COMMANDS = {"run": dict(SMALL_RUN, replicates=1), "baseline": {"baseline": "toy"}}
+
+
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_out_that_is_or_lies_under_a_file_exits_2_before_any_write(tmp_path, capsys,
+                                                                   command, under):
+    cfg = write_config(tmp_path, "c.json", _OUT_COMMANDS[command])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    before = tree_bytes(tmp_path)
+    assert main([command, "--config", cfg, "--out", str(blocker.joinpath(*under))]) == 2
+    assert capsys.readouterr().err == f"config error: --out: {blocker} is not a directory\n"
+    assert tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, artifact", [("run", "rep000"),
+                                               ("baseline", "toy_sweep.csv")])
+def test_artifact_that_cannot_be_written_exits_2_at_out(tmp_path, capsys, command, artifact):
+    # a file where run makes a directory, a directory where baseline writes a file
+    cfg = write_config(tmp_path, "c.json", _OUT_COMMANDS[command])
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "run":
+        (out / artifact).write_text("")
+    else:
+        (out / artifact).mkdir()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: cannot write the artifacts: ")
+    assert str(out / artifact) in err
+    assert not (out / "config_resolved.json").exists()
 
 
 def test_dimension_mismatch_exits_2(tmp_path, rng):
@@ -686,6 +722,35 @@ def test_cli_import_pins_blas_to_one_thread_and_loads_no_baselines_or_crossval()
             "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)")
     assert fresh_interpreter(code, {"OPENBLAS_NUM_THREADS": "4"}) == [
         "[]", "['4', None, None]", "1"]
+
+
+_NEEDS_MAPS_AND_OPENSSL = pytest.mark.skipif(
+    not Path("/proc/self/maps").exists() or importlib.util.find_spec("_hashlib") is None,
+    reason="reads the process's mappings in /proc/self/maps and loads OpenSSL's _hashlib")
+_MAPS_LIBCRYPTO = "'libcrypto' in pathlib.Path('/proc/self/maps').read_text()"
+
+
+@_NEEDS_MAPS_AND_OPENSSL
+def test_cli_import_loads_no_openssl_and_keeps_the_digests():
+    # numpy.random imports secrets, hmac and _hashlib, which maps libcrypto; the CLI
+    # hides _hashlib while numpy loads, the builtin digests stand in, and afterwards
+    # an explicit import of _hashlib works as usual
+    code = ("import fredholm_flow.cli, hashlib, hmac, pathlib; "
+            "print(hashlib.sha256(b'').hexdigest()); "
+            "print(hmac.new(b'key', b'message', 'sha256').hexdigest()); "
+            f"print('_hashlib' in sys.modules, {_MAPS_LIBCRYPTO}); "
+            "import _hashlib; print(_hashlib.__name__)")
+    assert fresh_interpreter(code) == [
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        hmac.new(b"key", b"message", "sha256").hexdigest(), "False False", "_hashlib"]
+
+
+@_NEEDS_MAPS_AND_OPENSSL
+def test_cli_import_keeps_a_callers_openssl():
+    code = ("import hashlib, pathlib; loaded = sys.modules['_hashlib']; "
+            "import fredholm_flow.cli; "
+            f"print(sys.modules['_hashlib'] is loaded, {_MAPS_LIBCRYPTO})")
+    assert fresh_interpreter(code) == ["True True"]
 
 
 def test_public_names_resolve_lazily_and_are_listed():
