@@ -227,7 +227,10 @@ def oslem_step(state: np.ndarray, problem: GridProblem, alpha: float) -> np.ndar
     state = np.asarray(state, dtype=float)
     if np.any(state <= 0):
         raise ValueError("state must be strictly positive")
-    denom = 1.0 + alpha * (1.0 + np.log(state) - np.log(problem.reference))
+    # an overflow is ±inf: −inf fails below, and +inf leaves a zero state that the
+    # next step rejects
+    with np.errstate(over="ignore"):
+        denom = 1.0 + alpha * (1.0 + np.log(state) - np.log(problem.reference))
     if np.any(denom <= 0):
         raise NumericalFailure("nonpositive one-step-late denominator",
                                index=int(np.argmax(denom <= 0)))

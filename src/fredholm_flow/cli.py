@@ -368,8 +368,11 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         with _at_init(init), _allocated("solver.n_particles", config.n_particles):
             start = build_initial_cloud(preset, config, observations, ref, **init)
         cloud, trace = run_solver(config, preset.kernel, ref, start, observations)
-        grid_kde = GaussianKde(cloud.points).on_grid(preset.metric_grid) \
-            if write_kde or "ise" in metric_names else None
+        # noise below a point start's float spacing leaves the cloud there, and noise
+        # beyond the float range spreads it past a bandwidth: neither has a KDE
+        with _at("solver"):
+            grid_kde = GaussianKde(cloud.points).on_grid(preset.metric_grid) \
+                if write_kde or "ise" in metric_names else None
         rep_dir = out / f"rep{r:03d}"
         _write(rep_dir / "trace.csv", artifacts.write_trace_csv, trace)
         _write(rep_dir / "cloud_final.csv", artifacts.write_cloud_csv, cloud)
@@ -413,8 +416,9 @@ def cmd_cv(cfg: dict, out: Path, workers: int, seed_override: int | None) -> dic
         build_initial_cloud(preset, solver, observations, preset.make_reference(observations),
                             **init)
     folds = crossval.make_folds(len(observations), plan.n_folds, plan.seed)
-    result = crossval.cv_score(plan, preset, observations, solver, workers=workers,
-                               folds=folds, init=init)
+    with _at("solver"):   # a cell's cloud may have no KDE for its score, as in run
+        result = crossval.cv_score(plan, preset, observations, solver, workers=workers,
+                                   folds=folds, init=init)
     _write(out / "cv_table.csv", artifacts.write_cv_csv, result)
     print(f"selected alpha: {artifacts.fmt(result.selected_alpha())}")
     return {"seed_base": plan.seed, "resolved": {

@@ -57,5 +57,6 @@ def g_hat(points, observations, kernel: KernelModel, ref: ReferenceMeasure,
     if ref.kind != "gaussian":
         raise ValueError("the penalty term needs a proper (gaussian) reference")
     log_density = np.log(GaussianKde(points).at_particles())
-    kl = float(np.mean(log_density - ref.log_density(points)))
+    with np.errstate(over="ignore"):   # a sum beyond the float range reads inf
+        kl = float(np.mean(log_density - ref.log_density(points)))
     return FunctionalEstimate(data_term, alpha * kl, floored)

@@ -49,8 +49,9 @@ def _iso_mixture_pdf(points, weights, means, sds):
     points = np.atleast_2d(points)
     out = np.zeros(points.shape[0])
     for w, m, s in zip(weights, means, sds):
-        z = (points - m) / s
-        out += w * np.exp(-0.5 * np.sum(z * z, axis=1)) / (s * _SQRT_2PI) ** points.shape[1]
+        with np.errstate(over="ignore"):   # where z² overflows, the density is 0
+            z = (points - m) / s
+            out += w * np.exp(-0.5 * np.sum(z * z, axis=1)) / (s * _SQRT_2PI) ** points.shape[1]
     return out
 
 

@@ -88,7 +88,8 @@ class ReferenceMeasure:
             raise ValueError("flat reference has no normalizable density")
         single = np.asarray(xs).ndim == 1
         xs = self._check(xs)
-        quad = np.sum((xs - self.mean) ** 2 / self.variances, axis=1)
+        with np.errstate(over="ignore"):   # beyond the float range, the density is 0
+            quad = np.sum((xs - self.mean) ** 2 / self.variances, axis=1)
         const = np.sum(np.log(self.variances)) + self.dim * _LOG_2PI
         out = -0.5 * (quad + const)
         return float(out[0]) if single else out

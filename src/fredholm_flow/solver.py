@@ -86,8 +86,9 @@ class SolverTrace:
 
     The columns are ``step, g_hat, g_hat_data, g_hat_kl, drift_mean,
     drift_max, mean_1…mean_d, var_1…var_d``.  The drift statistics in row n
-    belong to the step taken *from* that state; the final row has no outgoing
-    step and carries NaN there, as does an undefined objective estimate.
+    belong to the step taken *from* that state; the final row of a run that
+    did not stop early has no outgoing step and carries NaN there, as does an
+    undefined objective estimate.
     """
 
     def __init__(self, dim: int):
@@ -102,9 +103,11 @@ class SolverTrace:
             self._table = np.concatenate([self._table, np.empty_like(self._table)])
         g = (np.nan,) * 3 if estimate is None \
             else (estimate.total, estimate.data_term, estimate.kl_term)
-        drift = (np.nan,) * 2 if drift_norms is None else (drift_norms.mean(), drift_norms.max())
-        self._table[self._n] = np.concatenate([(step, *g, *drift), points.mean(axis=0),
-                                               points.var(axis=0)])
+        with np.errstate(over="ignore"):   # a statistic beyond the float range reads inf
+            drift = (np.nan,) * 2 if drift_norms is None \
+                else (drift_norms.mean(), drift_norms.max())
+            self._table[self._n] = np.concatenate([(step, *g, *drift), points.mean(axis=0),
+                                                   points.var(axis=0)])
         self._n += 1
 
     @property
@@ -127,9 +130,11 @@ def _drift(kernel, points, batch_points, ref, alpha, eta, step):
     """(means of k over the particles, one per observation, drift); the monitor
     reuses the means."""
     def weights(k_mean):
-        return 1.0 / (batch_points.shape[0] * np.maximum(k_mean + eta, DENOM_FLOOR))
+        with np.errstate(over="ignore"):   # an overflowing m(λ + η) weighs 0, its limit
+            return 1.0 / (batch_points.shape[0] * np.maximum(k_mean + eta, DENOM_FLOOR))
     k_mean, rows = drift_rows(kernel, points, batch_points, weights)
-    drift = rows - alpha * ref.grad_u(points)
+    with np.errstate(over="ignore"):   # an overflowing α∇U is a non-finite row below
+        drift = rows - alpha * ref.grad_u(points)
     finite_rows = np.all(np.isfinite(drift), axis=1)
     if not np.all(finite_rows):
         raise NumericalFailure("non-finite drift", step=step,
@@ -209,8 +214,7 @@ def _should_stop(g_values: np.ndarray, tol: float, window: int) -> bool:
 
 
 def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
-        init: ParticleCloud, observations, monitor=None,
-        noise_source=None) -> tuple[ParticleCloud, SolverTrace]:
+        init: ParticleCloud, observations, monitor=None) -> tuple[ParticleCloud, SolverTrace]:
     """Execute the solver for ``config.n_steps`` steps (or fewer on early stop).
 
     Parameters
@@ -223,17 +227,13 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
         recorded; the estimate may be None when it is undefined.  It is the
         only per-step hook: the benchmark's tracer reads its step clock from
         it, and tests read the cloud of every step through it.
-    noise_source : callable, optional
-        ``noise_source(step) -> (N, d)`` standard-normal matrix, replacing the
-        default keyed stream.  The default depends only on (seed, step), so
-        runs sharing a seed share their noise.  Tests permute the noise rows
-        through it to check that the dynamics treat particles alike.
 
     Returns
     -------
     (ParticleCloud, SolverTrace)
         Final cloud and the per-step trace; bit-reproducible given the config
-        and inputs.
+        and inputs.  The batch and noise streams depend only on (seed, step),
+        so runs sharing a seed share them.
     """
     if init.n_particles != config.n_particles:
         raise ValueError(f"init has {init.n_particles} particles, config wants {config.n_particles}")
@@ -247,36 +247,27 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
     m_eff = config.batch_size(len(observations))
     cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
-    batch = None
-    stopped = False
-
-    def draw(step):
-        return draw_minibatch(observations, m_eff,
-                              _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step))
-
-    for step in range(config.n_steps):
-        batch = draw(step)
-        k_mean, drift = _drift(kernel, cloud.points, batch, ref, config.alpha, config.eta,
-                               step)
+    # state n_steps is the final one: it takes no step, so it has no drift
+    for step in range(config.n_steps + 1):
+        final = step == config.n_steps
+        if not final or step == 0:
+            # the final state scores the last step's batch; a run of no steps, the
+            # batch that step 0 would draw
+            batch = draw_minibatch(observations, m_eff,
+                                   _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step))
+        k_mean = drift = drift_norms = None
+        if not final:
+            k_mean, drift = _drift(kernel, cloud.points, batch, ref, config.alpha, config.eta,
+                                   step)
+            drift_norms = np.hypot.reduce(drift, axis=1)
         estimate = _monitor_estimate(cloud, batch, kernel, ref, config, k_mean)
-        trace.append(cloud.step_index, estimate, np.hypot.reduce(drift, axis=1), cloud.points)
+        trace.append(cloud.step_index, estimate, drift_norms, cloud.points)
         if monitor is not None:
             monitor(cloud.step_index, cloud, estimate)
-        if config.stop_tol is not None and _should_stop(trace.column("g_hat"),
-                                                        config.stop_tol, config.stop_window):
-            stopped = True
+        # both ends come before the noise draw, so an early stop adds no row
+        if final or config.stop_tol is not None and _should_stop(
+                trace.column("g_hat"), config.stop_tol, config.stop_window):
             break
-        if noise_source is not None:
-            noise = np.asarray(noise_source(step), dtype=float)
-        else:
-            noise = _rng.stream(config.seed, _rng.ROLE_NOISE, step).standard_normal((n, d))
+        noise = _rng.stream(config.seed, _rng.ROLE_NOISE, step).standard_normal((n, d))
         cloud = tamed_step(cloud, drift, config.gamma, config.alpha, noise)
-
-    if not stopped:
-        # a run of no steps scores its only row on the batch that step 0 would draw
-        final_batch = batch if batch is not None else draw(0)
-        estimate = _monitor_estimate(cloud, final_batch, kernel, ref, config)
-        trace.append(cloud.step_index, estimate, None, cloud.points)
-        if monitor is not None:
-            monitor(cloud.step_index, cloud, estimate)
     return cloud, trace

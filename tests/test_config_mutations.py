@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fredholm_flow import ParticleCloud, artifacts, baselines, cli, crossval
 from fredholm_flow.cli import main
@@ -83,7 +83,25 @@ MUTATIONS = {
     "beyond the index range": st.sampled_from([2**63, 2**64, 10**30]),
     "size": st.sampled_from([1, 10**13]),
     "empty list": st.just([]),
+    "huge": st.sampled_from([1e300, 1.7e308]),
+    "tiny": st.sampled_from([1e-300, 5e-324]),
 }
+
+
+def section_of(cfg, sections):
+    """The section of ``cfg`` that the key path ``sections`` names."""
+    for section in sections:
+        cfg = cfg[section]
+    return cfg
+
+
+def mutated(command, preset, path, value):
+    """The case of the valid ``command`` config of ``preset`` with ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(next(cfg for name, cfg in VALID
+                                     if name == command and cfg.get("preset") == preset)))
+    *sections, key = path.split(".")
+    section_of(cfg, sections)[key] = value
+    return command, cfg, path
 
 
 @st.composite
@@ -92,9 +110,7 @@ def mutated_configs(draw):
     cfg = json.loads(json.dumps(cfg))
     path = draw(st.sampled_from(sorted(key_paths(cfg))))
     *sections, key = path
-    owner = cfg
-    for section in sections:
-        owner = owner[section]
+    owner = section_of(cfg, sections)
     mutation = draw(st.sampled_from(sorted(MUTATIONS) + ["unknown key"]))
     if mutation == "unknown key":
         path = (*sections, "no_such_key")
@@ -180,6 +196,17 @@ def exit_of(command, cfg, clouds):
 
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated_configs())
+# the huge and tiny values that first reached a warning or an unnamed exit 2, one per site
+@example(case=mutated("run", "toy_gaussian", "solver.alpha", 1e300))   # α∇U in the drift
+@example(case=mutated("run", "epidemiology_synthetic", "solver.alpha", 1.7e308))   # drift_mean
+@example(case=mutated("run", "toy_gaussian", "solver.eta", 1.7e308))   # the drift weights
+@example(case=mutated("run", "gaussian_mixture_1d", "solver.gamma", 1.7e308))   # log π₀
+@example(case=mutated("run", "ct_phantom", "solver.gamma", 1.7e308))   # the KL mean
+@example(case=mutated("cv", "toy_gaussian", "solver.gamma", 1.7e308))   # var, a cell's KDE
+@example(case=mutated("run", "gaussian_mixture_1d", "solver.alpha", 1e-300))   # one point
+@example(case=mutated("baseline", "gaussian_mixture_1d", "alpha", 1.7e308))   # EM denominator
+@example(case=mutated("baseline", "gaussian_mixture_1d", "hi", 1e300))   # observed density
+@example(case=mutated("baseline", "gaussian_mixture_1d", "hi", 1.7e308))
 def test_a_mutated_config_exits_0_2_or_3_at_its_key(clouds, case):
     command, cfg, key = case
     code, err = exit_of(command, cfg, clouds)

@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 from fredholm_flow import (GaussianConvolutionKernel, KernelModel, NumericalFailure,
                            ParticleCloud, ReferenceMeasure, SolverConfig, draw_minibatch,
                            drift_empirical, run, tamed_step)
+from fredholm_flow import solver
+from fredholm_flow.problems import build_initial_cloud, get_preset
 from fredholm_flow.rng import ROLE_NOISE, stream
 
 
@@ -239,17 +241,25 @@ def test_run_trace_length_bound():
     assert np.array_equal(trace.column("step"), np.arange(config.n_steps + 1))
 
 
-def test_run_exchangeability(rng):
+def test_run_exchangeability(rng, monkeypatch):
+    # the permuted cloud draws its noise rows permuted: the same noise per particle
     config, kernel, ref, init, obs = _small_setup()
-    n, d = init.points.shape
-    perm = rng.permutation(n)
+    perm = rng.permutation(init.n_particles)
+    cloud_a, _ = run(config, kernel, ref, init, obs)
 
-    def noise_source(step):
-        return stream(config.seed, ROLE_NOISE, step).standard_normal((n, d))
+    class PermutedRows:
+        def __init__(self, gen):
+            self.gen = gen
 
-    cloud_a, _ = run(config, kernel, ref, init, obs, noise_source=noise_source)
-    cloud_b, _ = run(config, kernel, ref, ParticleCloud(init.points[perm]), obs,
-                     noise_source=lambda step: noise_source(step)[perm])
+        def standard_normal(self, size):
+            return self.gen.standard_normal(size)[perm]
+
+    def permuted_noise(seed, role, step=0):
+        gen = stream(seed, role, step)
+        return PermutedRows(gen) if role == ROLE_NOISE else gen
+
+    monkeypatch.setattr(solver._rng, "stream", permuted_noise)
+    cloud_b, _ = run(config, kernel, ref, ParticleCloud(init.points[perm]), obs)
     assert np.allclose(cloud_b.points, cloud_a.points[perm], rtol=1e-12, atol=1e-14)
 
 
@@ -258,6 +268,35 @@ def test_run_early_stopping_truncates_trace():
     config = dataclasses.replace(config, stop_tol=0.5, stop_window=3)
     _, trace = run(config, kernel, ref, init, obs)
     assert len(trace) < 201
+
+
+def test_run_early_stop_is_a_prefix_of_the_full_run():
+    # the stopped run records the state it stopped at, with the drift statistics of
+    # the step it did not take, and no extra final row
+    preset = get_preset("toy_gaussian")
+    obs = preset.sample_observations(200, seed=3)
+    ref = preset.make_reference(obs)
+    full_config = dataclasses.replace(preset.solver, n_particles=200, minibatch=200,
+                                      n_steps=200, seed=4)
+    init = build_initial_cloud(preset, full_config, obs, ref)
+    full_clouds = []
+    _, full = run(full_config, preset.kernel, ref, init, obs,
+                  monitor=lambda step, cloud, est: full_clouds.append(cloud.points))
+    steps = []
+    config = dataclasses.replace(full_config, stop_tol=0.05, stop_window=3)
+    cloud, trace = run(config, preset.kernel, ref, init, obs,
+                       monitor=lambda step, cloud, est: steps.append(step))
+    n = len(trace)
+    assert 2 * config.stop_window <= n < len(full) == 201
+    assert np.array_equal(trace.rows, full.rows[:n], equal_nan=True)
+    # it stops at the first row where the rule holds
+    g_hat = full.column("g_hat")
+    assert [solver._should_stop(g_hat[:rows], config.stop_tol, config.stop_window)
+            for rows in range(1, n + 1)] == [False] * (n - 1) + [True]
+    assert np.isfinite(trace.column("drift_mean")[-1])
+    assert cloud.step_index == n - 1
+    assert np.array_equal(cloud.points, full_clouds[n - 1])
+    assert steps == list(range(n))
 
 
 def test_run_rejects_wrong_particle_count():
@@ -280,9 +319,10 @@ def test_non_finite_observation_fails_at_entry_with_its_row(bad):
     counting = ColumnCountingKernel(kernel.noise_sd)
     poisoned = obs.copy()
     poisoned[37, 0] = bad
-    with pytest.raises(NumericalFailure, match="observation sample") as err:
-        run(config, counting, ref, init, poisoned,
-            noise_source=lambda step: pytest.fail("a step ran"))
+    with pytest.MonkeyPatch.context() as patch, \
+            pytest.raises(NumericalFailure, match="observation sample") as err:
+        patch.setattr(solver, "tamed_step", lambda *args: pytest.fail("a step ran"))
+        run(config, counting, ref, init, poisoned)
     assert err.value.index == 37 and counting.columns == []
     with pytest.raises(NumericalFailure, match="observation sample") as err:
         drift_empirical(init, poisoned, kernel, ref, alpha=0.1, eta=0.0)
