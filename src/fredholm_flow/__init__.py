@@ -30,7 +30,6 @@ _MODULES = {
     "ReferenceMeasure": "reference",
     **dict.fromkeys(("SolverConfig", "SolverTrace", "draw_minibatch", "drift_empirical", "run",
                      "tamed_step"), "solver"),
-    "ParticleCloud": "state",
 }
 
 __all__ = sorted(_MODULES)

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .solver import SolverTrace
-from .state import ParticleCloud
 
 
 # array entries turned into Python floats at a time (whole rows, at least one)
@@ -57,8 +56,8 @@ def _names(prefix: str, dim: int) -> list:
 
 # -- particle clouds ---------------------------------------------------------
 
-def write_cloud_csv(path, cloud: ParticleCloud) -> None:
-    _write_table(path, _names("x", cloud.dim), cloud.points)
+def write_cloud_csv(path, cloud: np.ndarray) -> None:
+    _write_table(path, _names("x", cloud.shape[1]), cloud)
 
 
 def read_points_csv(path) -> np.ndarray:

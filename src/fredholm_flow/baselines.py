@@ -238,11 +238,10 @@ def oslem_step(state: np.ndarray, problem: GridProblem, alpha: float) -> np.ndar
     return state / denom * (problem.kernel_matrix @ (problem.observed / lam))
 
 
-def oslem_solve(problem: GridProblem, alpha: float, n_iterations: int,
-                init: np.ndarray | None = None) -> np.ndarray:
+def oslem_solve(problem: GridProblem, alpha: float, n_iterations: int) -> np.ndarray:
     if n_iterations < 0:
         raise ValueError("n_iterations must be nonnegative")
-    state = problem.reference.copy() if init is None else np.asarray(init, dtype=float)
+    state = problem.reference.copy()
     for i in range(n_iterations):
         try:
             state = oslem_step(state, problem, alpha)

@@ -61,7 +61,6 @@ try:
                            build_initial_cloud, get_preset)
     from .reference import ReferenceMeasure
     from .solver import SolverConfig, run as run_solver
-    from .state import ParticleCloud
 finally:
     if _HIDE_OPENSSL:
         del sys.modules["_hashlib"]
@@ -291,15 +290,15 @@ def compute_metrics(preset, cloud, observations, names, seed, grid_kde=None):
     for name in names:
         if name == "ise":
             grid = preset.metric_grid
-            est = grid_kde if grid_kde is not None else GaussianKde(cloud.points).on_grid(grid)
+            est = grid_kde if grid_kde is not None else GaussianKde(cloud).on_grid(grid)
             rows.append((name, ise(grid, est, grid.map_nodes(preset.truth_pdf))))
         elif name == "w1_marginal1":
-            truth = preset.sample_truth(cloud.n_particles, _rng.derive_seed(seed, 7))
-            rows.append((name, wasserstein1_1d(cloud.points[:, 0], truth[:, 0])))
+            truth = preset.sample_truth(len(cloud), _rng.derive_seed(seed, 7))
+            rows.append((name, wasserstein1_1d(cloud[:, 0], truth[:, 0])))
         else:  # reconvolution_ise
             grid = preset.observation_grid or preset.metric_grid
             observed = GaussianKde(observations).on_grid(grid)
-            rows.append((name, ise(grid, reconvolve(cloud.points, preset.kernel, grid), observed)))
+            rows.append((name, ise(grid, reconvolve(cloud, preset.kernel, grid), observed)))
     return rows
 
 
@@ -371,7 +370,7 @@ def cmd_run(cfg: dict, out: Path, workers: int, seed_override: int | None) -> di
         # noise below a point start's float spacing leaves the cloud there, and noise
         # beyond the float range spreads it past a bandwidth: neither has a KDE
         with _at("solver"):
-            grid_kde = GaussianKde(cloud.points).on_grid(preset.metric_grid) \
+            grid_kde = GaussianKde(cloud).on_grid(preset.metric_grid) \
                 if write_kde or "ise" in metric_names else None
         rep_dir = out / f"rep{r:03d}"
         _write(rep_dir / "trace.csv", artifacts.write_trace_csv, trace)
@@ -483,20 +482,20 @@ def cmd_metrics(cfg: dict, out: Path, workers: int, seed_override: int | None) -
     clouds = []
     for path in cloud_paths:
         with _at("clouds"):
-            clouds.append(ParticleCloud(artifacts.read_points_csv(path)))
-        if clouds[-1].dim != preset.dim:
-            raise ConfigError(f"{path} has dimension {clouds[-1].dim}, the preset "
+            clouds.append(artifacts.read_points_csv(path))
+        if clouds[-1].shape[1] != preset.dim:
+            raise ConfigError(f"{path} has dimension {clouds[-1].shape[1]}, the preset "
                               f"{preset.dim}", path="clouds")
         if "ise" in names:   # the ISE scores the cloud's KDE
             try:
-                GaussianKde(clouds[-1].points)
+                GaussianKde(clouds[-1])
             except ValueError as err:
                 raise ConfigError(f"{path}: {err}", path="clouds") from err
     seed = seed_override if seed_override is not None else _seed(cfg.get("seed", 0), "seed")
     observations = _observations(cfg, preset, metrics=names)(seed)[0] \
         if "reconvolution_ise" in names or "observations" in cfg else None
     n_observations = len(observations) if observations is not None else 0
-    rows = [(preset.name, "stored_cloud", cloud.n_particles, n_observations, seed, metric, value)
+    rows = [(preset.name, "stored_cloud", len(cloud), n_observations, seed, metric, value)
             for i, cloud in enumerate(clouds)
             for metric, value in compute_metrics(preset, cloud, observations, names,
                                                  _rng.derive_seed(seed, i))]

@@ -92,7 +92,7 @@ def _run_cell(plan, preset, observations, base_config, folds, alpha_index, fold_
         ref = preset.make_reference(train)
         start = build_initial_cloud(preset, config, train, ref, **init)
         cloud, _ = run(config, preset.kernel, ref, start, train)
-        est = g_hat(cloud.points, heldout, preset.kernel, ref, alpha, config.eta)
+        est = g_hat(cloud, heldout, preset.kernel, ref, alpha, config.eta)
         value = est.total if plan.score == "penalized" else est.data_term
         return CvCell(alpha, fold_index, float(value), "ok")
     except NumericalFailure as failure:

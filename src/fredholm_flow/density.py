@@ -113,7 +113,8 @@ def silverman_bandwidth(points) -> np.ndarray:
     with np.errstate(over="ignore"):   # a spread beyond the float range is rejected below
         sd = pts.std(axis=0, ddof=1)
         diag = (factor * sd) ** 2
-    for bad, what in ((sd <= 0, "zero sample variance"),
+    # equal points may still read a deviation of rounding size
+    for bad, what in (((sd <= 0) | (np.ptp(pts, axis=0) == 0), "zero sample variance"),
                       (~np.isfinite(diag), "a sample spread beyond the float range")):
         if bad.any():
             raise ValueError(f"coordinate {np.argmax(bad)} has {what}")

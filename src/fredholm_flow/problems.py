@@ -24,7 +24,7 @@ from .kernels import (GaussianConvolutionKernel, GaussianMixtureDelayKernel,
                       KernelModel, RadonAlignmentKernel)
 from .reference import ReferenceMeasure
 from .solver import SolverConfig
-from .state import ParticleCloud, _finite_matrix
+from .state import _finite_matrix
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -113,9 +113,9 @@ class ExperimentPreset:
 
 def build_initial_cloud(preset: ExperimentPreset, config: SolverConfig,
                         observations: np.ndarray, ref: ReferenceMeasure,
-                        mode: str = "auto", point=None, box=None) -> ParticleCloud:
-    """Initial particle positions in ``preset.init_mode(mode)``: "observations",
-    "reference", "point" or "uniform"."""
+                        mode: str = "auto", point=None, box=None) -> np.ndarray:
+    """Initial (N, d) particle positions in ``preset.init_mode(mode)``: "observations",
+    "reference", "point" or "uniform"; checked finite, a failure at step 0."""
     gen = _rng.stream(config.seed, _rng.ROLE_INIT)
     n = config.n_particles
     mode = preset.init_mode(mode)
@@ -123,19 +123,21 @@ def build_initial_cloud(preset: ExperimentPreset, config: SolverConfig,
         if observations.shape[1] != ref.dim:
             raise ValueError("cannot initialize from observations when p differs from d")
         idx = gen.integers(0, len(observations), size=n)
-        return ParticleCloud(observations[idx] + (preset.init_shift or 0.0))
-    if mode == "reference":
-        return ParticleCloud(ref.sample(n, gen))
-    if mode == "point":
+        points = observations[idx] + (preset.init_shift or 0.0)
+    elif mode == "reference":
+        points = ref.sample(n, gen)
+    elif mode == "point":
         if point is None or np.shape(point) != (ref.dim,):
             raise ValueError(f"point initialization needs a point of dimension {ref.dim}")
-        return ParticleCloud(np.tile(np.asarray(point, dtype=float), (n, 1)))
-    if mode == "uniform":
+        points = np.tile(np.asarray(point, dtype=float), (n, 1))
+    elif mode == "uniform":
         if box is None or np.shape(box) != (ref.dim, 2) or not np.all(np.isfinite(box)):
             raise ValueError(f"uniform initialization needs a box of {ref.dim} finite [lo, hi] pairs")
         box = np.asarray(box, dtype=float)
-        return ParticleCloud(gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0])))
-    raise ValueError(f"unknown init mode {mode!r}")
+        points = gen.uniform(box[:, 0], box[:, 1], size=(n, box.shape[0]))
+    else:
+        raise ValueError(f"unknown init mode {mode!r}")
+    return _finite_matrix(points, "particle cloud", step=0)
 
 
 # ---------------------------------------------------------------------------

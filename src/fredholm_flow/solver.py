@@ -1,9 +1,10 @@
 """Interacting-particle solver: empirical drift, tamed update, main loop.
 
-The particle system follows a gradient-flow dynamics for the regularized
-objective: each particle feels an attraction ∇₁k(X, y)/(λ[k(·, y)] + η)
-averaged over a batch of observations, a restoring force −α∇U from the
-reference measure, and isotropic noise with diffusion coefficient √(2α).
+The state is the empirical measure of N particles, an (N, d) float array.
+It follows a gradient-flow dynamics for the regularized objective: each
+particle feels an attraction ∇₁k(X, y)/(λ[k(·, y)] + η) averaged over a
+batch of observations, a restoring force −α∇U from the reference measure,
+and isotropic noise with diffusion coefficient √(2α).
 The deterministic part of every step is tamed, γb/(1 + γ‖b‖), so its length
 never exceeds min(1, γ‖b‖) regardless of how large the drift gets when the
 denominator is small; where γ‖b‖ overflows, it is the limit b/‖b‖.
@@ -31,7 +32,7 @@ from .errors import NumericalFailure
 from .functional import DENOM_FLOOR, FunctionalEstimate, g_hat
 from .kernels import KernelModel
 from .reference import ReferenceMeasure
-from .state import ParticleCloud, _finite_matrix
+from .state import _finite_matrix
 
 
 @dataclass(frozen=True)
@@ -142,33 +143,38 @@ def _drift(kernel, points, batch_points, ref, alpha, eta, step):
     return k_mean, drift
 
 
-def drift_empirical(cloud: ParticleCloud, batch, kernel: KernelModel, ref: ReferenceMeasure,
+def drift_empirical(cloud, batch, kernel: KernelModel, ref: ReferenceMeasure,
                     alpha: float, eta: float) -> np.ndarray:
-    """Empirical drift matrix, one row per particle, for a finite (m, p) ``batch``.
+    """Empirical drift matrix, one row per particle, for a finite (N, d) ``cloud``
+    and a finite (m, p) ``batch``.
 
     Row k is (1/m) Σ_j ∇₁k(X_k, y_j) / (λ[k(·, y_j)] + η) − α ∇U(X_k) with
     λ[k(·, y_j)] = (1/N) Σ_l k(X_l, y_j).  The denominator is clamped below at
     ``functional.DENOM_FLOOR`` so that η = 0 never divides by zero; taming caps
     whatever magnitude results.
     """
+    cloud = _finite_matrix(cloud, "particle cloud")
     batch = _finite_matrix(batch, "observation sample")
     if batch.shape[1] != kernel.dim_y:
         raise ValueError(f"batch dimension {batch.shape[1]} does not match kernel output "
                          f"{kernel.dim_y}")
-    if cloud.dim != kernel.dim_x:
-        raise ValueError(f"cloud dimension {cloud.dim} does not match kernel input {kernel.dim_x}")
-    return _drift(kernel, cloud.points, batch, ref, alpha, eta, cloud.step_index)[1]
+    if cloud.shape[1] != kernel.dim_x:
+        raise ValueError(f"cloud dimension {cloud.shape[1]} does not match kernel input "
+                         f"{kernel.dim_x}")
+    return _drift(kernel, cloud, batch, ref, alpha, eta, None)[1]
 
 
-def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: float,
-               noise: np.ndarray) -> ParticleCloud:
+def tamed_step(cloud: np.ndarray, drift: np.ndarray, gamma: float, alpha: float,
+               noise: np.ndarray, step: int | None = None) -> np.ndarray:
     """One tamed update: X + γb/(1 + γ‖b‖) + √(2αγ)·Z, Z standard normal rows.
 
     A row whose γ‖b‖ overflows, ‖b‖ itself included, takes the limit b/‖b‖,
-    formed from b over its largest entry so that the norm cannot overflow."""
+    formed from b over its largest entry so that the norm cannot overflow.  The
+    new cloud is checked finite; ``step``, the step it is the state of, labels a
+    failure."""
     drift = np.asarray(drift, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if drift.shape != cloud.points.shape or noise.shape != cloud.points.shape:
+    if drift.shape != cloud.shape or noise.shape != cloud.shape:
         raise ValueError("drift and noise must have the cloud's shape")
     with np.errstate(over="ignore", invalid="ignore"):   # overflowed rows are replaced
         scaled = gamma * np.hypot.reduce(drift, axis=1, keepdims=True)
@@ -177,8 +183,8 @@ def tamed_step(cloud: ParticleCloud, drift: np.ndarray, gamma: float, alpha: flo
     if over.any():
         unit = drift[over] / np.abs(drift[over]).max(axis=1, keepdims=True)
         increment[over] = unit / np.hypot.reduce(unit, axis=1, keepdims=True)
-    new_points = cloud.points + increment + np.sqrt(2.0 * alpha * gamma) * noise
-    return ParticleCloud(new_points, cloud.step_index + 1)
+    return _finite_matrix(cloud + increment + np.sqrt(2.0 * alpha * gamma) * noise,
+                          "particle cloud", step=step)
 
 
 def draw_minibatch(full: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,7 +201,7 @@ def draw_minibatch(full: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
 def _monitor_estimate(cloud, batch, kernel, ref, config,
                       k_mean=None) -> FunctionalEstimate | None:
     try:
-        return g_hat(cloud.points, batch, kernel, ref, config.alpha, config.eta, k_mean=k_mean)
+        return g_hat(cloud, batch, kernel, ref, config.alpha, config.eta, k_mean=k_mean)
     except ValueError:
         # degenerate bandwidth (e.g. point-mass cloud) or improper reference:
         # the monitor is undefined there, the dynamics are not
@@ -214,38 +220,43 @@ def _should_stop(g_values: np.ndarray, tol: float, window: int) -> bool:
 
 
 def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
-        init: ParticleCloud, observations, monitor=None) -> tuple[ParticleCloud, SolverTrace]:
+        init, observations, monitor=None) -> tuple[np.ndarray, SolverTrace]:
     """Execute the solver for ``config.n_steps`` steps (or fewer on early stop).
 
     Parameters
     ----------
+    init : array_like
+        The (N, d) initial cloud, checked finite before any step (a non-finite
+        row is a ``NumericalFailure`` at step 0 with its index).
     observations : array_like
         The (M, p) sample, checked finite before any step (a non-finite row is
         a ``NumericalFailure`` with its index); each step draws its batch.
     monitor : callable, optional
         Called as ``monitor(step, cloud, estimate)`` after each state is
-        recorded; the estimate may be None when it is undefined.  It is the
-        only per-step hook: the benchmark's tracer reads its step clock from
-        it, and tests read the cloud of every step through it.
+        recorded, ``cloud`` that state's (N, d) array; the estimate may be None
+        when it is undefined.  It is the only per-step hook: the benchmark's
+        tracer reads its step clock from it, and tests read the cloud of every
+        step through it.
 
     Returns
     -------
-    (ParticleCloud, SolverTrace)
-        Final cloud and the per-step trace; bit-reproducible given the config
-        and inputs.  The batch and noise streams depend only on (seed, step),
-        so runs sharing a seed share them.
+    (ndarray, SolverTrace)
+        Final (N, d) cloud and the per-step trace; bit-reproducible given the
+        config and inputs.  The loop's step is the only step: it keys the batch
+        and noise streams, so runs sharing a seed share them, and it labels the
+        trace rows, the monitor calls and every failure.
     """
-    if init.n_particles != config.n_particles:
-        raise ValueError(f"init has {init.n_particles} particles, config wants {config.n_particles}")
-    if init.dim != kernel.dim_x or ref.dim != init.dim:
+    cloud = _finite_matrix(init, "particle cloud", step=0)
+    n, d = cloud.shape
+    if n != config.n_particles:
+        raise ValueError(f"init has {n} particles, config wants {config.n_particles}")
+    if d != kernel.dim_x or ref.dim != d:
         raise ValueError("dimension mismatch between init cloud, kernel and reference")
     observations = _finite_matrix(observations, "observation sample")
     if observations.shape[1] != kernel.dim_y:
         raise ValueError("dimension mismatch between observations and kernel")
 
-    n, d = init.n_particles, init.dim
     m_eff = config.batch_size(len(observations))
-    cloud = ParticleCloud(init.points, init.step_index)
     trace = SolverTrace(d)
     # state n_steps is the final one: it takes no step, so it has no drift
     for step in range(config.n_steps + 1):
@@ -257,17 +268,16 @@ def run(config: SolverConfig, kernel: KernelModel, ref: ReferenceMeasure,
                                    _rng.stream(config.seed, _rng.ROLE_MINIBATCH, step))
         k_mean = drift = drift_norms = None
         if not final:
-            k_mean, drift = _drift(kernel, cloud.points, batch, ref, config.alpha, config.eta,
-                                   step)
+            k_mean, drift = _drift(kernel, cloud, batch, ref, config.alpha, config.eta, step)
             drift_norms = np.hypot.reduce(drift, axis=1)
         estimate = _monitor_estimate(cloud, batch, kernel, ref, config, k_mean)
-        trace.append(cloud.step_index, estimate, drift_norms, cloud.points)
+        trace.append(step, estimate, drift_norms, cloud)
         if monitor is not None:
-            monitor(cloud.step_index, cloud, estimate)
+            monitor(step, cloud, estimate)
         # both ends come before the noise draw, so an early stop adds no row
         if final or config.stop_tol is not None and _should_stop(
                 trace.column("g_hat"), config.stop_tol, config.stop_window):
             break
         noise = _rng.stream(config.seed, _rng.ROLE_NOISE, step).standard_normal((n, d))
-        cloud = tamed_step(cloud, drift, config.gamma, config.alpha, noise)
+        cloud = tamed_step(cloud, drift, config.gamma, config.alpha, noise, step + 1)
     return cloud, trace

@@ -1,8 +1,7 @@
-"""The particle cloud, and the finiteness check of every point set.  An
-observation sample is a plain (M, p) float array, checked where it enters."""
+"""The finiteness check of every point set.  A particle cloud is a plain (N, d)
+float array and an observation sample a plain (M, p) one, each checked where it
+is made or enters."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,23 +17,3 @@ def _finite_matrix(arr, name: str, step: int | None = None) -> np.ndarray:
         bad = int(np.argwhere(~np.all(np.isfinite(out), axis=1))[0, 0])
         raise NumericalFailure(f"non-finite entries in {name}", step=step, index=bad)
     return out
-
-
-@dataclass(frozen=True)
-class ParticleCloud:
-    """State of the solver: N points in R^d plus the step index that produced them."""
-
-    points: np.ndarray
-    step_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _finite_matrix(self.points, "particle cloud",
-                                                          step=self.step_index))
-
-    @property
-    def n_particles(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]

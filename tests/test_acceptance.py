@@ -66,7 +66,7 @@ def test_criterion_2_particle_analytic_agreement():
         config = dataclasses.replace(preset.solver, seed=seed)
         init = build_initial_cloud(preset, config, obs, ref)
         cloud, _ = ff.run(config, preset.kernel, ref, init, obs)
-        return float(cloud.points.var())
+        return float(cloud.var())
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         variances = list(pool.map(one, range(20)))
@@ -83,7 +83,7 @@ def _mixture_ise(preset, n_particles, seed):
     init = build_initial_cloud(preset, config, obs, ref)
     cloud, _ = ff.run(config, preset.kernel, ref, init, obs)
     grid = preset.metric_grid
-    est = ff.GaussianKde(cloud.points).evaluate(grid_nodes(grid))
+    est = ff.GaussianKde(cloud).evaluate(grid_nodes(grid))
     return ff.ise(grid, est, preset.truth_pdf(grid_nodes(grid)))
 
 
@@ -124,7 +124,7 @@ def test_criterion_5_oracle_equivalences():
         xs = gen.normal(size=(4, 2))
         ys = gen.normal(size=(3, 2))
         alpha, eta = gen.uniform(0.01, 0.5), gen.uniform(0.0, 0.1)
-        drift = ff.drift_empirical(ff.ParticleCloud(xs), ys, kernel, ref, alpha, eta)
+        drift = ff.drift_empirical(xs, ys, kernel, ref, alpha, eta)
         for k in range(4):
             row = np.zeros(2)
             for j in range(3):
@@ -224,9 +224,9 @@ def test_criterion_7_observation_count_stability_trend():
         m_total = pool_points.shape[0]
         config = dataclasses.replace(preset.solver, n_particles=100, n_steps=40,
                                      seed=seed, minibatch=m_total)
-        init = ff.ParticleCloud(ref.sample(100, stream(seed, ROLE_INIT)))
+        init = ref.sample(100, stream(seed, ROLE_INIT))
         cloud, _ = ff.run(config, preset.kernel, ref, init, pool_points)
-        return cloud.points
+        return cloud
 
     def discrepancies(seed):
         pool = preset.sample_observations(reference_size, seed=derive_seed(700, seed))
@@ -252,8 +252,8 @@ def test_criterion_8_stability_at_eta_zero():
         config = dataclasses.replace(preset.solver, seed=seed)
         init = build_initial_cloud(preset, config, obs, ref)
         cloud, trace = ff.run(config, preset.kernel, ref, init, obs)
-        ok = ok and cloud.step_index == 100
-        ok = ok and np.all(np.isfinite(cloud.points))
+        ok = ok and len(trace) == 101
+        ok = ok and np.all(np.isfinite(cloud))
         ok = ok and np.all(np.isfinite(trace.column("g_hat")))
         ok = ok and np.all(np.isfinite(trace.column("drift_max")[:-1]))
     _gate(8, "the mixture preset completes 100 steps at eta=0 with finite "

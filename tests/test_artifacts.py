@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm_flow import EvaluationGrid, ParticleCloud
+from fredholm_flow import EvaluationGrid
 from fredholm_flow import artifacts
 from fredholm_flow.functional import FunctionalEstimate
 from fredholm_flow.solver import SolverTrace
@@ -15,10 +15,10 @@ from conftest import grid_nodes, read_density_csv, read_metrics_csv
 
 
 def test_cloud_roundtrip_bitexact(tmp_path, rng):
-    cloud = ParticleCloud(rng.normal(size=(17, 3)) * 1e-7)
+    cloud = rng.normal(size=(17, 3)) * 1e-7
     path = tmp_path / "cloud.csv"
     artifacts.write_cloud_csv(path, cloud)
-    assert np.array_equal(artifacts.read_points_csv(path), cloud.points)
+    assert np.array_equal(artifacts.read_points_csv(path), cloud)
 
 
 def test_headerless_cloud_keeps_every_row(tmp_path):
@@ -108,7 +108,7 @@ def test_density_csv_streams_its_lines(tmp_path, rng):
 
 
 def test_cloud_csv_converts_one_chunk_of_floats_at_a_time(tmp_path, rng):
-    cloud = ParticleCloud(rng.normal(size=(1000, 10)))
+    cloud = rng.normal(size=(1000, 10))
     path = tmp_path / "cloud.csv"
     tracemalloc.start()
     artifacts.write_cloud_csv(path, cloud)
@@ -119,7 +119,7 @@ def test_cloud_csv_converts_one_chunk_of_floats_at_a_time(tmp_path, rng):
     rows = artifacts._CHUNK_FLOATS // 10
     row_bytes = sys.getsizeof([0.0] * 10) + 10 * sys.getsizeof(1.0)
     assert peak <= rows * row_bytes + 4 * io.DEFAULT_BUFFER_SIZE
-    assert np.array_equal(artifacts.read_points_csv(path), cloud.points)
+    assert np.array_equal(artifacts.read_points_csv(path), cloud)
 
 
 def test_density_csv_of_too_few_values_writes_nothing(tmp_path):

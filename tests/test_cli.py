@@ -16,7 +16,6 @@ import fredholm_flow
 from fredholm_flow import artifacts, baselines, blocks, cli, density, metrics
 from fredholm_flow.cli import main
 from fredholm_flow.problems import get_preset, preset_gaussian_mixture_1d
-from fredholm_flow.state import ParticleCloud
 
 from conftest import fresh_interpreter, grid_nodes, read_density_csv, read_metrics_csv
 
@@ -97,7 +96,7 @@ def test_run_zero_steps_final_cloud_is_init(tmp_path):
     ref = preset.make_reference(obs)
     config = dataclasses.replace(preset.solver, n_particles=50, n_steps=0, seed=5)
     init = build_initial_cloud(preset, config, obs, ref)
-    assert np.array_equal(points, init.points)
+    assert np.array_equal(points, init)
 
 
 def test_minibatch_rule_validated(tmp_path):
@@ -855,7 +854,7 @@ def test_ise_metric_is_the_ise_of_the_whole_grid_truth(name, options):
     preset = get_preset(name, **options)
     grid = preset.metric_grid
     points = preset.sample_truth(300, 8)
-    [(_, got)] = cli.compute_metrics(preset, ParticleCloud(points), None, ["ise"], 0)
+    [(_, got)] = cli.compute_metrics(preset, points, None, ["ise"], 0)
     want = metrics.ise(grid, density.GaussianKde(points).on_grid(grid),
                        preset.truth_pdf(grid_nodes(grid)))
     assert got == want

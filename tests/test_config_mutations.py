@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from fredholm_flow import ParticleCloud, artifacts, baselines, cli, crossval
+from fredholm_flow import artifacts, baselines, cli, crossval
 from fredholm_flow.cli import main
 from fredholm_flow.problems import TOY_SIGMA_K_SQ, TOY_SIGMA_PI_SQ, get_preset
 
@@ -168,8 +168,7 @@ def clouds(tmp_path_factory):
     root = tmp_path_factory.mktemp("clouds")
     gen = np.random.default_rng(7)
     for dim in (1, 2):
-        artifacts.write_cloud_csv(root / cloud_file(dim),
-                                  ParticleCloud(gen.uniform(size=(20, dim))))
+        artifacts.write_cloud_csv(root / cloud_file(dim), gen.uniform(size=(20, dim)))
     return root
 
 

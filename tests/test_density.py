@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fredholm_flow import (EvaluationGrid, GaussianConvolutionKernel, GaussianKde, blocks,
-                           density, silverman_bandwidth)
+                           cli, density, silverman_bandwidth)
 
 from conftest import grid_nodes
 
@@ -26,9 +27,27 @@ def test_silverman_needs_two_points():
 
 
 def test_silverman_degenerate_coordinate_names_it(rng):
-    pts = np.column_stack([rng.normal(size=10), np.full(10, 3.0)])
-    with pytest.raises(ValueError, match="coordinate 1"):
-        silverman_bandwidth(pts)
+    # 20 copies of 0.4 average to a float off 0.4, so their deviation reads 5.7e-17
+    for n, x in ((10, 3.0), (20, 0.4)):
+        pts = np.column_stack([rng.normal(size=n), np.full(n, x)])
+        with pytest.raises(ValueError, match="coordinate 1 has zero sample variance"):
+            silverman_bandwidth(pts)
+    assert pts.std(axis=0, ddof=1)[1] > 0
+
+
+@pytest.mark.parametrize("solver", [{"gamma": 1e-300}, {"alpha": 1e-300}])
+def test_run_whose_cloud_stays_at_one_point_exits_2_at_solver(tmp_path, capsys, solver):
+    # a step far below the float spacing at 0.4 leaves all 20 particles there, as
+    # noise of weight 1e-300 does: no KDE, so no kde_grid.csv
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"preset": "gaussian_mixture_1d",
+                                  "init": {"mode": "point", "point": [0.4]},
+                                  "solver": {**solver, "n_particles": 20, "n_steps": 2}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: solver: coordinate 0 has zero sample variance")
+    assert not out.exists()
 
 
 def test_silverman_formula_d1(rng):

@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm_flow import EvaluationGrid, NumericalFailure, ParticleCloud, ReferenceMeasure
+from fredholm_flow import EvaluationGrid, NumericalFailure, ReferenceMeasure
 from fredholm_flow import artifacts, blocks, problems
 from fredholm_flow import rng as _rng
 from fredholm_flow.problems import (DELAY_MEAN_DAYS, build_initial_cloud, get_preset,
                                     incidence_pdf, preset_ct_phantom, preset_epidemiology_synthetic,
                                     preset_gaussian_mixture_1d, preset_highdim_mixture,
                                     preset_toy_gaussian)
+from fredholm_flow.state import _finite_matrix
 
 from conftest import fresh_interpreter, gauss_pdf, grid_nodes
 
@@ -271,14 +272,14 @@ def test_highdim_observations_leave_no_freed_noise_block_resident():
 def test_finite_check_holds_no_whole_array_temporary(rng):
     points = rng.normal(size=(100_000, 10))
     tracemalloc.start()
-    ParticleCloud(points)
+    _finite_matrix(points, "particle cloud")
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 2**16   # a bool mask of the sample would take 1 MB
     for bad in (np.nan, np.inf, -np.inf):
         points[4321, 7] = bad
         with pytest.raises(NumericalFailure, match="index=4321"):
-            ParticleCloud(points)
+            _finite_matrix(points, "particle cloud")
 
 
 def test_init_modes():
@@ -288,11 +289,11 @@ def test_init_modes():
     cfg = preset.solver
     for mode in ("auto", "observations", "reference"):
         cloud = build_initial_cloud(preset, cfg, obs, ref, mode=mode)
-        assert cloud.points.shape == (cfg.n_particles, 1)
+        assert cloud.shape == (cfg.n_particles, 1)
     point = build_initial_cloud(preset, cfg, obs, ref, mode="point", point=[0.5])
-    assert np.all(point.points == 0.5)
+    assert np.all(point == 0.5)
     box = build_initial_cloud(preset, cfg, obs, ref, mode="uniform", box=[[0.0, 1.0]])
-    assert box.points.min() >= 0.0 and box.points.max() <= 1.0
+    assert box.min() >= 0.0 and box.max() <= 1.0
     with pytest.raises(ValueError):
         build_initial_cloud(preset, cfg, obs, ref, mode="nope")
 
@@ -302,7 +303,7 @@ def test_epidemiology_init_applies_shift():
     obs = preset.sample_observations(3000, seed=2)
     ref = preset.make_reference(obs)
     cloud = build_initial_cloud(preset, preset.solver, obs, ref)
-    assert cloud.points.mean() == pytest.approx(obs.mean() - 9.0, abs=1.0)
+    assert cloud.mean() == pytest.approx(obs.mean() - 9.0, abs=1.0)
 
 
 def test_ct_init_draws_from_reference():
@@ -310,8 +311,8 @@ def test_ct_init_draws_from_reference():
     obs = preset.sample_observations(500, seed=2)
     ref = preset.make_reference(obs)
     cloud = build_initial_cloud(preset, preset.solver, obs, ref)
-    assert cloud.points.shape == (preset.solver.n_particles, 2)
-    assert abs(cloud.points.mean()) < 0.05
+    assert cloud.shape == (preset.solver.n_particles, 2)
+    assert abs(cloud.mean()) < 0.05
 
 
 def test_get_preset_registry():

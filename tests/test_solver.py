@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fredholm_flow import (GaussianConvolutionKernel, KernelModel, NumericalFailure,
-                           ParticleCloud, ReferenceMeasure, SolverConfig, draw_minibatch,
-                           drift_empirical, run, tamed_step)
+                           ReferenceMeasure, SolverConfig, draw_minibatch, drift_empirical,
+                           run, tamed_step)
 from fredholm_flow import solver
 from fredholm_flow.problems import build_initial_cloud, get_preset
 from fredholm_flow.rng import ROLE_NOISE, stream
@@ -36,11 +36,11 @@ class ConstantInXKernel(KernelModel):
 def test_drift_reduces_to_reference_pull(rng):
     kernel = ConstantInXKernel(2)
     ref = ReferenceMeasure.gaussian([0.0, 0.0], [1.0, 1.0])
-    cloud = ParticleCloud(rng.normal(size=(7, 2)))
+    cloud = rng.normal(size=(7, 2))
     batch = rng.normal(size=(5, 2))
     alpha = 0.37
     drift = drift_empirical(cloud, batch, kernel, ref, alpha, eta=0.0)
-    assert np.allclose(drift, -alpha * cloud.points, rtol=1e-14)
+    assert np.allclose(drift, -alpha * cloud, rtol=1e-14)
 
 
 def test_single_particle_score_identity(rng):
@@ -48,7 +48,7 @@ def test_single_particle_score_identity(rng):
     kernel = GaussianConvolutionKernel([sigma])
     ref = ReferenceMeasure.flat(1)
     x, y = 0.4, 1.1
-    cloud = ParticleCloud([[x]])
+    cloud = [[x]]
     batch = np.asarray([[y]])
     drift = drift_empirical(cloud, batch, kernel, ref, alpha=0.5, eta=0.0)
     assert drift[0, 0] == pytest.approx((y - x) / sigma**2, rel=1e-12)
@@ -59,11 +59,11 @@ def test_drift_at_zero_eta_where_every_k_underflows_is_the_reference_pull():
     # and the zero gradients leave only −α∇U
     kernel = GaussianConvolutionKernel([0.01])
     ref = ReferenceMeasure.gaussian([0.2], [1.0])
-    cloud = ParticleCloud(np.zeros((4, 1)))
+    cloud = np.zeros((4, 1))
     batch = np.full((3, 1), 100.0)
     drift = drift_empirical(cloud, batch, kernel, ref, alpha=0.3, eta=0.0)
     assert np.all(np.isfinite(drift))
-    assert np.array_equal(drift, -0.3 * ref.grad_u(cloud.points))
+    assert np.array_equal(drift, -0.3 * ref.grad_u(cloud))
 
 
 def test_drift_matches_triple_loop_oracle(rng):
@@ -72,7 +72,7 @@ def test_drift_matches_triple_loop_oracle(rng):
     alpha, eta = 0.15, 0.01
     xs = rng.normal(size=(5, 2))
     ys = rng.normal(size=(4, 2))
-    drift = drift_empirical(ParticleCloud(xs), ys, kernel, ref, alpha, eta)
+    drift = drift_empirical(xs, ys, kernel, ref, alpha, eta)
     for k in range(5):
         row = np.zeros(2)
         for j in range(4):
@@ -90,7 +90,7 @@ def test_drift_linear_growth_bound(rng):
     for _ in range(50):
         xs = rng.normal(size=(6, 1)) * 3
         ys = rng.normal(size=(5, 1)) * 3
-        drift = drift_empirical(ParticleCloud(xs), ys, kernel, ref, alpha, eta)
+        drift = drift_empirical(xs, ys, kernel, ref, alpha, eta)
         bound = (kernel.bound_M / eta
                  + alpha * ref.lipschitz * np.linalg.norm(xs, axis=1)
                  + alpha * np.linalg.norm(ref.grad_u(np.zeros(1))))
@@ -98,19 +98,18 @@ def test_drift_linear_growth_bound(rng):
 
 
 def test_tamed_step_pure_diffusion(rng):
-    cloud = ParticleCloud(rng.normal(size=(6, 2)))
+    cloud = rng.normal(size=(6, 2))
     noise = rng.standard_normal((6, 2))
     gamma, alpha = 0.05, 0.3
     out = tamed_step(cloud, np.zeros((6, 2)), gamma, alpha, noise)
-    assert np.allclose(out.points, cloud.points + np.sqrt(2 * alpha * gamma) * noise)
-    assert out.step_index == cloud.step_index + 1
+    assert np.allclose(out, cloud + np.sqrt(2 * alpha * gamma) * noise)
 
 
 def test_tamed_step_hand_value():
-    cloud = ParticleCloud([[0.0, 0.0]])
+    cloud = np.zeros((1, 2))
     drift = np.array([[3.0, 4.0]])
     out = tamed_step(cloud, drift, gamma=0.1, alpha=1.0, noise=np.zeros((1, 2)))
-    assert np.allclose(out.points, [[0.2, 4.0 / 15.0]], rtol=1e-15)
+    assert np.allclose(out, [[0.2, 4.0 / 15.0]], rtol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -120,9 +119,9 @@ def test_tamed_step_hand_value():
 @example(np.array([[3.8e-158, 3.8e-158], [0.0, 0.0], [0.0, 0.0]]), 0.5)
 @example(np.array([[3.8e-158, 0.0], [0.0, 0.0], [0.0, 0.0]]), 2.0)
 def test_taming_bound_property(drift, gamma):
-    cloud = ParticleCloud(np.zeros((3, 2)))
+    cloud = np.zeros((3, 2))
     out = tamed_step(cloud, drift, gamma, alpha=0.0, noise=np.zeros((3, 2)))
-    inc = np.hypot.reduce(out.points - cloud.points, axis=1)
+    inc = np.hypot.reduce(out - cloud, axis=1)
     norms = np.hypot.reduce(drift, axis=1)
     assert np.all(inc < 1.0)
     assert np.all(inc <= gamma * norms * (1.0 + 1e-12) + 1e-300)
@@ -139,9 +138,9 @@ def test_tamed_step_takes_the_limit_where_gamma_norm_overflows(d, rng):
     drift[3:6] = np.sign(drift[3:6]) * 1.5e308
     drift[6:] *= [[1e-200], [1.0], [1e-310]]
     for gamma in (1e300, 0.5):
-        cloud = ParticleCloud(rng.normal(size=(9, d)))
+        cloud = rng.normal(size=(9, d))
         out = tamed_step(cloud, drift, gamma, alpha=0.0, noise=np.zeros((9, d)))
-        inc = out.points - cloud.points
+        inc = out - cloud
         assert np.all(np.isfinite(inc))
         # the limit b/‖b‖ is a unit vector up to the rounding of its entries
         norms = np.hypot.reduce(inc, axis=1)
@@ -154,9 +153,9 @@ def test_tamed_step_takes_the_limit_where_gamma_norm_overflows(d, rng):
             fine = np.isfinite(gamma * np.hypot.reduce(drift, axis=1))
         assert np.array_equal(np.flatnonzero(~fine), over)
         # where γ‖b‖ is finite, the formula and its bits are today's
-        want = cloud.points[fine] + gamma * drift[fine] / (
+        want = cloud[fine] + gamma * drift[fine] / (
             1.0 + gamma * np.hypot.reduce(drift[fine], axis=1, keepdims=True))
-        assert np.array_equal(out.points[fine], want)
+        assert np.array_equal(out[fine], want)
 
 
 def test_minibatch_full_sample_when_m_large(rng):
@@ -188,7 +187,7 @@ def _small_setup(seed=0, n=30, steps=8):
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
     config = SolverConfig(alpha=0.1, gamma=0.01, n_particles=n, n_steps=steps, seed=seed)
     gen = np.random.default_rng(11)
-    init = ParticleCloud(gen.normal(size=(n, 1)))
+    init = gen.normal(size=(n, 1))
     obs = gen.normal(size=(60, 1))
     return config, kernel, ref, init, obs
 
@@ -196,7 +195,7 @@ def _small_setup(seed=0, n=30, steps=8):
 def test_run_zero_steps_returns_init():
     config, kernel, ref, init, obs = _small_setup(steps=0)
     cloud, trace = run(config, kernel, ref, init, obs)
-    assert np.array_equal(cloud.points, init.points)
+    assert np.array_equal(cloud, init)
     assert len(trace) == 1
 
 
@@ -228,7 +227,7 @@ def test_run_deterministic_bitwise():
     config, kernel, ref, init, obs = _small_setup()
     cloud_a, trace_a = run(config, kernel, ref, init, obs)
     cloud_b, trace_b = run(config, kernel, ref, init, obs)
-    assert np.array_equal(cloud_a.points, cloud_b.points)
+    assert np.array_equal(cloud_a, cloud_b)
     assert np.array_equal(trace_a.column("g_hat"), trace_b.column("g_hat"), equal_nan=True)
     assert np.array_equal(trace_a.column("drift_max"), trace_b.column("drift_max"),
                           equal_nan=True)
@@ -244,7 +243,7 @@ def test_run_trace_length_bound():
 def test_run_exchangeability(rng, monkeypatch):
     # the permuted cloud draws its noise rows permuted: the same noise per particle
     config, kernel, ref, init, obs = _small_setup()
-    perm = rng.permutation(init.n_particles)
+    perm = rng.permutation(len(init))
     cloud_a, _ = run(config, kernel, ref, init, obs)
 
     class PermutedRows:
@@ -259,8 +258,8 @@ def test_run_exchangeability(rng, monkeypatch):
         return PermutedRows(gen) if role == ROLE_NOISE else gen
 
     monkeypatch.setattr(solver._rng, "stream", permuted_noise)
-    cloud_b, _ = run(config, kernel, ref, ParticleCloud(init.points[perm]), obs)
-    assert np.allclose(cloud_b.points, cloud_a.points[perm], rtol=1e-12, atol=1e-14)
+    cloud_b, _ = run(config, kernel, ref, init[perm], obs)
+    assert np.allclose(cloud_b, cloud_a[perm], rtol=1e-12, atol=1e-14)
 
 
 def test_run_early_stopping_truncates_trace():
@@ -281,7 +280,7 @@ def test_run_early_stop_is_a_prefix_of_the_full_run():
     init = build_initial_cloud(preset, full_config, obs, ref)
     full_clouds = []
     _, full = run(full_config, preset.kernel, ref, init, obs,
-                  monitor=lambda step, cloud, est: full_clouds.append(cloud.points))
+                  monitor=lambda step, cloud, est: full_clouds.append(cloud))
     steps = []
     config = dataclasses.replace(full_config, stop_tol=0.05, stop_window=3)
     cloud, trace = run(config, preset.kernel, ref, init, obs,
@@ -294,22 +293,61 @@ def test_run_early_stop_is_a_prefix_of_the_full_run():
     assert [solver._should_stop(g_hat[:rows], config.stop_tol, config.stop_window)
             for rows in range(1, n + 1)] == [False] * (n - 1) + [True]
     assert np.isfinite(trace.column("drift_mean")[-1])
-    assert cloud.step_index == n - 1
-    assert np.array_equal(cloud.points, full_clouds[n - 1])
+    assert np.array_equal(cloud, full_clouds[n - 1])
     assert steps == list(range(n))
 
 
 def test_run_rejects_wrong_particle_count():
     config, kernel, ref, init, obs = _small_setup()
-    bad = dataclasses.replace(config, n_particles=init.n_particles + 1)
+    bad = dataclasses.replace(config, n_particles=len(init) + 1)
     with pytest.raises(ValueError):
         run(bad, kernel, ref, init, obs)
 
 
-def test_non_finite_cloud_is_hard_failure():
-    with pytest.raises(NumericalFailure) as err:
-        ParticleCloud(np.array([[0.0], [np.inf]]))
-    assert err.value.index == 1
+def test_run_non_finite_init_fails_before_any_step():
+    config, kernel, ref, init, obs = _small_setup(steps=3)
+    counting = ColumnCountingKernel(kernel.noise_sd)
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = init.copy()
+        poisoned[17, 0] = bad
+        with pytest.raises(NumericalFailure, match="particle cloud") as err:
+            run(config, counting, ref, poisoned, obs,
+                monitor=lambda *args: pytest.fail("a state was recorded"))
+        assert (err.value.step, err.value.index) == (0, 17)
+    assert counting.columns == []
+
+
+class GradientBreakingKernel(ConstantInXKernel):
+    """ConstantInXKernel whose gradient row 2 turns NaN after ``breaks_after`` calls."""
+
+    def __init__(self, breaks_after=np.inf):
+        super().__init__(1)
+        self.breaks_after = breaks_after
+        self.calls = 0
+
+    def weighted_grad1(self, ys, k, plane, w, work=None):
+        out = super().weighted_grad1(ys, k, plane, w, work)
+        self.calls += 1
+        if self.calls > self.breaks_after:
+            out[2] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("s", [0, 3, 7])
+def test_drift_failure_names_the_loop_step(s):
+    # the loop's step keys the streams, the trace and the monitor: a drift that
+    # turns non-finite in step s fails at s, after the monitor saw 0..s-1
+    config, _, ref, init, obs = _small_setup(steps=8)
+    clean = GradientBreakingKernel()
+    run(config, clean, ref, init, obs)
+    per_step, rest = divmod(clean.calls, config.n_steps)
+    assert per_step >= 1 and rest == 0
+    steps = []
+    with pytest.raises(NumericalFailure, match="non-finite drift") as err:
+        run(config, GradientBreakingKernel(s * per_step), ref, init, obs,
+            monitor=lambda step, cloud, est: steps.append(step))
+    assert (err.value.step, err.value.index) == (s, 2)
+    assert steps == list(range(s))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -330,7 +368,7 @@ def test_non_finite_observation_fails_at_entry_with_its_row(bad):
     # a nested list is a sample too
     cloud, trace = run(config, kernel, ref, init, obs.tolist())
     want_cloud, want_trace = run(config, kernel, ref, init, obs)
-    assert np.array_equal(cloud.points, want_cloud.points)
+    assert np.array_equal(cloud, want_cloud)
     assert np.array_equal(trace.rows, want_trace.rows, equal_nan=True)
     assert np.array_equal(drift_empirical(init, obs[:5].tolist(), kernel, ref, 0.1, 0.0),
                           drift_empirical(init, obs[:5], kernel, ref, 0.1, 0.0))
@@ -344,11 +382,11 @@ def test_ou_stationary_variance():
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
     config = SolverConfig(alpha=0.5, gamma=0.02, n_particles=600, n_steps=1500, seed=5)
     gen = np.random.default_rng(2)
-    init = ParticleCloud(gen.normal(size=(600, 1)))
+    init = gen.normal(size=(600, 1))
     obs = gen.normal(size=(50, 1))
     variances = []
     run(config, kernel, ref, init, obs,
-        monitor=lambda step, cloud, est: variances.append(cloud.points.var())
+        monitor=lambda step, cloud, est: variances.append(cloud.var())
         if step >= 700 else None)
     assert np.mean(variances) == pytest.approx(1.0, rel=0.10)
 
@@ -361,15 +399,9 @@ def test_config_validation():
 
 
 def test_drift_failure_carries_particle_index():
-    class BrokenKernel(ConstantInXKernel):
-        def weighted_grad1(self, ys, k, plane, w, work=None):
-            out = super().weighted_grad1(ys, k, plane, w, work)
-            out[2] = np.nan
-            return out
-
-    kernel = BrokenKernel(1)
+    kernel = GradientBreakingKernel(breaks_after=0)
     ref = ReferenceMeasure.gaussian([0.0], [1.0])
-    cloud = ParticleCloud(np.zeros((5, 1)))
+    cloud = np.zeros((5, 1))
     batch = np.zeros((3, 1))
     with pytest.raises(NumericalFailure) as err:
         drift_empirical(cloud, batch, kernel, ref, alpha=0.1, eta=0.0)
@@ -377,10 +409,11 @@ def test_drift_failure_carries_particle_index():
 
 
 def test_tamed_step_non_finite_noise_fails():
-    cloud = ParticleCloud(np.zeros((2, 1)))
+    cloud = np.zeros((2, 1))
     noise = np.array([[0.0], [np.inf]])
-    with pytest.raises(NumericalFailure):
-        tamed_step(cloud, np.zeros((2, 1)), 0.1, 0.5, noise)
+    with pytest.raises(NumericalFailure, match="particle cloud") as err:
+        tamed_step(cloud, np.zeros((2, 1)), 0.1, 0.5, noise, step=4)
+    assert (err.value.step, err.value.index) == (4, 1)
 
 
 def test_trace_columns_are_read_only_views():
